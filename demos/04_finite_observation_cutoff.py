@@ -35,7 +35,7 @@ for horizon in (1e4, 1e6):
             horizon, 150.0 * predicted, points_per_decade=12
         )
         path = tn.simulate_realization(cfg, 0)[0]
-        est = tn.periodogram_event_exact(path, 1.0, freqs)
+        est = tn.periodogram_superposed_events([path], 1.0, freqs)
         binned = tn.logbin_spectrum(est, 4)
         keep = binned.freqs <= 30.0 * predicted
         trimmed = tn.SpectrumEstimate(

@@ -67,7 +67,6 @@ from .spectra import (
     average_spectra,
     logbin_spectrum,
     natural_frequencies,
-    periodogram_event_exact,
     periodogram_fft,
     periodogram_superposed_events,
 )

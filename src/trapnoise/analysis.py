@@ -209,6 +209,8 @@ def hooge_alpha_fitted(
     deviation, and more than 0.2 flags the window as outside the flicker
     band.
     """
+    if not mean_current > 0.0:
+        raise ValueError("mean current must be positive")
     f1, f2 = window
     sel = (est.freqs >= f1) & (est.freqs <= f2)
     if not np.any(sel):

@@ -35,7 +35,6 @@ __all__ = [
     "psd_one_over_f",
     "psd_multi_carrier",
     "one_over_f_window",
-    "ANALYTIC_PSDS",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -237,12 +236,3 @@ def one_over_f_window(gamma_min: float, gamma_max: float, margin: float = 10.0):
         gamma_max / (margin * _TWO_PI),
     )
 
-
-ANALYTIC_PSDS = {
-    "general_pulse": psd_general_pulse,
-    "poisson_pulse": psd_poisson_pulse,
-    "lorentzian": psd_lorentzian,
-    "full_expression": psd_full_expression,
-    "one_over_f": psd_one_over_f,
-    "multi_carrier": psd_multi_carrier,
-}

@@ -27,9 +27,11 @@ __all__ = [
     "NonergodicError",
     "sample_rate",
     "sample_detrap_time",
+    "escape_times",
     "detrap_pdf",
     "detrap_cdf",
     "detrap_mean",
+    "free_probability",
 ]
 
 # Below this value of gamma_max*tau the closed-form pdf is a difference of
@@ -55,6 +57,9 @@ class UniformRates:
     gamma_max: float
 
     def __post_init__(self):
+        for name in ("gamma_min", "gamma_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.gamma_min <= self.gamma_max):
             raise ValueError(
                 f"need 0 <= gamma_min <= gamma_max, got "
@@ -62,10 +67,6 @@ class UniformRates:
             )
         if self.gamma_max <= 0.0:
             raise ValueError("gamma_max must be positive")
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.gamma_min == self.gamma_max
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,14 @@ class ArrheniusRates:
     energy_max: float
 
     def __post_init__(self):
-        if self.prefactor <= 0.0:
-            raise ValueError("prefactor must be positive")
-        if self.thermal_energy <= 0.0:
-            raise ValueError("thermal_energy must be positive")
+        if not 0.0 < self.prefactor < np.inf:
+            raise ValueError(
+                f"prefactor must be finite and positive, got {self.prefactor}"
+            )
+        if not 0.0 < self.thermal_energy < np.inf:
+            raise ValueError(
+                f"thermal_energy must be finite and positive, got {self.thermal_energy}"
+            )
         if not (0.0 <= self.energy_min <= self.energy_max):
             raise ValueError("need 0 <= energy_min <= energy_max")
 
@@ -109,10 +114,6 @@ class ArrheniusRates:
     @property
     def gamma_max(self) -> float:
         return self.prefactor * np.exp(-self.energy_min / self.thermal_energy)
-
-    def as_uniform(self) -> UniformRates:
-        """The induced uniform rate law."""
-        return UniformRates(self.gamma_min, self.gamma_max)
 
 
 RateModel = Union[UniformRates, ArrheniusRates]
@@ -162,12 +163,21 @@ def sample_detrap_time(model: RateModel, rng: np.random.Generator, size=None):
     ``inf``; callers truncate at their observation horizon.
     """
     gamma = np.asarray(sample_rate(model, rng, size), dtype=float)
-    raw = rng.standard_exponential(size)
-    with np.errstate(divide="ignore"):
-        tau = np.where(gamma > 0.0, raw / np.where(gamma > 0.0, gamma, 1.0), np.inf)
+    tau = escape_times(gamma, rng.standard_exponential(size))
     if size is None:
         return float(tau)
     return tau
+
+
+def escape_times(gamma: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
+    """Detrapping times given the rates: unit exponentials over ``gamma``.
+
+    A zero rate gives ``inf`` (the carrier never escapes).
+    """
+    with np.errstate(divide="ignore"):
+        return np.where(
+            gamma > 0.0, exponentials / np.where(gamma > 0.0, gamma, 1.0), np.inf
+        )
 
 
 def _bounds(model: RateModel) -> tuple[float, float]:
@@ -252,3 +262,13 @@ def detrap_mean(model: RateModel) -> float:
     if a == b:
         return 1.0 / a
     return float(np.log(b / a) / (b - a))
+
+
+def free_probability(rates: RateModel, trapping: PoissonTrapping) -> float:
+    """Probability that a carrier is free, ``<pulse> / (<pulse> + <gap>)``.
+
+    Raises :class:`NonergodicError` when the mean gap diverges, as
+    :func:`detrap_mean` does.
+    """
+    tau = detrap_mean(rates)
+    return trapping.mean_time / (trapping.mean_time + tau)

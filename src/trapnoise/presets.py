@@ -14,7 +14,7 @@ in the output metadata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,11 @@ PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
 # single-rate components displayed alongside the mixture density in fig2
 FIG2_COMPONENT_RATES = np.geomspace(1e-3, 10.0, 10)
+
+_ESTIMATORS = ("event_exact", "sampled_fft")
+_ANALYSES = ("cutoff", "hooge", "amplitude_pmf")
+_RUN_KEYS = ("label", "rates", "trapping_rate", "horizon", "amplitude",
+             "n_carriers", "n_realizations", "sample_dt", "seed")
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown spec kind {self.kind!r}")
         if self.kind == "spectrum" and not self.runs:
             raise ValueError("spectrum spec needs at least one run")
+        if self.estimator not in _ESTIMATORS:
+            raise ValueError(
+                f"unknown estimator {self.estimator!r}; choose from {_ESTIMATORS}"
+            )
+        unknown = [a for a in self.analyses if a not in _ANALYSES]
+        if unknown:
+            raise ValueError(f"unknown analyses {unknown}; choose from {_ANALYSES}")
 
 
 def _scaled(config: SimConfig, scale: float) -> SimConfig:
@@ -191,14 +203,20 @@ def _rates_to_dict(rates: RateModel) -> dict:
     }
 
 
+def _reject_unknown_keys(d: dict, known, where: str) -> None:
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; known: {sorted(known)}")
+
+
 def _rates_from_dict(d: dict) -> RateModel:
-    if d["kind"] == "arrhenius":
-        return ArrheniusRates(
-            d["prefactor"], d["thermal_energy"], d["energy_min"], d["energy_max"]
-        )
-    if d["kind"] == "uniform":
-        return UniformRates(d["gamma_min"], d["gamma_max"])
-    raise ValueError(f"unknown rate model kind {d['kind']!r}")
+    models = {"arrhenius": ArrheniusRates, "uniform": UniformRates}
+    if d["kind"] not in models:
+        raise ValueError(f"unknown rate model kind {d['kind']!r}")
+    model = models[d["kind"]]
+    names = [f.name for f in fields(model)]
+    _reject_unknown_keys(d, ["kind", *names], "rates")
+    return model(*(d[name] for name in names))
 
 
 def _config_to_dict(config: SimConfig) -> dict:
@@ -215,6 +233,7 @@ def _config_to_dict(config: SimConfig) -> dict:
 
 
 def _config_from_dict(d: dict) -> SimConfig:
+    _reject_unknown_keys(d, _RUN_KEYS, "run")
     return SimConfig(
         rates=_rates_from_dict(d["rates"]),
         trapping=PoissonTrapping(d["trapping_rate"]),
@@ -245,6 +264,7 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
+    _reject_unknown_keys(d, [f.name for f in fields(ExperimentSpec)], "spec")
     runs = tuple(
         (r.get("label", ""), _config_from_dict(r)) for r in d.get("runs", [])
     )

@@ -20,15 +20,17 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import analysis as _analysis
-from .distributions import NonergodicError, detrap_mean, detrap_pdf
+from .analytic import one_over_f_window
+from .distributions import NonergodicError, detrap_pdf, free_probability
 from .presets import FIG2_COMPONENT_RATES, ExperimentSpec, spec_to_dict
-from .simulate import SimConfig, simulate_realization, superpose
+from .simulate import SimConfig, occupancy_counts, simulate_realization, superpose
 from .spectra import (
     SpectrumEstimate,
     average_spectra,
@@ -44,31 +46,43 @@ __all__ = ["run", "run_spectrum_config", "RunResult"]
 _TWO_PI = 2.0 * np.pi
 
 
-def _one_realization(args):
+@dataclass
+class RealizationResult:
+    """Spectrum and empirical counts of one realization (all carriers)."""
+
+    spectrum: SpectrumEstimate
+    pulse_count: int
+    free_time: float
+    hist: Optional[np.ndarray]  # occupancy counts; sampled_fft only
+
+
+@dataclass
+class RunResult:
+    """Averaged spectrum plus the empirical aggregates of one run."""
+
+    spectrum: SpectrumEstimate
+    nu_bar: float
+    mean_current: float
+    pulse_count: int
+    hist: Optional[np.ndarray]  # occupancy counts summed over realizations
+
+
+def _one_realization(args) -> RealizationResult:
     config, estimator, freqs, realization = args
     paths = simulate_realization(config, realization)
-    pulse_count = sum(p.pulse_count for p in paths)
-    free_time = sum(p.free_time for p in paths)
     hist = None
     if estimator == "sampled_fft":
         signal = superpose(paths, config.amplitude, config.sample_dt)
         est = periodogram_fft(signal)
-        counts = np.rint(signal.values / config.amplitude).astype(np.int64)
-        hist = np.bincount(counts, minlength=config.n_carriers + 1)
+        hist = occupancy_counts(signal)
     else:
         est = periodogram_superposed_events(paths, config.amplitude, freqs)
-    return est.freqs, est.values, pulse_count, free_time, hist
-
-
-class RunResult:
-    """Averaged spectrum plus the empirical aggregates of one run."""
-
-    def __init__(self, spectrum, nu_bar, mean_current, pulse_count, hist):
-        self.spectrum = spectrum
-        self.nu_bar = nu_bar
-        self.mean_current = mean_current
-        self.pulse_count = pulse_count
-        self.hist = hist
+    return RealizationResult(
+        spectrum=est,
+        pulse_count=sum(p.pulse_count for p in paths),
+        free_time=sum(p.free_time for p in paths),
+        hist=hist,
+    )
 
 
 def run_spectrum_config(
@@ -100,26 +114,22 @@ def run_spectrum_config(
     else:
         results = [_one_realization(t) for t in tasks]
 
-    estimates = [
-        SpectrumEstimate(freqs=f, values=v, n_averaged=1, estimator=estimator)
-        for f, v, _, _, _ in results
-    ]
-    averaged = average_spectra(estimates)
-    averaged.metadata.update(
-        horizon=config.horizon,
-        n_carriers=config.n_carriers,
-        seed=config.seed,
-    )
+    averaged = average_spectra([r.spectrum for r in results])
+    averaged.metadata["seed"] = config.seed
 
     R = config.n_realizations
-    total_pulses = sum(r[2] for r in results)
-    total_free = sum(r[3] for r in results)
-    nu_bar = total_pulses / (R * config.n_carriers * config.horizon)
-    mean_current = config.amplitude * total_free / (R * config.horizon)
+    total_pulses = sum(r.pulse_count for r in results)
+    total_free = sum(r.free_time for r in results)
     hist = None
-    if results[0][4] is not None:
-        hist = np.sum([r[4] for r in results], axis=0)
-    return RunResult(averaged, nu_bar, mean_current, total_pulses, hist)
+    if results[0].hist is not None:
+        hist = np.sum([r.hist for r in results], axis=0)
+    return RunResult(
+        spectrum=averaged,
+        nu_bar=total_pulses / (R * config.n_carriers * config.horizon),
+        mean_current=config.amplitude * total_free / (R * config.horizon),
+        pulse_count=total_pulses,
+        hist=hist,
+    )
 
 
 def _analyze_run(spec, label, config, result) -> dict:
@@ -154,15 +164,19 @@ def _analyze_run(spec, label, config, result) -> dict:
         hooge["exact"] = _analysis.hooge_alpha_exact(
             result.nu_bar, config.trapping.mean_time, gamma_max
         )
-        if config.rates.gamma_min > 0.0:
-            f_lo = 10.0 * config.rates.gamma_min / _TWO_PI
-        else:
-            f_lo = 10.0 * _analysis.effective_cutoff(config).gamma_min_eff / _TWO_PI
-        f_hi = gamma_max / (10.0 * _TWO_PI)
-        if f_lo < f_hi and result.mean_current > 0.0:
+        floor = config.rates.gamma_min
+        if floor <= 0.0:
+            floor = _analysis.effective_cutoff(config).gamma_min_eff
+        window = one_over_f_window(floor, gamma_max)
+        try:
             fitted = _analysis.hooge_alpha_fitted(
-                est, result.mean_current, config.n_carriers, (f_lo, f_hi)
+                est, result.mean_current, config.n_carriers, window
             )
+        except ValueError as exc:
+            # no free time, or a floor above f_max leaves no point to fit
+            hooge["fit_window"] = list(window)
+            hooge["fit_skipped"] = str(exc)
+        else:
             hooge["fitted"] = fitted.alpha
             hooge["fit_window"] = list(fitted.fit_window)
             hooge["slope_deviation"] = fitted.slope_deviation
@@ -175,10 +189,7 @@ def _analyze_run(spec, label, config, result) -> dict:
         p_fit = mean_count / config.n_carriers
         amp = {"p_fit": p_fit}
         try:
-            tau = detrap_mean(config.rates)
-            amp["p_analytic"] = config.trapping.mean_time / (
-                config.trapping.mean_time + tau
-            )
+            amp["p_analytic"] = free_probability(config.rates, config.trapping)
         except NonergodicError:
             amp["p_analytic"] = None
         info["amplitude"] = amp

@@ -17,7 +17,7 @@ bit-identical for a given config regardless of how work is distributed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,8 @@ from .distributions import (
     PoissonTrapping,
     RateModel,
     detrap_mean,
+    escape_times,
+    free_probability,
     sample_rate,
 )
 
@@ -40,6 +42,7 @@ __all__ = [
     "empirical_nu",
     "free_fraction",
     "superpose",
+    "occupancy_counts",
     "amplitude_pmf",
     "predicted_amplitude_pmf",
     "write_event_csv",
@@ -61,40 +64,43 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(
+                f"horizon must be finite and positive, got {self.horizon}"
+            )
         if self.n_carriers < 1:
             raise ValueError("n_carriers must be >= 1")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        if self.sample_dt is not None and self.sample_dt <= 0.0:
-            raise ValueError("sample_dt must be positive when given")
+        if self.sample_dt is not None and not 0.0 < self.sample_dt < np.inf:
+            raise ValueError(
+                f"sample_dt must be finite and positive, got {self.sample_dt}"
+            )
 
 
 @dataclass
 class CarrierPath:
     """One carrier's alternating gap/pulse durations over [0, horizon].
 
-    ``durations[0]`` is a gap when ``start_trapped`` (the default
-    produced by the simulator); segments then alternate strictly.
+    Paths always start trapped: ``durations[0]`` is a gap and segments
+    alternate strictly, so even indices are gaps and odd indices pulses.
+    A path that starts free has a zero-length first gap.
     """
 
     durations: np.ndarray
     horizon: float
-    start_trapped: bool = True
 
     @property
     def pulse_count(self) -> int:
-        n = len(self.durations)
-        return n // 2 if self.start_trapped else (n + 1) // 2
+        return len(self.durations) // 2
 
     @property
     def gap_durations(self) -> np.ndarray:
-        return self.durations[0::2] if self.start_trapped else self.durations[1::2]
+        return self.durations[0::2]
 
     @property
     def pulse_durations(self) -> np.ndarray:
-        return self.durations[1::2] if self.start_trapped else self.durations[0::2]
+        return self.durations[1::2]
 
     @property
     def free_time(self) -> float:
@@ -110,15 +116,11 @@ class CarrierPath:
         starts = np.empty_like(ends)
         starts[0] = 0.0
         starts[1:] = ends[:-1]
-        if self.start_trapped:
-            return starts[1::2], ends[1::2]
-        return starts[0::2], ends[0::2]
+        return starts[1::2], ends[1::2]
 
     def segments(self) -> Iterator[tuple[str, float]]:
-        first = "gap" if self.start_trapped else "pulse"
-        second = "pulse" if self.start_trapped else "gap"
         for i, d in enumerate(self.durations):
-            yield (first if i % 2 == 0 else second), float(d)
+            yield ("gap" if i % 2 == 0 else "pulse"), float(d)
 
 
 @dataclass
@@ -134,7 +136,6 @@ class SampledSignal:
     n_carriers: int
     amplitude: float
     horizon: float
-    metadata: dict = field(default_factory=dict)
 
 
 def carrier_stream(seed: int, realization: int, carrier: int) -> np.random.Generator:
@@ -170,9 +171,7 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     while total < T:
         n = max(16, int(1.1 * (T - min(total, T)) / guess) + 1)
         gamma = np.asarray(sample_rate(config.rates, rng, n), dtype=float)
-        raw = rng.standard_exponential(n)
-        with np.errstate(divide="ignore"):
-            gaps = np.where(gamma > 0.0, raw / np.where(gamma > 0.0, gamma, 1.0), np.inf)
+        gaps = escape_times(gamma, rng.standard_exponential(n))
         pulses = rng.exponential(theta_scale, n)
         gap_blocks.append(gaps)
         pulse_blocks.append(pulses)
@@ -195,7 +194,7 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
         kept[-1] = T - start_of_last
         if kept[-1] <= 0.0:
             kept = kept[:-1]
-    return CarrierPath(durations=kept, horizon=T, start_trapped=True)
+    return CarrierPath(durations=kept, horizon=T)
 
 
 def simulate_realization(config: SimConfig, realization: int) -> list[CarrierPath]:
@@ -255,12 +254,17 @@ def superpose(
     )
 
 
+def occupancy_counts(signal: SampledSignal) -> np.ndarray:
+    """Number of samples with 0..N carriers free (unnormalized histogram)."""
+    counts = np.rint(signal.values / signal.amplitude).astype(np.int64)
+    return np.bincount(counts, minlength=signal.n_carriers + 1)
+
+
 def amplitude_pmf(signal: SampledSignal) -> np.ndarray:
     """Normalized occupancy histogram over 0..N free carriers."""
     if signal.values.size == 0:
         raise ValueError("empty signal")
-    counts = np.rint(signal.values / signal.amplitude).astype(np.int64)
-    hist = np.bincount(counts, minlength=signal.n_carriers + 1)
+    hist = occupancy_counts(signal)
     return hist / hist.sum()
 
 
@@ -281,10 +285,9 @@ def predicted_amplitude_pmf(
     p = None
     if rates is not None and trapping is not None:
         try:
-            tau = detrap_mean(rates)
-            p = trapping.mean_time / (trapping.mean_time + tau)
+            p = free_probability(rates, trapping)
         except NonergodicError:
-            p = None
+            pass
     if p is None:
         p = float(np.mean(signal.values)) / (signal.amplitude * n)
     return binom.pmf(np.arange(n + 1), n, p)

@@ -3,9 +3,10 @@
 Two estimators of the same one-sided definition ``S(f) = (2/T) |F(f)|^2``
 with ``F`` the finite-time Fourier integral of the current:
 
-* ``periodogram_event_exact`` integrates the piecewise-constant signal
-  analytically pulse by pulse, so it has no discretization error and can
-  be evaluated on sparse log-spaced grids over millions of pulses.
+* ``periodogram_superposed_events`` integrates the piecewise-constant
+  current of one or more carriers analytically pulse by pulse, so it has
+  no discretization error and can be evaluated on sparse log-spaced grids
+  over millions of pulses.
 * ``periodogram_fft`` is the standard rectangular-window periodogram of a
   uniformly sampled signal on its natural frequencies k/T.
 
@@ -32,7 +33,6 @@ from .simulate import CarrierPath, SampledSignal
 __all__ = [
     "SpectrumEstimate",
     "natural_frequencies",
-    "periodogram_event_exact",
     "periodogram_superposed_events",
     "periodogram_fft",
     "average_spectra",
@@ -121,27 +121,17 @@ def _pulse_transform(
     return numerator / (1j * _TWO_PI * freqs)
 
 
-def periodogram_event_exact(
-    path: CarrierPath,
-    amplitude: float,
-    freqs: np.ndarray,
-    trig_dtype=np.float32,
-) -> SpectrumEstimate:
-    """Exact finite-time periodogram of one carrier's pulse train."""
-    return periodogram_superposed_events([path], amplitude, freqs, trig_dtype)
-
-
 def periodogram_superposed_events(
     paths: Sequence[CarrierPath],
     amplitude: float,
     freqs: np.ndarray,
     trig_dtype=np.float32,
 ) -> SpectrumEstimate:
-    """Exact periodogram of the summed current of several carriers.
+    """Exact finite-time periodogram of the summed current of the carriers.
 
     The carriers' Fourier integrals add coherently before the modulus, so
     this equals the periodogram of the superposed signal with no sampling
-    involved.
+    involved.  Pass ``[path]`` for a single carrier's pulse train.
     """
     freqs = np.asarray(freqs, dtype=float)
     if np.any(freqs <= 0.0):

@@ -78,7 +78,7 @@ def _single_experiment_floor(horizon, seed):
     )
     freqs = tn.natural_frequencies(horizon, 150.0 * pred, points_per_decade=12)
     path = tn.simulate_realization(cfg, 0)[0]
-    est = tn.periodogram_event_exact(path, 1.0, freqs)
+    est = tn.periodogram_superposed_events([path], 1.0, freqs)
     binned = tn.logbin_spectrum(est, 4)
     sel = binned.freqs <= 30.0 * pred
     trimmed = tn.SpectrumEstimate(

@@ -187,6 +187,15 @@ class TestHoogeFitted:
         with pytest.raises(ValueError):
             hooge_alpha_fitted(est, 1.0, 1, (1e3, 1e4))
 
+    def test_zero_mean_current_rejected(self):
+        # a carrier never free: S = 0 and I = 0 would give alpha = 0/0
+        freqs = np.geomspace(1e-2, 1e2, 10)
+        est = SpectrumEstimate(
+            freqs=freqs, values=np.zeros(10), n_averaged=1, estimator="event_exact"
+        )
+        with pytest.raises(ValueError, match="mean current"):
+            hooge_alpha_fitted(est, 0.0, 1, (1e-1, 1e1))
+
 
 class TestMaterialRelations:
     def _material(self, **kw):

@@ -70,6 +70,23 @@ class TestPresets:
             again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
             assert again == spec
 
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            (lambda d: d.update(estimator="bogus"), "bogus"),
+            (lambda d: d.update(analyses=["cutoff", "hoge"]), "hoge"),
+            (lambda d: d.update(f_maxx=1.0), "f_maxx"),
+            (lambda d: d["runs"][0].update(horizn=1e3), "horizn"),
+            (lambda d: d["runs"][0]["rates"].update(gamma_mx=1e3), "gamma_mx"),
+        ],
+        ids=["estimator", "analysis", "spec-key", "run-key", "rates-key"],
+    )
+    def test_unknown_name_rejected(self, edit, name):
+        d = spec_to_dict(preset("fig3", scale=1000.0))
+        edit(d)
+        with pytest.raises(ValueError, match=name):
+            spec_from_dict(d)
+
 
 class TestRunner:
     def test_fig3_artifacts_exist(self, tmp_path):
@@ -123,6 +140,34 @@ class TestRunner:
         assert len(pmf_lines) == 1 + 1001
         report = json.loads((tmp_path / "fig6_report.json").read_text())
         assert 0.9 < report["runs"][0]["amplitude"]["p_fit"] <= 1.0
+
+    def test_hooge_window_above_f_max_skips_fit(self, tmp_path):
+        # averaging R = 8 puts the floor-derived fit window start at
+        # 10 (R + 1e3) / (R T) / 2 pi ~ 0.02, above f_max = 0.01
+        spec = spec_from_dict({
+            "name": "late_window",
+            "runs": [{
+                "rates": {"kind": "uniform", "gamma_min": 0.0, "gamma_max": 1e3},
+                "trapping_rate": 1.0,
+                "horizon": 1e4,
+                "n_realizations": 8,
+                "seed": 3,
+            }],
+            "f_max": 1e-2,
+            "points_per_decade": 16,
+            "analyses": ["hooge"],
+        })
+        run(spec, tmp_path, workers=1)
+
+        def reject(token):
+            raise AssertionError(f"non-finite value {token} in the report")
+
+        text = (tmp_path / "late_window_report.json").read_text()
+        hooge = json.loads(text, parse_constant=reject)["runs"][0]["hooge"]
+        assert "fitted" not in hooge
+        assert hooge["fit_skipped"] == "empty fit window"
+        f_lo, f_hi = hooge["fit_window"]
+        assert 1e-2 < f_lo < f_hi
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         spec = preset("fig3", scale=200.0, seed=5)  # 5e3 horizon, R=1... scale

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from trapnoise import (
+    ArrheniusRates,
     CarrierPath,
     PoissonTrapping,
     SampledSignal,
@@ -40,7 +41,6 @@ class TestSimulateCarrier:
     def test_path_invariants(self):
         cfg = make_config()
         path = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
-        assert path.start_trapped
         assert np.all(path.durations > 0.0)
         ends = path.segment_times()
         assert ends[-1] <= path.horizon * (1.0 + 1e-12)
@@ -234,6 +234,25 @@ class TestExports:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: make_config(horizon=np.nan), "horizon"),
+            (lambda: make_config(horizon=np.inf), "horizon"),
+            (lambda: make_config(sample_dt=np.nan), "sample_dt"),
+            (lambda: make_config(sample_dt=np.inf), "sample_dt"),
+            (lambda: UniformRates(0.0, np.inf), "gamma_max"),
+            (lambda: UniformRates(np.inf, np.inf), "gamma_min"),
+            (lambda: ArrheniusRates(np.inf, 1.0, 0.0, 1.0), "prefactor"),
+            (lambda: ArrheniusRates(1.0, np.nan, 0.0, 1.0), "thermal_energy"),
+        ],
+        ids=["horizon-nan", "horizon-inf", "dt-nan", "dt-inf", "gamma_max-inf",
+             "gamma_min-inf", "prefactor-inf", "thermal_energy-nan"],
+    )
+    def test_non_finite_values_rejected(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             make_config(horizon=0.0)

@@ -14,7 +14,6 @@ from trapnoise import (
     average_spectra,
     logbin_spectrum,
     natural_frequencies,
-    periodogram_event_exact,
     periodogram_fft,
     periodogram_superposed_events,
     simulate_realization,
@@ -24,9 +23,8 @@ from trapnoise.spectra import write_spectrum_csv
 
 
 def single_pulse_path(duration, horizon):
-    return CarrierPath(
-        durations=np.array([duration]), horizon=horizon, start_trapped=False
-    )
+    # a zero-length first gap: the pulse starts at t = 0
+    return CarrierPath(durations=np.array([0.0, duration]), horizon=horizon)
 
 
 class TestNaturalFrequencies:
@@ -49,7 +47,7 @@ class TestEventExact:
         # hand integral of one rectangle starting at t = 0
         theta, T, a = 2.5, 10.0, 1.5
         freqs = np.array([0.05, 0.21, 1.3, 4.7])
-        est = periodogram_event_exact(single_pulse_path(theta, T), a, freqs)
+        est = periodogram_superposed_events([single_pulse_path(theta, T)], a, freqs)
         want = (2.0 * a**2 / T) * np.sin(np.pi * freqs * theta) ** 2 / (
             np.pi * freqs
         ) ** 2
@@ -58,15 +56,15 @@ class TestEventExact:
     def test_float64_kernel_matches_closed_form_tightly(self):
         theta, T = 2.5, 10.0
         freqs = np.array([0.05, 0.21, 1.3])
-        est = periodogram_event_exact(
-            single_pulse_path(theta, T), 1.0, freqs, trig_dtype=np.float64
+        est = periodogram_superposed_events(
+            [single_pulse_path(theta, T)], 1.0, freqs, trig_dtype=np.float64
         )
         want = (2.0 / T) * np.sin(np.pi * freqs * theta) ** 2 / (np.pi * freqs) ** 2
         assert np.allclose(est.values, want, rtol=1e-9)
 
     def test_zero_signal(self):
         path = CarrierPath(durations=np.array([8.0]), horizon=8.0)
-        est = periodogram_event_exact(path, 1.0, np.array([0.5, 2.0]))
+        est = periodogram_superposed_events([path], 1.0, np.array([0.5, 2.0]))
         assert np.all(est.values == 0.0)
 
     def test_trig_dtype_consistency(self):
@@ -76,14 +74,14 @@ class TestEventExact:
         )
         path = simulate_realization(cfg, 0)[0]
         freqs = natural_frequencies(cfg.horizon, 50.0, points_per_decade=6)
-        fast = periodogram_event_exact(path, 1.0, freqs)
-        slow = periodogram_event_exact(path, 1.0, freqs, trig_dtype=np.float64)
+        fast = periodogram_superposed_events([path], 1.0, freqs)
+        slow = periodogram_superposed_events([path], 1.0, freqs, trig_dtype=np.float64)
         assert np.allclose(fast.values, slow.values, rtol=1e-3)
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
-            periodogram_event_exact(
-                single_pulse_path(1.0, 4.0), 1.0, np.array([0.0, 1.0])
+            periodogram_superposed_events(
+                [single_pulse_path(1.0, 4.0)], 1.0, np.array([0.0, 1.0])
             )
 
     def test_superposed_equals_sampled_superposition(self):
@@ -145,7 +143,7 @@ class TestFftEstimator:
         fft_est = periodogram_fft(sig)
         ks = np.arange(2, 4000)
         freqs = ks / sig.horizon
-        ev = periodogram_event_exact(paths[0], 1.0, freqs)
+        ev = periodogram_superposed_events([paths[0]], 1.0, freqs)
         fft_match = SpectrumEstimate(
             freqs=freqs, values=fft_est.values[ks - 1], n_averaged=1,
             estimator="sampled_fft",
