@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis as _analysis
 from .analytic import one_over_f_window
 from .distributions import NonergodicError, detrap_pdf, free_probability
-from .presets import FIG2_COMPONENT_RATES, ExperimentSpec, spec_to_dict
+from .presets import _ESTIMATORS, FIG2_COMPONENT_RATES, ExperimentSpec, spec_to_dict
 from .simulate import SimConfig, occupancy_counts, simulate_realization, superpose
 from .spectra import (
     SpectrumEstimate,
@@ -95,6 +95,10 @@ def run_spectrum_config(
     workers: Optional[int] = None,
 ) -> RunResult:
     """Simulate all realizations of one config and average their spectra."""
+    if estimator not in _ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {estimator!r}; choose from {_ESTIMATORS}"
+        )
     if estimator == "sampled_fft" and config.sample_dt is None:
         raise ValueError("sampled_fft estimator needs sample_dt in the config")
     if estimator == "event_exact" and freqs is None:

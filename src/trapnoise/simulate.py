@@ -7,9 +7,11 @@ durations are iid from the uniform-rate mixture; pulse durations are iid
 exponential with the trapping rate.  Paths are truncated at the horizon
 ``T`` and the clipped final segment keeps its clipped duration.
 
-Durations, not timestamps, are stored; event times are recovered by an
-extended-precision prefix sum so phase errors stay negligible even for
-~1e8 events.
+Durations are the stored record; segment end times come from one
+extended-precision prefix sum, so phase errors stay negligible even for
+~1e8 events.  ``simulate_carrier`` keeps the times of the prefix sum it
+already takes to find the horizon, and a path built directly sums its
+durations on first use.
 
 Reproducibility contract: one random sub-stream per (realization,
 carrier), derived from the master seed by index, so results are
@@ -17,7 +19,7 @@ bit-identical for a given config regardless of how work is distributed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -84,11 +86,15 @@ class CarrierPath:
 
     Paths always start trapped: ``durations[0]`` is a gap and segments
     alternate strictly, so even indices are gaps and odd indices pulses.
-    A path that starts free has a zero-length first gap.
+    A path that starts free has a zero-length first gap.  ``durations``
+    must not change once :meth:`segment_times` has been called.
     """
 
     durations: np.ndarray
     horizon: float
+    _times: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def pulse_count(self) -> int:
@@ -107,16 +113,24 @@ class CarrierPath:
         return float(self.pulse_durations.sum())
 
     def segment_times(self) -> np.ndarray:
-        """Cumulative segment end times (extended-precision prefix sum)."""
-        return np.cumsum(self.durations, dtype=np.longdouble).astype(np.float64)
+        """Cumulative segment end times (extended-precision prefix sum).
+
+        Computed once per path and returned read-only.
+        """
+        if self._times is None:
+            self._set_times(
+                np.cumsum(self.durations, dtype=np.longdouble).astype(np.float64)
+            )
+        return self._times
+
+    def _set_times(self, times: np.ndarray) -> None:
+        times.flags.writeable = False
+        self._times = times
 
     def pulse_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(start, end) times of every pulse segment."""
-        ends = self.segment_times()
-        starts = np.empty_like(ends)
-        starts[0] = 0.0
-        starts[1:] = ends[:-1]
-        return starts[1::2], ends[1::2]
+        events = self.segment_times()[: 2 * self.pulse_count]
+        return events[0::2], events[1::2]
 
     def segments(self) -> Iterator[tuple[str, float]]:
         for i, d in enumerate(self.durations):
@@ -184,17 +198,28 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     interleaved[0::2] = gaps
     interleaved[1::2] = pulses
 
-    ends = np.cumsum(interleaved, dtype=np.longdouble).astype(np.float64)
+    prefix = np.cumsum(interleaved, dtype=np.longdouble)
+    ends = prefix.astype(np.float64)
     cut = int(np.searchsorted(ends, T, side="left"))
     if cut >= len(interleaved):
         kept = interleaved.copy()  # horizon reached within rounding of the last ulp
+        times = ends
     else:
-        kept = interleaved[: cut + 1].copy()
         start_of_last = ends[cut - 1] if cut > 0 else 0.0
-        kept[-1] = T - start_of_last
+        last = T - start_of_last
+        # the clipped segment's end as the path's own prefix sum gives it
+        last_end = prefix[cut - 1] + last if cut > 0 else last
+        del prefix  # free the extended-precision sum before the copies
+        kept = interleaved[: cut + 1].copy()
+        times = ends[: cut + 1].copy()
+        kept[-1] = last
+        times[-1] = last_end
         if kept[-1] <= 0.0:
             kept = kept[:-1]
-    return CarrierPath(durations=kept, horizon=T)
+            times = times[:-1]
+    path = CarrierPath(durations=kept, horizon=T)
+    path._set_times(times)
+    return path
 
 
 def simulate_realization(config: SimConfig, realization: int) -> list[CarrierPath]:

@@ -15,11 +15,24 @@ current); evaluating on natural frequencies k/T makes the mean contribute
 only at the excluded zero bin, so grids should be snapped to k/T — use
 :func:`natural_frequencies`.
 
-Event-exact trig is evaluated in float32 after reducing phases modulo one
-cycle in float64.  The per-term error is ~4e-7 radians, which after the
-pairwise-summed accumulation stays orders of magnitude below the
-realization noise of any averaged spectrum; pass ``trig_dtype=np.float64``
-to make the kernel fully double precision.
+The event-exact sum over pulse starts (+1) and ends (-1) takes one of
+two paths per frequency:
+
+* Natural frequencies k/T up to a cut k_cut use a binned series: every
+  event goes to the nearest of M >= 8 k_cut grid points (M a power of
+  two), its offset from that point enters through a 10-term Taylor
+  series, and each term costs one bincount and one rfft.  The truncation
+  error is at most (pi/8)^10/10! = 2.4e-11 per event; against the
+  float64 direct sum the measured relative error is below 2e-11 on the
+  test-suite grids.  A cost model picks k_cut from the event count and
+  the grid, and chooses no cut when the direct sum is cheaper.
+* Every other frequency, above the cut or not a multiple of 1/T, uses
+  the direct sum, with phases reduced modulo one cycle in float64 and
+  trig in float32 (about 7x faster than float64 trig).  The per-term
+  error is ~4e-7 radians; on single-realization fig3 spectra (scales
+  12.5 and 100) the direct part is off from float64 trig by 2.3e-4
+  relative at most and 8e-7 in the median.  Pass
+  ``trig_dtype=np.float64`` to make this part double precision.
 """
 from __future__ import annotations
 
@@ -42,6 +55,19 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _EVENT_CHUNK = 1 << 16  # fixed so results do not depend on scheduling
+# Binned path: P Taylor terms on a grid oversampled 8x over the highest
+# mode, so the series is off by at most (pi/8)^10/10! = 2.4e-11 per event.
+_TAYLOR_TERMS = 10
+_OVERSAMPLE = 8
+# f counts as the natural frequency k/T when f*T is within rounding of k.
+_NATURAL_RTOL = 1e-14
+# Cost model in ns, measured on a 2-core 2.1 GHz x86_64 VM with numpy 2.4
+# at 2e4-4e5 events: the direct sum per event and frequency (5.2-9.1), the
+# binned path per event and Taylor term (5.8-8.0), and its FFT per M log2(M)
+# and term (1.1-1.5 at M >= 8192).
+_DIRECT_NS = 7.5
+_BINNED_NS = 7.0
+_FFT_NS = 1.2
 
 
 @dataclass
@@ -109,15 +135,97 @@ def _fourier_sums(times: np.ndarray, freqs: np.ndarray, trig_dtype) -> tuple:
     return cos_out, sin_out
 
 
+def _binned_grid(ks: np.ndarray, n_events: int) -> int:
+    """Grid size M of the binned path for the natural modes ``ks``, or 0
+    when the direct sum is cheaper for every M.
+
+    The binned path covers every mode k <= M / _OVERSAMPLE.  M runs over
+    powers of two and the one with the largest modelled saving wins.
+    The P grids hold at most two values per event, no more memory than
+    a longdouble copy of the event times.
+    """
+    best, best_gain = 0, 0.0
+    grid = _OVERSAMPLE
+    top = ks.max(initial=0) * _OVERSAMPLE
+    while grid < 2 * top and _TAYLOR_TERMS * grid <= 2 * n_events:
+        covered = np.count_nonzero(ks <= grid // _OVERSAMPLE)
+        gain = _DIRECT_NS * n_events * covered - _TAYLOR_TERMS * (
+            _BINNED_NS * n_events + _FFT_NS * grid * np.log2(grid)
+        )
+        if gain > best_gain:
+            best, best_gain = grid, gain
+        grid *= 2
+    return best
+
+
+def _binned_sums(events: list, ks: np.ndarray, grid: int, horizon: float) -> np.ndarray:
+    """sum over events of w e^{-2 pi i k t / T} for the modes ``ks``, with
+    w = +1 at pulse starts and -1 at pulse ends.
+
+    An event at s = t M / T = m + d, m its nearest grid point, has
+    e^{-2 pi i k s / M} = e^{-2 pi i k m / M} sum_p (-2 pi i k d / M)^p / p!.
+    So the sum is sum_p (-2 pi i k / M)^p / p! rfft(H_p)[k] with
+    H_p[m] = sum of w d^p over the events at m.  For k <= M / _OVERSAMPLE
+    the truncated series is off by at most (pi / _OVERSAMPLE)^P / P! per
+    event.
+    """
+    H = np.zeros((_TAYLOR_TERMS, grid + 1))
+    sign = np.ones(min(_EVENT_CHUNK, max(len(e) for e in events)))
+    sign[1::2] = -1.0
+    scale = grid / horizon
+    for times in events:
+        # chunks start at even offsets, so each one opens with a pulse start
+        for i in range(0, len(times), _EVENT_CHUNK):
+            s = times[i : i + _EVENT_CHUNK] * scale
+            m = np.rint(s)
+            d = s - m
+            m = m.astype(np.intp)
+            lo = m[0]  # times are sorted, so m is too
+            m -= lo
+            v = sign[: len(s)].copy()
+            for p in range(_TAYLOR_TERMS):
+                h = np.bincount(m, v)
+                H[p, lo : lo + len(h)] += h
+                v *= d
+    H[:, 0] += H[:, grid]  # t = T is a whole period
+    spectra = [np.fft.rfft(h[:grid])[ks] for h in H]
+    z = (-2j * np.pi / grid) * ks
+    total = spectra[-1]
+    for p in range(_TAYLOR_TERMS - 2, -1, -1):
+        total = spectra[p] + (z / (p + 1)) * total
+    return total
+
+
 def _pulse_transform(
-    starts: np.ndarray, ends: np.ndarray, freqs: np.ndarray, trig_dtype
+    paths: Sequence[CarrierPath], freqs: np.ndarray, trig_dtype
 ) -> np.ndarray:
-    """Fourier integral of a unit pulse train: sum over pulses of
-    (e^{-i w t0} - e^{-i w t1}) / (i w)."""
-    c0, s0 = _fourier_sums(starts, freqs, trig_dtype)
-    c1, s1 = _fourier_sums(ends, freqs, trig_dtype)
-    # sum of e^{-i w t} is (sum cos) - i (sum sin)
-    numerator = (c0 - c1) - 1j * (s0 - s1)
+    """Fourier integral of the summed unit pulse trains of ``paths``:
+    sum over pulses of (e^{-i w t0} - e^{-i w t1}) / (i w).
+
+    Natural frequencies k/T up to the cut the cost model picks go through
+    the binned series; every other frequency through the direct sum.
+    """
+    T = paths[0].horizon
+    # pulse starts and ends alternate in each path's segment end times
+    events = [p.segment_times()[: 2 * p.pulse_count] for p in paths]
+    events = [e for e in events if len(e)]
+    numerator = np.zeros(len(freqs), dtype=complex)
+    if not events:
+        return numerator
+    modes = np.rint(freqs * T)
+    natural = (modes >= 1) & (np.abs(freqs * T - modes) <= _NATURAL_RTOL * modes)
+    grid = _binned_grid(modes[natural], sum(len(e) for e in events))
+    binned = natural & (modes <= grid // _OVERSAMPLE)
+    if binned.any():
+        ks = modes[binned].astype(np.intp)
+        numerator[binned] = _binned_sums(events, ks, grid, T)
+    direct = ~binned
+    if direct.any():
+        for times in events:
+            c0, s0 = _fourier_sums(times[0::2], freqs[direct], trig_dtype)
+            c1, s1 = _fourier_sums(times[1::2], freqs[direct], trig_dtype)
+            # sum of e^{-i w t} is (sum cos) - i (sum sin)
+            numerator[direct] += (c0 - c1) - 1j * (s0 - s1)
     return numerator / (1j * _TWO_PI * freqs)
 
 
@@ -132,6 +240,7 @@ def periodogram_superposed_events(
     The carriers' Fourier integrals add coherently before the modulus, so
     this equals the periodogram of the superposed signal with no sampling
     involved.  Pass ``[path]`` for a single carrier's pulse train.
+    ``trig_dtype`` is the trig precision of the direct sum.
     """
     freqs = np.asarray(freqs, dtype=float)
     if np.any(freqs <= 0.0):
@@ -139,11 +248,7 @@ def periodogram_superposed_events(
     T = paths[0].horizon
     if any(p.horizon != T for p in paths):
         raise ValueError("mismatched horizons")
-    total = np.zeros(len(freqs), dtype=complex)
-    for p in paths:
-        starts, ends = p.pulse_bounds()
-        if len(starts):
-            total += _pulse_transform(starts, ends, freqs, trig_dtype)
+    total = _pulse_transform(paths, freqs, trig_dtype)
     values = (2.0 * amplitude**2 / T) * np.abs(total) ** 2
     return SpectrumEstimate(
         freqs=freqs,
@@ -212,12 +317,11 @@ def logbin_spectrum(est: SpectrumEstimate, bins_per_decade: int) -> SpectrumEsti
     j1 = int(np.ceil(logf[-1] * bins_per_decade)) + 1
     edges = np.arange(j0, j1 + 1) / bins_per_decade
     idx = np.digitize(logf, edges) - 1
-    freqs = []
-    values = []
-    for j in np.unique(idx):
-        sel = idx == j
-        freqs.append(10.0 ** logf[sel].mean())
-        values.append(est.values[sel].mean())
+    # the grid is increasing, so each bin is one contiguous run of idx
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1, [len(idx)]))
+    spans = list(zip(runs[:-1], runs[1:]))
+    freqs = [10.0 ** logf[a:b].mean() for a, b in spans]
+    values = [est.values[a:b].mean() for a, b in spans]
     meta = dict(est.metadata)
     meta["bins_per_decade"] = bins_per_decade
     return SpectrumEstimate(

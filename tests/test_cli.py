@@ -4,10 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from trapnoise import UniformRates, preset, spec_from_dict, spec_to_dict
+from trapnoise import (
+    PoissonTrapping,
+    SimConfig,
+    UniformRates,
+    preset,
+    spec_from_dict,
+    spec_to_dict,
+)
 from trapnoise.cli import main
 from trapnoise.presets import FIG2_COMPONENT_RATES, DEFAULT_SEED
-from trapnoise.runner import run
+from trapnoise.runner import run, run_spectrum_config
 
 
 class TestPresets:
@@ -168,6 +175,14 @@ class TestRunner:
         assert hooge["fit_skipped"] == "empty fit window"
         f_lo, f_hi = hooge["fit_window"]
         assert 1e-2 < f_lo < f_hi
+
+    def test_unknown_estimator_rejected(self):
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 10.0), trapping=PoissonTrapping(1.0),
+            horizon=100.0,
+        )
+        with pytest.raises(ValueError, match="estimator"):
+            run_spectrum_config(cfg, estimator="bogus", workers=1)
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         spec = preset("fig3", scale=200.0, seed=5)  # 5e3 horizon, R=1... scale

@@ -49,6 +49,23 @@ class TestSimulateCarrier:
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
         assert path.pulse_count == sum(1 for k in kinds if k == "pulse")
 
+    @pytest.mark.parametrize("gamma_min", [0.0, 1e-2])
+    @pytest.mark.parametrize("horizon", [37.3, 1e4])
+    def test_times_are_the_prefix_sum(self, gamma_min, horizon):
+        # the times simulate_carrier keeps must be the path's own prefix
+        # sum byte for byte, clipped last segment included
+        cfg = make_config(rates=UniformRates(gamma_min, 1e3), horizon=horizon)
+        for seed in range(6):
+            path = simulate_carrier(cfg, carrier_stream(seed, 0, 0))
+            want = np.cumsum(path.durations, dtype=np.longdouble).astype(np.float64)
+            assert path.segment_times().tobytes() == want.tobytes()
+            built = CarrierPath(durations=path.durations.copy(), horizon=horizon)
+            assert built.segment_times().tobytes() == want.tobytes()
+            assert not path.segment_times().flags.writeable
+            starts, ends = path.pulse_bounds()
+            assert np.array_equal(starts, want[0 : 2 * path.pulse_count : 2])
+            assert np.array_equal(ends, want[1 : 2 * path.pulse_count : 2])
+
     def test_pulse_count_tracks_mean_rate(self):
         cfg = make_config(
             rates=UniformRates(1e-4, 1e4), horizon=1e5, trapping=PoissonTrapping(1.0)

@@ -19,7 +19,7 @@ from trapnoise import (
     simulate_realization,
     superpose,
 )
-from trapnoise.spectra import write_spectrum_csv
+from trapnoise.spectra import _OVERSAMPLE, _binned_grid, write_spectrum_csv
 
 
 def single_pulse_path(duration, horizon):
@@ -105,6 +105,93 @@ class TestEventExact:
         b_ev = logbin_spectrum(ev, 4)
         b_ff = logbin_spectrum(fft_match, 4)
         assert np.max(np.abs(b_ev.values / b_ff.values - 1.0)) < 0.01
+
+
+def _direct_float64(paths, freqs):
+    """Periodogram by the plain float64 sum over signed pulse edges."""
+    total = np.zeros(len(freqs), dtype=complex)
+    for p in paths:
+        ends = np.cumsum(p.durations, dtype=np.longdouble).astype(np.float64)
+        edges = ends[: 2 * p.pulse_count]
+        sign = np.where(np.arange(len(edges)) % 2 == 0, 1.0, -1.0)
+        for j, f in enumerate(freqs):
+            x = f * edges
+            x -= np.floor(x)
+            total[j] += np.sum(sign * np.exp(-2j * np.pi * x))
+    total /= 2j * np.pi * freqs
+    return (2.0 / paths[0].horizon) * np.abs(total) ** 2
+
+
+def _binned_cut(paths, freqs):
+    """Highest mode k the hybrid kernel sends through the binned series."""
+    modes = np.rint(freqs * paths[0].horizon)
+    n_events = sum(2 * p.pulse_count for p in paths)
+    return _binned_grid(modes, n_events) // _OVERSAMPLE
+
+
+class TestHybridKernel:
+    """The binned series and the direct sum against float64 (gate 1e-6)."""
+
+    GATE = 1e-6
+
+    def test_averaging_grid_all_binned(self):
+        # criterion-4 style: T = 1e4, every k <= 100
+        cfg = SimConfig(
+            rates=UniformRates(0.0, 1e3), trapping=PoissonTrapping(1.0),
+            horizon=1e4, seed=5,
+        )
+        paths = simulate_realization(cfg, 0)
+        freqs = natural_frequencies(cfg.horizon, 1e-2, points_per_decade=16)
+        assert freqs[-1] * cfg.horizon <= _binned_cut(paths, freqs)
+        est = periodogram_superposed_events(paths, 1.0, freqs)
+        want = _direct_float64(paths, freqs)
+        assert np.max(np.abs(est.values / want - 1.0)) < self.GATE
+
+    def test_flicker_grid_spans_both_paths(self):
+        cfg = SimConfig(
+            rates=UniformRates(1e-4, 1e2), trapping=PoissonTrapping(1.0),
+            horizon=2e4, seed=2,
+        )
+        paths = simulate_realization(cfg, 0)
+        freqs = natural_frequencies(cfg.horizon, 160.0, points_per_decade=20)
+        low = freqs * cfg.horizon <= _binned_cut(paths, freqs)
+        assert 10 < low.sum() < len(freqs) - 10
+        want = _direct_float64(paths, freqs)
+        fast = periodogram_superposed_events(paths, 1.0, freqs)
+        assert np.max(np.abs(fast.values[low] / want[low] - 1.0)) < self.GATE
+        exact = periodogram_superposed_events(
+            paths, 1.0, freqs, trig_dtype=np.float64
+        )
+        assert np.max(np.abs(exact.values / want - 1.0)) < self.GATE
+
+    def test_several_carriers(self):
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 1e2), trapping=PoissonTrapping(1.0),
+            horizon=2e3, n_carriers=4, seed=7,
+        )
+        paths = simulate_realization(cfg, 0)
+        freqs = natural_frequencies(cfg.horizon, 50.0, points_per_decade=20)
+        low = freqs * cfg.horizon <= _binned_cut(paths, freqs)
+        assert low.sum() > 10
+        want = _direct_float64(paths, freqs)
+        fast = periodogram_superposed_events(paths, 1.0, freqs)
+        assert np.max(np.abs(fast.values[low] / want[low] - 1.0)) < self.GATE
+        exact = periodogram_superposed_events(
+            paths, 1.0, freqs, trig_dtype=np.float64
+        )
+        assert np.max(np.abs(exact.values / want - 1.0)) < self.GATE
+
+    def test_non_natural_frequencies_take_the_direct_sum(self):
+        cfg = SimConfig(
+            rates=UniformRates(0.0, 1e3), trapping=PoissonTrapping(1.0),
+            horizon=1e4, seed=5,
+        )
+        paths = simulate_realization(cfg, 0)
+        freqs = (np.arange(1, 40) + 0.37) / cfg.horizon
+        est = periodogram_superposed_events(
+            paths, 1.0, freqs, trig_dtype=np.float64
+        )
+        assert np.allclose(est.values, _direct_float64(paths, freqs), rtol=1e-9)
 
 
 class TestFftEstimator:
@@ -213,6 +300,23 @@ class TestLogbin:
         )
         binned = logbin_spectrum(est, 5)
         assert np.all(np.diff(binned.freqs) > 0.0)
+
+    def test_matches_one_mask_per_bin(self):
+        rng = np.random.default_rng(4)
+        freqs = np.unique(10.0 ** rng.uniform(-3.0, 3.0, 5000))
+        est = SpectrumEstimate(
+            freqs=freqs, values=rng.exponential(1.0, len(freqs)), n_averaged=1,
+            estimator="event_exact",
+        )
+        binned = logbin_spectrum(est, 8)
+        logf = np.log10(freqs)
+        edges = np.arange(np.floor(logf[0] * 8), np.ceil(logf[-1] * 8) + 2) / 8
+        idx = np.digitize(logf, edges) - 1
+        masks = [idx == j for j in np.unique(idx)]
+        want_f = np.array([10.0 ** logf[m].mean() for m in masks])
+        want_s = np.array([est.values[m].mean() for m in masks])
+        assert np.array_equal(binned.freqs, want_f)
+        assert np.array_equal(binned.values, want_s)
 
     def test_pure_flicker_slope_preserved(self):
         freqs = np.geomspace(1e-2, 1e2, 900)
