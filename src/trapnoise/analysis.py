@@ -45,6 +45,11 @@ __all__ = [
     "plateau_onset",
 ]
 
+# candidate floors scanned by fitted_floor_rate
+_FLOOR_GRID = 140
+# consecutive points below the line that mark a departure from it
+_PERSISTENCE = 2
+
 _REGIMES = (
     "ergodic_exact",
     "broad_range",
@@ -60,20 +65,17 @@ class CutoffPrediction:
 
     gamma_min_eff: float
     regime: str
-    inputs: dict
 
 
 @dataclass(frozen=True)
 class HoogeEstimate:
     """Dimensionless flicker-noise coefficient.
 
-    ``source`` is "predicted" (from rates) or "fitted" (from a measured
-    spectrum); fitted estimates carry the window and the deviation of the
-    freely fitted slope from -1.
+    Estimates fitted to a measured spectrum carry the window and the
+    deviation of the freely fitted slope from -1.
     """
 
     alpha: float
-    source: str
     fit_window: Optional[tuple] = None
     slope_deviation: Optional[float] = None
     in_band: bool = True
@@ -153,14 +155,7 @@ def effective_cutoff(config: SimConfig, regime: str = "auto") -> CutoffPredictio
         else:
             chosen = "nonergodic"
     value = _cutoff_one(config, chosen)
-    inputs = {
-        "gamma_min": config.rates.gamma_min,
-        "gamma_max": config.rates.gamma_max,
-        "mean_pulse": config.trapping.mean_time,
-        "horizon": config.horizon,
-        "n_realizations": config.n_realizations,
-    }
-    return CutoffPrediction(gamma_min_eff=float(value), regime=chosen, inputs=inputs)
+    return CutoffPrediction(gamma_min_eff=float(value), regime=chosen)
 
 
 def cutoff_by_regime(config: SimConfig) -> dict:
@@ -188,7 +183,7 @@ def hooge_alpha_predicted(trapping_rate: float, gamma_max: float) -> HoogeEstima
             "long-pulse assumption is weak",
             stacklevel=2,
         )
-    return HoogeEstimate(alpha=trapping_rate / gamma_max, source="predicted")
+    return HoogeEstimate(alpha=trapping_rate / gamma_max)
 
 
 def hooge_alpha_exact(pulse_rate: float, mean_pulse: float, gamma_max: float) -> float:
@@ -204,25 +199,22 @@ def hooge_alpha_fitted(
 ) -> HoogeEstimate:
     """Invert ``S = I^2 alpha / (N f)`` on a window of the spectrum.
 
-    Least squares on log S vs log f with the slope constrained to -1
-    yields the flicker amplitude; a free-slope fit alongside reports the
+    alpha is ``N A / I^2`` with A the arithmetic mean of S*f over the
+    window (:func:`flicker_line_level`).  Periodogram ordinates scatter
+    as S times an Exp(1) variable, so a least-squares fit of log S with
+    the slope held at -1 (a geometric mean of S*f) reads low by e^-gamma,
+    about 0.56, on a single realization; the arithmetic mean is
+    unbiased.  Rescaling the amplitude (a -> 2a: S -> 4S, I -> 2I)
+    cancels bit for bit.  A free-slope fit alongside reports the
     deviation, and more than 0.2 flags the window as outside the flicker
     band.
     """
     if not mean_current > 0.0:
         raise ValueError("mean current must be positive")
+    alpha = n_carriers * flicker_line_level(est, window) / mean_current**2
     f1, f2 = window
     sel = (est.freqs >= f1) & (est.freqs <= f2)
-    if not np.any(sel):
-        raise ValueError("empty fit window")
-    logf = np.log(est.freqs[sel])
-    logs = np.log(est.values[sel])
-    # slope-constrained least squares of log S = c - log f, expressed as
-    # per-bin ratios so amplitude rescaling (a -> 2a: S -> 4S, I -> 2I)
-    # cancels bit-for-bit
-    ratios = n_carriers * est.values[sel] * est.freqs[sel] / mean_current**2
-    alpha = np.exp(float(np.mean(np.log(ratios))))
-    slope = float(np.polyfit(logf, logs, 1)[0]) if sel.sum() > 1 else -1.0
+    slope = fit_loglog(est.freqs[sel], est.values[sel])[0] if sel.sum() > 1 else -1.0
     deviation = abs(slope + 1.0)
     in_band = deviation <= 0.2
     if not in_band:
@@ -232,7 +224,6 @@ def hooge_alpha_fitted(
         )
     return HoogeEstimate(
         alpha=float(alpha),
-        source="fitted",
         fit_window=(float(f1), float(f2)),
         slope_deviation=deviation,
         in_band=in_band,
@@ -288,7 +279,6 @@ def fitted_floor_rate(
     trapping_rate: float,
     gamma_max: float,
     bounds: tuple,
-    n_grid: int = 140,
 ) -> float:
     """Effective minimum detrapping rate fitted to a measured spectrum.
 
@@ -307,7 +297,7 @@ def fitted_floor_rate(
     log_meas = np.log(est.values)
     best = lo
     best_resid = np.inf
-    for floor in np.geomspace(lo, hi, n_grid):
+    for floor in np.geomspace(lo, hi, _FLOOR_GRID):
         model = psd_general_pulse(
             est.freqs,
             amplitude,
@@ -327,7 +317,7 @@ def flicker_line_level(est: SpectrumEstimate, window: tuple) -> float:
     f1, f2 = window
     sel = (est.freqs >= f1) & (est.freqs <= f2)
     if not np.any(sel):
-        raise ValueError("line window contains no points")
+        raise ValueError("empty fit window")
     return float((est.values[sel] * est.freqs[sel]).mean())
 
 
@@ -335,13 +325,12 @@ def line_departure_frequency(
     freqs: np.ndarray,
     ratio: np.ndarray,
     threshold: float = 2.0**-0.5,
-    persistence: int = 2,
 ) -> float:
     """Highest frequency at which a spectrum drops below its flicker line.
 
     ``ratio`` is S(f)*f/A, the spectrum in units of the measured 1/f
     line.  Scanning downward in frequency, the crossing is the first
-    point below ``threshold`` that stays below for ``persistence``
+    point below ``threshold`` that stays below for ``_PERSISTENCE``
     consecutive points (so single noisy bins do not trigger), with the
     exact frequency log-interpolated against the last point above.
     Returns NaN if the profile never departs.
@@ -351,8 +340,8 @@ def line_departure_frequency(
     for i in range(len(freqs) - 1, -1, -1):
         if not ratio[i] < threshold:
             continue
-        lower = ratio[max(0, i - persistence + 1) : i]
-        if len(lower) < persistence - 1 or not np.all(lower < threshold):
+        lower = ratio[max(0, i - _PERSISTENCE + 1) : i]
+        if len(lower) < _PERSISTENCE - 1 or not np.all(lower < threshold):
             continue
         if i + 1 >= len(freqs) or not ratio[i + 1] > 0.0:
             return float(freqs[i])
@@ -369,17 +358,19 @@ def plateau_onset(
     est: SpectrumEstimate,
     line_window: tuple,
     threshold: float = 2.0**-0.5,
-    persistence: int = 2,
 ) -> float:
     """Measured low-frequency cutoff of a flicker spectrum.
 
     The flicker line is measured on ``line_window`` and the onset is the
-    highest frequency (below that window) where the spectrum has fallen
+    highest frequency below that window where the spectrum has fallen
     to ``threshold`` times the line and stays below — the point where 1/f
-    behavior gives way to the finite-observation plateau.  Feed a
-    log-binned spectrum.
+    behavior gives way to the finite-observation plateau.  Only points
+    below the window are scanned: inside it the spectrum is on the line
+    by assumption, and on a single realization a wide window holds
+    enough noisy bins for two to dip below the threshold together.  Feed
+    a log-binned spectrum.
     """
     level = flicker_line_level(est, line_window)
-    sel = est.freqs <= line_window[1]
+    sel = est.freqs < line_window[0]
     ratio = est.values[sel] * est.freqs[sel] / level
-    return line_departure_frequency(est.freqs[sel], ratio, threshold, persistence)
+    return line_departure_frequency(est.freqs[sel], ratio, threshold)

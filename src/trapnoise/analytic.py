@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+# factor kept between the flicker window and each rate bound
+_FLICKER_MARGIN = 10.0
 
 
 def chi_exponential(f, rate: float):
@@ -228,11 +230,11 @@ def psd_multi_carrier(f, n_carriers, amplitude, pulse_rate, gamma_max):
     return n_carriers * psd_one_over_f(f, amplitude, pulse_rate, gamma_max)
 
 
-def one_over_f_window(gamma_min: float, gamma_max: float, margin: float = 10.0):
+def one_over_f_window(gamma_min: float, gamma_max: float):
     """Frequency window (f_lo, f_hi) on which the flicker approximation holds:
-    ``margin * gamma_min < 2 pi f < gamma_max / margin``."""
+    ``_FLICKER_MARGIN * gamma_min < 2 pi f < gamma_max / _FLICKER_MARGIN``."""
     return (
-        margin * gamma_min / _TWO_PI,
-        gamma_max / (margin * _TWO_PI),
+        _FLICKER_MARGIN * gamma_min / _TWO_PI,
+        gamma_max / (_FLICKER_MARGIN * _TWO_PI),
     )
 

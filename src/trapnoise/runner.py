@@ -119,7 +119,6 @@ def run_spectrum_config(
         results = [_one_realization(t) for t in tasks]
 
     averaged = average_spectra([r.spectrum for r in results])
-    averaged.metadata["seed"] = config.seed
 
     R = config.n_realizations
     total_pulses = sum(r.pulse_count for r in results)
@@ -136,7 +135,9 @@ def run_spectrum_config(
     )
 
 
-def _analyze_run(spec, label, config, result) -> dict:
+def _analyze_run(spec, label, config, result, p_fit) -> dict:
+    """Report entry of one run; ``p_fit`` is the mean free fraction of
+    the occupancy histogram, None when no histogram was requested."""
     info = {
         "label": label,
         "nu_bar_empirical": result.nu_bar,
@@ -145,19 +146,19 @@ def _analyze_run(spec, label, config, result) -> dict:
     }
     est = result.spectrum
     gamma_max = config.rates.gamma_max
+    # one low-rate floor, the finite-observation one, and one flicker
+    # window (cycles per time) serve every analysis
+    auto = _analysis.effective_cutoff(config)
+    lo, hi = one_over_f_window(auto.gamma_min_eff, gamma_max)
 
     if "cutoff" in spec.analyses:
-        auto = _analysis.effective_cutoff(config)
         info["cutoff"] = {
             "auto_regime": auto.regime,
             "auto_gamma_min_eff": auto.gamma_min_eff,
             "by_regime": _analysis.cutoff_by_regime(config),
         }
-        binned = logbin_spectrum(est, 4)
-        guess = auto.gamma_min_eff
-        window = (10.0 * guess, min(100.0 * guess, binned.freqs[-1]))
         try:
-            onset = _analysis.plateau_onset(binned, window)
+            onset = _analysis.plateau_onset(logbin_spectrum(est, 4), (lo, hi))
         except ValueError:
             onset = float("nan")
         info["cutoff"]["measured_onset"] = onset
@@ -168,17 +169,13 @@ def _analyze_run(spec, label, config, result) -> dict:
         hooge["exact"] = _analysis.hooge_alpha_exact(
             result.nu_bar, config.trapping.mean_time, gamma_max
         )
-        floor = config.rates.gamma_min
-        if floor <= 0.0:
-            floor = _analysis.effective_cutoff(config).gamma_min_eff
-        window = one_over_f_window(floor, gamma_max)
         try:
             fitted = _analysis.hooge_alpha_fitted(
-                est, result.mean_current, config.n_carriers, window
+                est, result.mean_current, config.n_carriers, (lo, hi)
             )
         except ValueError as exc:
             # no free time, or a floor above f_max leaves no point to fit
-            hooge["fit_window"] = list(window)
+            hooge["fit_window"] = [lo, hi]
             hooge["fit_skipped"] = str(exc)
         else:
             hooge["fitted"] = fitted.alpha
@@ -186,17 +183,13 @@ def _analyze_run(spec, label, config, result) -> dict:
             hooge["slope_deviation"] = fitted.slope_deviation
         info["hooge"] = hooge
 
-    if "amplitude_pmf" in spec.analyses and result.hist is not None:
-        total = result.hist.sum()
-        pmf = result.hist / total
-        mean_count = float(np.arange(len(pmf)) @ pmf)
-        p_fit = mean_count / config.n_carriers
-        amp = {"p_fit": p_fit}
+    if p_fit is not None:
+        # beside the analytic free probability when the mean gap exists
         try:
-            amp["p_analytic"] = free_probability(config.rates, config.trapping)
+            p_analytic = free_probability(config.rates, config.trapping)
         except NonergodicError:
-            amp["p_analytic"] = None
-        info["amplitude"] = amp
+            p_analytic = None
+        info["amplitude"] = {"p_fit": p_fit, "p_analytic": p_analytic}
 
     return info
 
@@ -335,15 +328,18 @@ def run(
             with open(outdir / csv_name, "w") as fh:
                 write_spectrum_csv(fh, est)
             csv_names.append(csv_name)
-            report["runs"].append(_analyze_run(spec, label, config, result))
-
+            pmf = p_fit = None
             if "amplitude_pmf" in spec.analyses and result.hist is not None:
-                pmf_name = f"{stem}_amplitude_pmf.csv"
                 pmf = result.hist / result.hist.sum()
-                p_fit = report["runs"][-1]["amplitude"]["p_fit"]
+                p_fit = float(np.arange(len(pmf)) @ pmf) / config.n_carriers
+            report["runs"].append(_analyze_run(spec, label, config, result, p_fit))
+
+            if pmf is not None:
                 from scipy.stats import binom
 
+                # the binomial of the measured mean occupancy
                 model = binom.pmf(np.arange(len(pmf)), config.n_carriers, p_fit)
+                pmf_name = f"{stem}_amplitude_pmf.csv"
                 with open(outdir / pmf_name, "w") as fh:
                     fh.write("count,pmf,binomial\n")
                     for k, (p, m) in enumerate(zip(pmf, model)):

@@ -36,7 +36,7 @@ two paths per frequency:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +82,6 @@ class SpectrumEstimate:
     values: np.ndarray
     n_averaged: int
     estimator: str
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(self.freqs <= 0.0):
@@ -255,7 +254,6 @@ def periodogram_superposed_events(
         values=values,
         n_averaged=1,
         estimator="event_exact",
-        metadata={"horizon": T, "n_carriers": len(paths)},
     )
 
 
@@ -277,11 +275,6 @@ def periodogram_fft(signal: SampledSignal) -> SpectrumEstimate:
         values=values,
         n_averaged=1,
         estimator="sampled_fft",
-        metadata={
-            "horizon": signal.horizon,
-            "dt": signal.dt,
-            "n_carriers": signal.n_carriers,
-        },
     )
 
 
@@ -294,13 +287,11 @@ def average_spectra(estimates: Sequence[SpectrumEstimate]) -> SpectrumEstimate:
         if not np.array_equal(est.freqs, base.freqs):
             raise ValueError("frequency grids differ")
     stacked = np.stack([est.values for est in estimates], axis=0)
-    tags = {est.estimator for est in estimates}
     return SpectrumEstimate(
         freqs=base.freqs.copy(),
         values=stacked.mean(axis=0),
         n_averaged=sum(est.n_averaged for est in estimates),
-        estimator=base.estimator if len(tags) == 1 else "mixed",
-        metadata=dict(base.metadata),
+        estimator=base.estimator,
     )
 
 
@@ -322,14 +313,11 @@ def logbin_spectrum(est: SpectrumEstimate, bins_per_decade: int) -> SpectrumEsti
     spans = list(zip(runs[:-1], runs[1:]))
     freqs = [10.0 ** logf[a:b].mean() for a, b in spans]
     values = [est.values[a:b].mean() for a, b in spans]
-    meta = dict(est.metadata)
-    meta["bins_per_decade"] = bins_per_decade
     return SpectrumEstimate(
         freqs=np.asarray(freqs),
         values=np.asarray(values),
         n_averaged=est.n_averaged,
         estimator=est.estimator,
-        metadata=meta,
     )
 
 

@@ -171,6 +171,19 @@ class TestHoogeFitted:
         a2 = hooge_alpha_fitted(doubled, 5.0, 10, (1e-1, 1e1)).alpha
         assert a1 == a2
 
+    def test_unbiased_on_periodogram_scatter(self):
+        # periodogram ordinates scatter as S_true * Exp(1); a fit of log S
+        # (a geometric mean of S*f) reads low by e^-gamma ~= 0.56
+        rng = np.random.default_rng(11)
+        freqs = np.geomspace(1e-2, 1e2, 4000)
+        exact = self._flicker_estimate(3.7e-4, 2.5, 10, freqs)
+        noisy = SpectrumEstimate(
+            freqs=freqs, values=exact.values * rng.standard_exponential(4000),
+            n_averaged=1, estimator="event_exact",
+        )
+        fit = hooge_alpha_fitted(noisy, 2.5, 10, (1e-2, 1e2))
+        assert fit.alpha == pytest.approx(3.7e-4, rel=0.05)
+
     def test_flags_wrong_slope(self):
         freqs = np.geomspace(1e-2, 1e2, 60)
         est = SpectrumEstimate(

@@ -8,6 +8,7 @@ from trapnoise import (
     PoissonTrapping,
     SimConfig,
     UniformRates,
+    effective_cutoff,
     preset,
     spec_from_dict,
     spec_to_dict,
@@ -175,6 +176,40 @@ class TestRunner:
         assert hooge["fit_skipped"] == "empty fit window"
         f_lo, f_hi = hooge["fit_window"]
         assert 1e-2 < f_lo < f_hi
+
+    def test_hooge_fit_unbiased_across_seeds(self, tmp_path):
+        # the fit window starts at the finite-observation floor, ~100x
+        # above gamma_min here, so the fit sees only the flicker band
+        ratios = []
+        for seed in range(1, 9):
+            spec = preset("fig3", scale=50.0, seed=seed)
+            artifacts = run(spec, tmp_path / str(seed), workers=1)
+            with open(artifacts["report"]) as fh:
+                hooge = json.load(fh)["runs"][0]["hooge"]
+            floor = effective_cutoff(spec.runs[0][1]).gamma_min_eff
+            assert hooge["fit_window"][0] == 10.0 * floor / (2.0 * np.pi)
+            ratios.append(hooge["fitted"] / hooge["exact"])
+        assert np.exp(np.mean(np.log(ratios))) == pytest.approx(1.0, rel=0.1)
+
+    def test_plateau_onset_tracks_floor_across_seeds(self, tmp_path):
+        # a single realization's onset scatters over about a decade (the
+        # lowest bins hold a few ordinates each), so over 16 runs the mean
+        # of log10(onset / (floor/2pi)) has a standard error of ~0.2; a
+        # factor of 3 (0.48 decades) allows ~2.5 of them
+        ratios = []
+        for seed in range(1, 9):
+            spec = preset("fig4", scale=5.0, seed=seed)
+            artifacts = run(spec, tmp_path / str(seed), workers=1)
+            with open(artifacts["report"]) as fh:
+                runs = json.load(fh)["runs"]
+            for info in runs:
+                cutoff = info["cutoff"]
+                floor_f = cutoff["auto_gamma_min_eff"] / (2.0 * np.pi)
+                ratios.append(cutoff["measured_onset"] / floor_f)
+        ratios = np.asarray(ratios)
+        assert np.isfinite(ratios).sum() >= 12
+        geo = np.exp(np.nanmean(np.log(ratios)))
+        assert 1.0 / 3.0 < geo < 3.0
 
     def test_unknown_estimator_rejected(self):
         cfg = SimConfig(

@@ -236,6 +236,23 @@ class TestExports:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0" and first[2] == "gap"
 
+    def test_event_csv_rows_match_segments(self):
+        # odd and even lengths, one long enough to span several blocks
+        rng = np.random.default_rng(5)
+        realized = [
+            [CarrierPath(rng.exponential(size=n), horizon=1e6) for n in (40001, 0)],
+            [CarrierPath(rng.exponential(size=n), horizon=1e6) for n in (1, 6)],
+        ]
+        buf = io.StringIO()
+        write_event_csv(buf, realized)
+        expected = ["realization,carrier,kind,duration"] + [
+            f"{r},{c},{kind},{duration:.17g}"
+            for r, paths in enumerate(realized)
+            for c, path in enumerate(paths)
+            for kind, duration in path.segments()
+        ]
+        assert buf.getvalue() == "\n".join(expected) + "\n"
+
     def test_signal_csv_layout(self):
         sig = SampledSignal(
             values=np.array([0.0, 1.0, 1.0]), dt=0.5, n_carriers=1,
