@@ -10,7 +10,8 @@ Subcommands:
 
 ``--scale`` divides horizon and realization count, ``--full`` enables the
 long horizon-1e8 run of fig4, ``--workers`` caps parallelism (results do
-not depend on it), ``--seed`` overrides the master seed.
+not depend on it), ``--seed`` sets the seed of every run, of a preset
+and of a config file alike.
 """
 from __future__ import annotations
 
@@ -40,16 +41,18 @@ def _add_preset_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_spec(args):
+def _build_spec(args):
+    """The spec of a preset or a config file; ``--seed`` sets every
+    run's seed on both paths."""
+    if args.command in ("reproduce", "dump-preset"):
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        return preset(args.figure, scale=args.scale, seed=seed, full=args.full)
     with open(args.config) as fh:
-        spec = spec_from_dict(json.load(fh))
+        d = json.load(fh)
     if args.seed is not None:
-        runs = tuple(
-            (label, dataclasses.replace(cfg, seed=args.seed))
-            for label, cfg in spec.runs
-        )
-        spec = dataclasses.replace(spec, runs=runs)
-    return spec
+        for run_dict in d.get("runs", ()):
+            run_dict["seed"] = args.seed
+    return spec_from_dict(d)
 
 
 def main(argv=None) -> int:
@@ -86,13 +89,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    spec = _build_spec(args)
     if args.command == "dump-preset":
-        spec = preset(
-            args.figure,
-            scale=args.scale,
-            seed=args.seed if args.seed is not None else DEFAULT_SEED,
-            full=args.full,
-        )
         text = json.dumps(spec_to_dict(spec), indent=2) + "\n"
         if args.out:
             Path(args.out).write_text(text)
@@ -100,26 +98,11 @@ def _dispatch(args) -> int:
             sys.stdout.write(text)
         return 0
 
-    if args.command == "reproduce":
-        spec = preset(
-            args.figure,
-            scale=args.scale,
-            seed=args.seed if args.seed is not None else DEFAULT_SEED,
-            full=args.full,
-        )
-        artifacts = run(spec, args.out, workers=args.workers)
-        for role in sorted(artifacts):
-            print(f"{role}: {artifacts[role]}")
-        return 0
-
-    spec = _load_spec(args)
-    if args.command == "simulate":
-        artifacts = run(spec, args.out, workers=args.workers, events_csv=True)
-    elif args.command == "spectrum":
+    if args.command == "spectrum":
         spec = dataclasses.replace(spec, analyses=())
-        artifacts = run(spec, args.out, workers=args.workers)
-    else:  # analyze
-        artifacts = run(spec, args.out, workers=args.workers)
+    artifacts = run(
+        spec, args.out, workers=args.workers, events_csv=args.command == "simulate"
+    )
     for role in sorted(artifacts):
         print(f"{role}: {artifacts[role]}")
     return 0

@@ -8,13 +8,16 @@ Five reference experiments (fig2..fig6) cover the toolkit end to end:
 * fig5 - cutoff removal by averaging repeated experiments
 * fig6 - one realization of a thousand superposed carriers
 
-Every preset carries the reference parameters verbatim; ``scale`` divides
-the horizon and the realization count for desk-scale runs and is recorded
-in the output metadata.
+Every preset is one entry of ``_PRESETS``, in the JSON form that
+``spec_from_dict`` reads and ``dump-preset`` prints, with the reference
+parameters verbatim.  ``preset`` divides each run's horizon and
+realization count by ``scale`` for desk-scale runs (the scale is recorded
+in the output metadata), sets each run's seed and loads the entry through
+``spec_from_dict``, the loader of config files too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "ExperimentSpec",
     "DEFAULT_SEED",
     "PRESET_NAMES",
+    "FIG2_RATE_BOUNDS",
     "FIG2_COMPONENT_RATES",
     "preset",
     "spec_to_dict",
@@ -33,20 +37,63 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20240901
-PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
-# single-rate components displayed alongside the mixture density in fig2
-FIG2_COMPONENT_RATES = np.geomspace(1e-3, 10.0, 10)
+# rate bounds of the fig2 mixture density, and the ten single-rate
+# components displayed alongside it
+FIG2_RATE_BOUNDS = (1e-3, 10.0)
+FIG2_COMPONENT_RATES = np.geomspace(*FIG2_RATE_BOUNDS, 10)
 
 _ESTIMATORS = ("event_exact", "sampled_fft")
 _ANALYSES = ("cutoff", "hooge", "amplitude_pmf")
-_RUN_KEYS = ("label", "rates", "trapping_rate", "horizon", "amplitude",
-             "n_carriers", "n_realizations", "sample_dt", "seed")
+_RATE_LAWS = {"uniform": UniformRates, "arrhenius": ArrheniusRates}
+
+# a run of the flicker rate law of fig4..fig6: gamma_min = 0, so the
+# finite horizon alone sets the low-frequency cutoff
+_FLICKER_RUN = {
+    "rates": {"kind": "uniform", "gamma_min": 0.0, "gamma_max": 1e3},
+    "trapping_rate": 1.0,
+    "n_realizations": 1,
+}
+# the fig4 run that only ``full`` includes
+_FULL_ONLY = "T1e8"
+
+_PRESETS = {
+    "fig2": {"kind": "curves"},
+    "fig3": {
+        "runs": [{"rates": {"kind": "uniform", "gamma_min": 1e-4, "gamma_max": 1e4},
+                  "trapping_rate": 1.0, "horizon": 1e6, "n_realizations": 100}],
+        "analyses": ["cutoff", "hooge"],
+    },
+    "fig4": {
+        "runs": [{**_FLICKER_RUN, "label": "T1e4", "horizon": 1e4},
+                 {**_FLICKER_RUN, "label": "T1e6", "horizon": 1e6},
+                 {**_FLICKER_RUN, "label": "T1e8", "horizon": 1e8}],
+        "analyses": ["cutoff"],
+    },
+    "fig5": {
+        "runs": [{**_FLICKER_RUN, "label": "R1", "horizon": 1e6},
+                 {**_FLICKER_RUN, "label": "R1000", "horizon": 1e6,
+                  "n_realizations": 1000}],
+        "analyses": ["cutoff"],
+    },
+    "fig6": {
+        "runs": [{**_FLICKER_RUN, "horizon": 2**26 * 1e-4, "n_carriers": 1000,
+                  "sample_dt": 1e-4}],
+        "estimator": "sampled_fft",
+        "bins_per_decade": 40,
+        "analyses": ["cutoff", "amplitude_pmf"],
+    },
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment (possibly several runs)."""
+    """Declarative description of one experiment (possibly several runs).
+
+    A spec that cannot run is rejected here, with a message naming the
+    field; each run's label names its spectrum CSV, so labels are unique.
+    """
 
     name: str
     kind: str = "spectrum"  # "spectrum" or "curves"
@@ -66,23 +113,38 @@ class ExperimentSpec:
             raise ValueError(f"unknown spec kind {self.kind!r}")
         if self.kind == "spectrum" and not self.runs:
             raise ValueError("spectrum spec needs at least one run")
+        labels = [label for label, _ in self.runs]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"run labels {repeated} repeat; each label names one run")
         if self.estimator not in _ESTIMATORS:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; choose from {_ESTIMATORS}"
             )
+        if self.estimator == "sampled_fft":
+            for label, config in self.runs:
+                if config.sample_dt is None:
+                    raise ValueError(
+                        f"run {label!r}: sampled_fft estimator needs sample_dt"
+                    )
         unknown = [a for a in self.analyses if a not in _ANALYSES]
         if unknown:
             raise ValueError(f"unknown analyses {unknown}; choose from {_ANALYSES}")
-
-
-def _scaled(config: SimConfig, scale: float) -> SimConfig:
-    if scale == 1.0:
-        return config
-    return replace(
-        config,
-        horizon=config.horizon / scale,
-        n_realizations=max(1, round(config.n_realizations / scale)),
-    )
+        if "amplitude_pmf" in self.analyses and self.estimator != "sampled_fft":
+            raise ValueError("analysis amplitude_pmf needs the sampled_fft estimator")
+        # scale is only recorded in the outputs, so None does no harm there
+        for name in ("f_min", "f_max", "scale"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if None not in (self.f_min, self.f_max) and self.f_min >= self.f_max:
+            raise ValueError(f"f_min {self.f_min} must be below f_max {self.f_max}")
+        if not self.points_per_decade >= 1:
+            raise ValueError(
+                f"points_per_decade must be >= 1, got {self.points_per_decade}"
+            )
+        if self.bins_per_decade is not None and not self.bins_per_decade >= 1:
+            raise ValueError(f"bins_per_decade must be >= 1, got {self.bins_per_decade}")
 
 
 def preset(
@@ -96,111 +158,18 @@ def preset(
     ``scale`` divides the horizon and realization count; ``full`` enables
     the long fig4 run (horizon 1e8), which is gated off by default.
     """
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    if figure == "fig2":
-        return ExperimentSpec(name="fig2", kind="curves", scale=scale)
-
-    if figure == "fig3":
-        cfg = SimConfig(
-            rates=UniformRates(1e-4, 1e4),
-            trapping=PoissonTrapping(1.0),
-            horizon=1e6,
-            amplitude=1.0,
-            n_carriers=1,
-            n_realizations=100,
-            seed=seed,
-        )
-        return ExperimentSpec(
-            name="fig3",
-            runs=(("", _scaled(cfg, scale)),),
-            estimator="event_exact",
-            analyses=("cutoff", "hooge"),
-            scale=scale,
-        )
-
-    if figure == "fig4":
-        base = SimConfig(
-            rates=UniformRates(0.0, 1e3),
-            trapping=PoissonTrapping(1.0),
-            horizon=1e4,
-            amplitude=1.0,
-            n_carriers=1,
-            n_realizations=1,
-            seed=seed,
-        )
-        horizons = [1e4, 1e6] + ([1e8] if full else [])
-        runs = tuple(
-            (f"T{h:.0e}".replace("+0", "").replace("+", ""), _scaled(replace(base, horizon=h), scale))
-            for h in horizons
-        )
-        return ExperimentSpec(
-            name="fig4",
-            runs=runs,
-            estimator="event_exact",
-            analyses=("cutoff",),
-            scale=scale,
-        )
-
-    if figure == "fig5":
-        base = SimConfig(
-            rates=UniformRates(0.0, 1e3),
-            trapping=PoissonTrapping(1.0),
-            horizon=1e6,
-            amplitude=1.0,
-            n_carriers=1,
-            n_realizations=1,
-            seed=seed,
-        )
-        runs = tuple(
-            (f"R{r}", _scaled(replace(base, n_realizations=r), scale))
-            for r in (1, 1000)
-        )
-        return ExperimentSpec(
-            name="fig5",
-            runs=runs,
-            estimator="event_exact",
-            analyses=("cutoff",),
-            scale=scale,
-        )
-
-    if figure == "fig6":
-        cfg = SimConfig(
-            rates=UniformRates(0.0, 1e3),
-            trapping=PoissonTrapping(1.0),
-            horizon=2**26 * 1e-4,
-            amplitude=1.0,
-            n_carriers=1000,
-            n_realizations=1,
-            sample_dt=1e-4,
-            seed=seed,
-        )
-        return ExperimentSpec(
-            name="fig6",
-            runs=(("", _scaled(cfg, scale)),),
-            estimator="sampled_fft",
-            bins_per_decade=40,
-            analyses=("cutoff", "amplitude_pmf"),
-            scale=scale,
-        )
-
-    raise ValueError(f"unknown preset {figure!r}; choose from {PRESET_NAMES}")
-
-
-def _rates_to_dict(rates: RateModel) -> dict:
-    if isinstance(rates, ArrheniusRates):
-        return {
-            "kind": "arrhenius",
-            "prefactor": rates.prefactor,
-            "thermal_energy": rates.thermal_energy,
-            "energy_min": rates.energy_min,
-            "energy_max": rates.energy_max,
-        }
-    return {
-        "kind": "uniform",
-        "gamma_min": rates.gamma_min,
-        "gamma_max": rates.gamma_max,
-    }
+    if figure not in _PRESETS:
+        raise ValueError(f"unknown preset {figure!r}; choose from {PRESET_NAMES}")
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+    entry = _PRESETS[figure]
+    runs = [
+        {**run, "horizon": run["horizon"] / scale, "seed": seed,
+         "n_realizations": max(1, round(run["n_realizations"] / scale))}
+        for run in entry.get("runs", ())
+        if full or run.get("label") != _FULL_ONLY
+    ]
+    return spec_from_dict({**entry, "name": figure, "runs": runs, "scale": scale})
 
 
 def _reject_unknown_keys(d: dict, known, where: str) -> None:
@@ -209,74 +178,69 @@ def _reject_unknown_keys(d: dict, known, where: str) -> None:
         raise ValueError(f"unknown {where} key(s) {unknown}; known: {sorted(known)}")
 
 
+def _field_names(cls) -> list:
+    return [f.name for f in fields(cls)]
+
+
+def _rates_to_dict(rates: RateModel) -> dict:
+    kind = next(k for k, law in _RATE_LAWS.items() if type(rates) is law)
+    return {"kind": kind, **asdict(rates)}
+
+
 def _rates_from_dict(d: dict) -> RateModel:
-    models = {"arrhenius": ArrheniusRates, "uniform": UniformRates}
-    if d["kind"] not in models:
-        raise ValueError(f"unknown rate model kind {d['kind']!r}")
-    model = models[d["kind"]]
-    names = [f.name for f in fields(model)]
-    _reject_unknown_keys(d, ["kind", *names], "rates")
-    return model(*(d[name] for name in names))
+    params = dict(d)
+    kind = params.pop("kind", None)
+    if kind not in _RATE_LAWS:
+        raise ValueError(
+            f"unknown rate model kind {kind!r}; choose from {sorted(_RATE_LAWS)}"
+        )
+    law = _RATE_LAWS[kind]
+    _reject_unknown_keys(params, _field_names(law), "rates")
+    return law(**params)
 
 
-def _config_to_dict(config: SimConfig) -> dict:
-    return {
-        "rates": _rates_to_dict(config.rates),
-        "trapping_rate": config.trapping.rate,
-        "horizon": config.horizon,
-        "amplitude": config.amplitude,
-        "n_carriers": config.n_carriers,
-        "n_realizations": config.n_realizations,
-        "sample_dt": config.sample_dt,
-        "seed": config.seed,
-    }
+# A run's JSON keys are its label and the SimConfig fields, except that
+# the rate law is a dict tagged with its kind and the trapping law is
+# written as its rate.
+_TRAPPING_KEY = "trapping_rate"
 
 
-def _config_from_dict(d: dict) -> SimConfig:
-    _reject_unknown_keys(d, _RUN_KEYS, "run")
-    return SimConfig(
-        rates=_rates_from_dict(d["rates"]),
-        trapping=PoissonTrapping(d["trapping_rate"]),
-        horizon=d["horizon"],
-        amplitude=d.get("amplitude", 1.0),
-        n_carriers=d.get("n_carriers", 1),
-        n_realizations=d.get("n_realizations", 1),
-        sample_dt=d.get("sample_dt"),
-        seed=d.get("seed", DEFAULT_SEED),
-    )
+def _run_keys() -> list:
+    return ["label"] + [
+        _TRAPPING_KEY if name == "trapping" else name
+        for name in _field_names(SimConfig)
+    ]
+
+
+def _run_to_dict(label: str, config: SimConfig) -> dict:
+    values = [getattr(config, name) for name in _field_names(SimConfig)]
+    d = dict(zip(_run_keys(), [label, *values]))
+    d["rates"] = _rates_to_dict(config.rates)
+    d[_TRAPPING_KEY] = config.trapping.rate
+    return d
+
+
+def _run_from_dict(d: dict) -> tuple:
+    _reject_unknown_keys(d, _run_keys(), "run")
+    params = {k: v for k, v in d.items() if k not in ("label", _TRAPPING_KEY)}
+    params["rates"] = _rates_from_dict(d["rates"])
+    params["trapping"] = PoissonTrapping(d[_TRAPPING_KEY])
+    params.setdefault("seed", DEFAULT_SEED)
+    return d.get("label", ""), SimConfig(**params)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "name": spec.name,
-        "kind": spec.kind,
-        "runs": [
-            {"label": label, **_config_to_dict(cfg)} for label, cfg in spec.runs
-        ],
-        "estimator": spec.estimator,
-        "f_min": spec.f_min,
-        "f_max": spec.f_max,
-        "points_per_decade": spec.points_per_decade,
-        "bins_per_decade": spec.bins_per_decade,
-        "analyses": list(spec.analyses),
-        "scale": spec.scale,
-    }
+    d = {name: getattr(spec, name) for name in _field_names(ExperimentSpec)}
+    d["runs"] = [_run_to_dict(label, config) for label, config in spec.runs]
+    d["analyses"] = list(spec.analyses)
+    return d
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    _reject_unknown_keys(d, [f.name for f in fields(ExperimentSpec)], "spec")
-    runs = tuple(
-        (r.get("label", ""), _config_from_dict(r)) for r in d.get("runs", [])
-    )
-    return ExperimentSpec(
-        name=d["name"],
-        kind=d.get("kind", "spectrum"),
-        runs=runs,
-        estimator=d.get("estimator", "event_exact"),
-        f_min=d.get("f_min"),
-        f_max=d.get("f_max"),
-        points_per_decade=d.get("points_per_decade", 40),
-        bins_per_decade=d.get("bins_per_decade"),
-        analyses=tuple(d.get("analyses", ())),
-        scale=d.get("scale", 1.0),
-    )
+    _reject_unknown_keys(d, _field_names(ExperimentSpec), "spec")
+    params = dict(d)
+    if "runs" in params:
+        params["runs"] = tuple(_run_from_dict(run) for run in params["runs"])
+    if "analyses" in params:
+        params["analyses"] = tuple(params["analyses"])
+    return ExperimentSpec(**params)

@@ -28,8 +28,10 @@ import numpy as np
 
 from . import analysis as _analysis
 from .analytic import one_over_f_window
-from .distributions import NonergodicError, detrap_pdf, free_probability
-from .presets import _ESTIMATORS, FIG2_COMPONENT_RATES, ExperimentSpec, spec_to_dict
+from .distributions import NonergodicError, UniformRates, detrap_pdf, free_probability
+from .presets import (
+    _ESTIMATORS, FIG2_COMPONENT_RATES, FIG2_RATE_BOUNDS, ExperimentSpec, spec_to_dict,
+)
 from .simulate import SimConfig, occupancy_counts, simulate_realization, superpose
 from .spectra import (
     SpectrumEstimate,
@@ -89,12 +91,10 @@ def run_spectrum_config(
     config: SimConfig,
     estimator: str = "event_exact",
     freqs: Optional[np.ndarray] = None,
-    f_min: Optional[float] = None,
-    f_max: Optional[float] = None,
-    points_per_decade: int = 40,
     workers: Optional[int] = None,
 ) -> RunResult:
-    """Simulate all realizations of one config and average their spectra."""
+    """Simulate all realizations of one config and average their spectra,
+    on ``freqs`` (event_exact) or on the sampling's FFT grid (sampled_fft)."""
     if estimator not in _ESTIMATORS:
         raise ValueError(
             f"unknown estimator {estimator!r}; choose from {_ESTIMATORS}"
@@ -102,10 +102,7 @@ def run_spectrum_config(
     if estimator == "sampled_fft" and config.sample_dt is None:
         raise ValueError("sampled_fft estimator needs sample_dt in the config")
     if estimator == "event_exact" and freqs is None:
-        top = f_max if f_max is not None else 10.0 * config.rates.gamma_max / _TWO_PI
-        freqs = natural_frequencies(
-            config.horizon, top, f_min=f_min, points_per_decade=points_per_decade
-        )
+        raise ValueError("event_exact estimator needs freqs")
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     tasks = [
@@ -265,9 +262,7 @@ def _export_events(config: SimConfig, stem: str, outdir: Path) -> dict:
 
 
 def _write_curves(spec: ExperimentSpec, outdir: Path) -> list[str]:
-    from .distributions import UniformRates
-
-    model = UniformRates(1e-3, 10.0)
+    model = UniformRates(*FIG2_RATE_BOUNDS)
     tau = np.geomspace(1e-3, 1e4, 281)
     mixture = detrap_pdf(tau, model)
     components = [
@@ -308,20 +303,23 @@ def run(
     if spec.kind == "curves":
         csv_names = _write_curves(spec, outdir)
         report["component_rates"] = [float(g) for g in FIG2_COMPONENT_RATES]
-        report["rate_bounds"] = [1e-3, 10.0]
+        report["rate_bounds"] = list(FIG2_RATE_BOUNDS)
     else:
         csv_names = []
         for label, config in spec.runs:
+            freqs = None
+            if spec.estimator == "event_exact":
+                # natural frequencies k/T, by default up to 10 gamma_max / 2 pi
+                top = spec.f_max or 10.0 * config.rates.gamma_max / _TWO_PI
+                freqs = natural_frequencies(
+                    config.horizon, top, f_min=spec.f_min,
+                    points_per_decade=spec.points_per_decade,
+                )
             result = run_spectrum_config(
-                config,
-                estimator=spec.estimator,
-                f_min=spec.f_min,
-                f_max=spec.f_max,
-                points_per_decade=spec.points_per_decade,
-                workers=workers,
+                config, estimator=spec.estimator, freqs=freqs, workers=workers
             )
             est = result.spectrum
-            if spec.bins_per_decade:
+            if spec.bins_per_decade is not None:
                 est = logbin_spectrum(est, spec.bins_per_decade)
             stem = f"{spec.name}_{label}" if label else spec.name
             csv_name = f"{stem}_spectrum.csv"
@@ -329,7 +327,7 @@ def run(
                 write_spectrum_csv(fh, est)
             csv_names.append(csv_name)
             pmf = p_fit = None
-            if "amplitude_pmf" in spec.analyses and result.hist is not None:
+            if "amplitude_pmf" in spec.analyses:
                 pmf = result.hist / result.hist.sum()
                 p_fit = float(np.arange(len(pmf)) @ pmf) / config.n_carriers
             report["runs"].append(_analyze_run(spec, label, config, result, p_fit))

@@ -70,14 +70,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < np.inf:
-            raise ValueError(
-                f"horizon must be finite and positive, got {self.horizon}"
-            )
-        if self.n_carriers < 1:
-            raise ValueError("n_carriers must be >= 1")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
+        for name in ("horizon", "amplitude"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("n_carriers", "n_realizations"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         if self.sample_dt is not None and not 0.0 < self.sample_dt < np.inf:
             raise ValueError(
                 f"sample_dt must be finite and positive, got {self.sample_dt}"

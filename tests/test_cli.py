@@ -74,9 +74,10 @@ class TestPresets:
 
     def test_json_round_trip(self):
         for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
-            spec = preset(name, scale=2.0, seed=77)
-            again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
-            assert again == spec
+            for scale, full in ((2.0, False), (1.0, True)):
+                spec = preset(name, scale=scale, seed=77, full=full)
+                again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+                assert again == spec
 
     @pytest.mark.parametrize(
         "edit, name",
@@ -94,6 +95,36 @@ class TestPresets:
         edit(d)
         with pytest.raises(ValueError, match=name):
             spec_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "figure, edit, field",
+        [
+            ("fig3", lambda d: d["runs"].append(dict(d["runs"][0])), "label"),
+            ("fig3", lambda d: d["analyses"].append("amplitude_pmf"),
+             "amplitude_pmf"),
+            ("fig6", lambda d: d["runs"][0].update(sample_dt=None), "sample_dt"),
+            ("fig3", lambda d: d.update(points_per_decade=0), "points_per_decade"),
+            ("fig6", lambda d: d.update(bins_per_decade=0), "bins_per_decade"),
+            ("fig3", lambda d: d.update(f_min=0.0), "f_min"),
+            ("fig3", lambda d: d.update(f_max=-1.0), "f_max"),
+            ("fig3", lambda d: d.update(f_min=2.0, f_max=1.0), "f_min"),
+            ("fig3", lambda d: d.update(scale=0.0), "scale"),
+            ("fig3", lambda d: d.update(scale=-2.0), "scale"),
+        ],
+        ids=["duplicate-label", "pmf-event-exact", "fft-no-dt", "points-zero",
+             "bins-zero", "f_min-zero", "f_max-negative", "f_min-above-f_max",
+             "scale-zero", "scale-negative"],
+    )
+    def test_unrunnable_spec_rejected(self, figure, edit, field):
+        d = spec_to_dict(preset(figure, scale=1000.0))
+        edit(d)
+        with pytest.raises(ValueError, match=field):
+            spec_from_dict(d)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_preset_rejects_bad_scale(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            preset("fig3", scale=scale)
 
 
 class TestRunner:
@@ -219,6 +250,14 @@ class TestRunner:
         with pytest.raises(ValueError, match="estimator"):
             run_spectrum_config(cfg, estimator="bogus", workers=1)
 
+    def test_event_exact_needs_freqs(self):
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 10.0), trapping=PoissonTrapping(1.0),
+            horizon=100.0,
+        )
+        with pytest.raises(ValueError, match="freqs"):
+            run_spectrum_config(cfg, workers=1)
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         spec = preset("fig3", scale=200.0, seed=5)  # 5e3 horizon, R=1... scale
         run(spec, tmp_path / "w1", workers=1)
@@ -256,6 +295,28 @@ class TestCli:
             "analyze", "--config", str(cfg_path), "--out", str(out2),
             "--workers", "1",
         ]) == 0
+        assert (out / "fig3_spectrum.csv").read_bytes() == (
+            out2 / "fig3_spectrum.csv"
+        ).read_bytes()
+
+    def test_seed_option_overrides_config_seeds(self, tmp_path, capsys):
+        out = tmp_path / "preset"
+        assert main([
+            "reproduce", "fig3", "--scale", "1000", "--seed", "9",
+            "--out", str(out), "--workers", "1",
+        ]) == 0
+        cfg_path = tmp_path / "spec.json"
+        assert main([
+            "dump-preset", "fig3", "--scale", "1000", "--seed", "1",
+            "--out", str(cfg_path),
+        ]) == 0
+        assert json.loads(cfg_path.read_text())["runs"][0]["seed"] == 1
+        out2 = tmp_path / "config"
+        assert main([
+            "analyze", "--config", str(cfg_path), "--seed", "9",
+            "--out", str(out2), "--workers", "1",
+        ]) == 0
+        capsys.readouterr()
         assert (out / "fig3_spectrum.csv").read_bytes() == (
             out2 / "fig3_spectrum.csv"
         ).read_bytes()

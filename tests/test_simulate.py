@@ -287,6 +287,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             build()
 
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(amplitude=0.0), "amplitude"),
+            (dict(amplitude=-1.0), "amplitude"),
+            (dict(amplitude=np.nan), "amplitude"),
+            (dict(amplitude=np.inf), "amplitude"),
+            (dict(n_carriers=2.5), "n_carriers"),
+            (dict(n_carriers=3.0), "n_carriers"),
+            (dict(n_realizations=2.0), "n_realizations"),
+            (dict(n_realizations="4"), "n_realizations"),
+        ],
+        ids=["amplitude-zero", "amplitude-negative", "amplitude-nan",
+             "amplitude-inf", "carriers-fraction", "carriers-float",
+             "realizations-float", "realizations-str"],
+    )
+    def test_bad_amplitude_and_counts_rejected(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            make_config(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = make_config(n_carriers=np.int64(3), n_realizations=np.int32(2))
+        assert cfg.n_carriers == 3 and cfg.n_realizations == 2
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             make_config(horizon=0.0)
