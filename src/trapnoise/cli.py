@@ -9,9 +9,11 @@ Subcommands:
 * ``analyze``             spectrum plus the analysis report
 
 ``--scale`` divides horizon and realization count, ``--full`` enables the
-long horizon-1e8 run of fig4, ``--workers`` caps parallelism (results do
-not depend on it), ``--seed`` sets the seed of every run, of a preset
-and of a config file alike.
+long horizon-1e8 run of fig4, ``--workers`` caps parallelism (processes
+over realizations, or threads over one realization's frequencies when a
+run has fewer realizations than workers; results do not depend on it),
+``--seed`` sets the seed of every run, of a preset and of a config file
+alike.
 """
 from __future__ import annotations
 
@@ -28,7 +30,12 @@ from .runner import run
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=int, default=None, help="worker processes")
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="processes over realizations, or threads over one realization's "
+        "frequencies when a run has fewer realizations than workers "
+        "(default: CPU count)",
+    )
 
 
 def _add_preset_args(parser: argparse.ArgumentParser) -> None:

@@ -17,13 +17,14 @@ in the output metadata), sets each run's seed and loads the entry through
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .distributions import ArrheniusRates, PoissonTrapping, RateModel, UniformRates
 from .simulate import SimConfig
+from .spectra import natural_frequencies
 
 __all__ = [
     "ExperimentSpec",
@@ -145,6 +146,23 @@ class ExperimentSpec:
             )
         if self.bins_per_decade is not None and not self.bins_per_decade >= 1:
             raise ValueError(f"bins_per_decade must be >= 1, got {self.bins_per_decade}")
+        if self.estimator == "event_exact":
+            for label, config in self.runs:
+                try:
+                    self.event_grid(config)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"run {label!r} (horizon {config.horizon:g}): {exc}"
+                    ) from None
+
+    def event_grid(self, config: SimConfig) -> np.ndarray:
+        """A run's event_exact frequencies: natural frequencies k/T from
+        f_min (by default 1/T) up to f_max (by default 10 gamma_max / 2 pi)."""
+        top = self.f_max or 10.0 * config.rates.gamma_max / (2.0 * np.pi)
+        return natural_frequencies(
+            config.horizon, top, f_min=self.f_min,
+            points_per_decade=self.points_per_decade,
+        )
 
 
 def preset(
@@ -220,13 +238,21 @@ def _run_to_dict(label: str, config: SimConfig) -> dict:
     return d
 
 
-def _run_from_dict(d: dict) -> tuple:
+def _run_from_dict(index: int, d: dict) -> tuple:
     _reject_unknown_keys(d, _run_keys(), "run")
+    label = d.get("label", "")
+    # the keys of the SimConfig fields without a default
+    missing = [
+        key for key, f in zip(_run_keys()[1:], fields(SimConfig))
+        if f.default is MISSING and key not in d
+    ]
+    if missing:
+        raise ValueError(f"run {index} (label {label!r}) lacks required key(s) {missing}")
     params = {k: v for k, v in d.items() if k not in ("label", _TRAPPING_KEY)}
     params["rates"] = _rates_from_dict(d["rates"])
     params["trapping"] = PoissonTrapping(d[_TRAPPING_KEY])
     params.setdefault("seed", DEFAULT_SEED)
-    return d.get("label", ""), SimConfig(**params)
+    return label, SimConfig(**params)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -240,7 +266,9 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     _reject_unknown_keys(d, _field_names(ExperimentSpec), "spec")
     params = dict(d)
     if "runs" in params:
-        params["runs"] = tuple(_run_from_dict(run) for run in params["runs"])
+        params["runs"] = tuple(
+            _run_from_dict(i, run) for i, run in enumerate(params["runs"])
+        )
     if "analyses" in params:
         params["analyses"] = tuple(params["analyses"])
     return ExperimentSpec(**params)

@@ -1,5 +1,10 @@
-"""Experiment runner: fan realizations out to workers, merge
+"""Experiment runner: spread each run over the workers, merge
 deterministically, and write the artifact set.
+
+A run with at least as many realizations as workers fans them out to
+that many processes; a run with fewer realizations than workers
+computes them in this process, one after the other, and each one's
+event-exact transform splits its frequencies over that many threads.
 
 Artifacts per experiment ``name``:
 
@@ -12,7 +17,8 @@ Artifacts per experiment ``name``:
 
 Results are bit-identical for a given seed regardless of the worker
 count: every realization runs on a sub-stream derived from the master
-seed by its index, and the reduction is ordered by index.
+seed by its index, the reduction is ordered by index, and a frequency's
+value does not depend on which thread computed it.
 """
 from __future__ import annotations
 
@@ -32,20 +38,19 @@ from .distributions import NonergodicError, UniformRates, detrap_pdf, free_proba
 from .presets import (
     _ESTIMATORS, FIG2_COMPONENT_RATES, FIG2_RATE_BOUNDS, ExperimentSpec, spec_to_dict,
 )
-from .simulate import SimConfig, occupancy_counts, simulate_realization, superpose
+from .simulate import (
+    SimConfig, binomial_pmf, occupancy_counts, simulate_realization, superpose,
+)
 from .spectra import (
     SpectrumEstimate,
     average_spectra,
     logbin_spectrum,
-    natural_frequencies,
     periodogram_fft,
     periodogram_superposed_events,
     write_spectrum_csv,
 )
 
 __all__ = ["run", "run_spectrum_config", "RunResult"]
-
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclass
@@ -70,7 +75,7 @@ class RunResult:
 
 
 def _one_realization(args) -> RealizationResult:
-    config, estimator, freqs, realization = args
+    config, estimator, freqs, realization, threads = args
     paths = simulate_realization(config, realization)
     hist = None
     if estimator == "sampled_fft":
@@ -78,7 +83,9 @@ def _one_realization(args) -> RealizationResult:
         est = periodogram_fft(signal)
         hist = occupancy_counts(signal)
     else:
-        est = periodogram_superposed_events(paths, config.amplitude, freqs)
+        est = periodogram_superposed_events(
+            paths, config.amplitude, freqs, workers=threads
+        )
     return RealizationResult(
         spectrum=est,
         pulse_count=sum(p.pulse_count for p in paths),
@@ -105,10 +112,13 @@ def run_spectrum_config(
         raise ValueError("event_exact estimator needs freqs")
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    tasks = [
-        (config, estimator, freqs, r) for r in range(config.n_realizations)
-    ]
-    if n_workers > 1 and len(tasks) > 1:
+    R = config.n_realizations
+    # processes over realizations, or, when there are fewer realizations
+    # than workers, threads over each realization's frequencies
+    pooled = n_workers > 1 and R >= n_workers
+    threads = 1 if pooled else n_workers
+    tasks = [(config, estimator, freqs, r, threads) for r in range(R)]
+    if pooled:
         chunk = max(1, len(tasks) // (4 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_one_realization, tasks, chunksize=chunk))
@@ -117,7 +127,6 @@ def run_spectrum_config(
 
     averaged = average_spectra([r.spectrum for r in results])
 
-    R = config.n_realizations
     total_pulses = sum(r.pulse_count for r in results)
     total_free = sum(r.free_time for r in results)
     hist = None
@@ -309,12 +318,7 @@ def run(
         for label, config in spec.runs:
             freqs = None
             if spec.estimator == "event_exact":
-                # natural frequencies k/T, by default up to 10 gamma_max / 2 pi
-                top = spec.f_max or 10.0 * config.rates.gamma_max / _TWO_PI
-                freqs = natural_frequencies(
-                    config.horizon, top, f_min=spec.f_min,
-                    points_per_decade=spec.points_per_decade,
-                )
+                freqs = spec.event_grid(config)
             result = run_spectrum_config(
                 config, estimator=spec.estimator, freqs=freqs, workers=workers
             )
@@ -333,10 +337,8 @@ def run(
             report["runs"].append(_analyze_run(spec, label, config, result, p_fit))
 
             if pmf is not None:
-                from scipy.stats import binom
-
                 # the binomial of the measured mean occupancy
-                model = binom.pmf(np.arange(len(pmf)), config.n_carriers, p_fit)
+                model = binomial_pmf(config.n_carriers, p_fit)
                 pmf_name = f"{stem}_amplitude_pmf.csv"
                 with open(outdir / pmf_name, "w") as fh:
                     fh.write("count,pmf,binomial\n")

@@ -47,12 +47,14 @@ __all__ = [
     "occupancy_counts",
     "amplitude_pmf",
     "predicted_amplitude_pmf",
+    "binomial_pmf",
     "write_event_csv",
     "write_signal_csv",
 ]
 
-# segments per formatted block of the event CSV (even, so every block
-# opens with a gap); bounds the strings a long path would otherwise build
+# rows per formatted block of the event and signal CSVs (even, so every
+# event block opens with a gap); bounds the strings a long path or signal
+# would otherwise build
 _CSV_BLOCK = 1 << 14
 
 
@@ -308,8 +310,6 @@ def predicted_amplitude_pmf(
     ``<pulse>/(<pulse> + <gap>)`` when the mean gap exists, otherwise the
     measured mean occupancy fraction.
     """
-    from scipy.stats import binom
-
     n = signal.n_carriers
     p = None
     if rates is not None and trapping is not None:
@@ -319,7 +319,15 @@ def predicted_amplitude_pmf(
             pass
     if p is None:
         p = float(np.mean(signal.values)) / (signal.amplitude * n)
-    return binom.pmf(np.arange(n + 1), n, p)
+    return binomial_pmf(n, p)
+
+
+def binomial_pmf(n_carriers: int, p_free: float) -> np.ndarray:
+    """Probability of 0..n_carriers free carriers, each free with
+    probability ``p_free`` independently of the others."""
+    from scipy.stats import binom
+
+    return binom.pmf(np.arange(n_carriers + 1), n_carriers, p_free)
 
 
 def write_event_csv(fileobj, realizations: Sequence[Sequence[CarrierPath]]) -> None:
@@ -341,12 +349,17 @@ def write_event_csv(fileobj, realizations: Sequence[Sequence[CarrierPath]]) -> N
 
 
 def write_signal_csv(fileobj, signal: SampledSignal, seed: int) -> None:
-    """Sampled values with a header row carrying the grid parameters."""
+    """Sampled values with a header row carrying the grid parameters.
+
+    Values are formatted ``_CSV_BLOCK`` at a time, as in
+    :func:`write_event_csv`.
+    """
     fileobj.write("dt,n_carriers,amplitude,horizon,seed\n")
     fileobj.write(
         f"{signal.dt:.17g},{signal.n_carriers},{signal.amplitude:.17g},"
         f"{signal.horizon:.17g},{seed}\n"
     )
     fileobj.write("value\n")
-    for v in signal.values:
-        fileobj.write(f"{v:.17g}\n")
+    for i in range(0, len(signal.values), _CSV_BLOCK):
+        block = signal.values[i : i + _CSV_BLOCK].tolist()
+        fileobj.write("%.17g\n" * len(block) % tuple(block))

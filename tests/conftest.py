@@ -1,0 +1,18 @@
+"""Fixtures shared by the test modules."""
+import pytest
+
+from trapnoise import spectra
+
+
+@pytest.fixture
+def thread_pools(monkeypatch):
+    """The thread count of every pool the event-exact transform makes."""
+    made = []
+    real = spectra.ThreadPoolExecutor
+
+    def spy(max_workers):
+        made.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(spectra, "ThreadPoolExecutor", spy)
+    return made

@@ -121,6 +121,20 @@ class TestPresets:
         with pytest.raises(ValueError, match=field):
             spec_from_dict(d)
 
+    def test_f_max_below_a_runs_lowest_frequency_rejected(self):
+        # T1e4 at scale 100 has horizon 100, so its grid starts at 1e-2
+        d = spec_to_dict(preset("fig4", scale=100.0))
+        d["f_max"] = 1e-3
+        with pytest.raises(ValueError, match=r"'T1e4' \(horizon 100\).*f_max"):
+            spec_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["rates", "trapping_rate", "horizon"])
+    def test_missing_run_key_named(self, key):
+        d = spec_to_dict(preset("fig3", scale=1000.0))
+        del d["runs"][0][key]
+        with pytest.raises(ValueError, match=rf"run 0 \(label ''\).*'{key}'"):
+            spec_from_dict(d)
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
     def test_preset_rejects_bad_scale(self, scale):
         with pytest.raises(ValueError, match="scale"):
@@ -265,6 +279,24 @@ class TestRunner:
         assert (tmp_path / "w1/fig3_spectrum.csv").read_bytes() == (
             tmp_path / "w2/fig3_spectrum.csv"
         ).read_bytes()
+
+    def test_threads_on_one_realization_keep_every_byte(self, tmp_path, thread_pools):
+        spec = preset("fig4", scale=100.0)  # two runs of one realization
+        run(spec, tmp_path / "w1", workers=1, events_csv=True)
+        assert thread_pools == []
+        run(spec, tmp_path / "w2", workers=2, events_csv=True)
+        assert thread_pools == [2, 2]
+        names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+        assert "fig4_T1e6_events.csv" in names
+        for name in names:
+            one = (tmp_path / "w1" / name).read_bytes()
+            two = (tmp_path / "w2" / name).read_bytes()
+            if name.endswith("_meta.json"):
+                one, two = json.loads(one), json.loads(two)
+                for meta in (one, two):
+                    del meta["wall_time_s"], meta["workers"]
+            assert one == two, name
 
 
 class TestCli:

@@ -23,7 +23,7 @@ from trapnoise import (
     simulate_realization,
     superpose,
 )
-from trapnoise.simulate import write_event_csv, write_signal_csv
+from trapnoise.simulate import _CSV_BLOCK, write_event_csv, write_signal_csv
 
 
 def make_config(**kw):
@@ -265,6 +265,18 @@ class TestExports:
         assert lines[1].endswith(",7")
         assert lines[2] == "value"
         assert len(lines) == 3 + 3
+
+    @pytest.mark.parametrize("n", [1, _CSV_BLOCK, _CSV_BLOCK + 1])
+    def test_signal_csv_values_match_one_row_per_sample(self, n):
+        values = np.random.default_rng(n).normal(scale=1e3, size=n)
+        values[::3] = np.rint(values[::3])  # whole numbers, zeros among them
+        sig = SampledSignal(
+            values=values, dt=1e-4, n_carriers=3, amplitude=0.5, horizon=n * 1e-4,
+        )
+        buf = io.StringIO()
+        write_signal_csv(buf, sig, seed=9)
+        _, _, body = buf.getvalue().partition("value\n")
+        assert body == "".join(f"{v:.17g}\n" for v in values)
 
 
 class TestConfigValidation:

@@ -19,7 +19,9 @@ from trapnoise import (
     simulate_realization,
     superpose,
 )
-from trapnoise.spectra import _OVERSAMPLE, _binned_grid, write_spectrum_csv
+from trapnoise.spectra import (
+    _FREQ_BLOCK, _OVERSAMPLE, _binned_grid, write_spectrum_csv,
+)
 
 
 def single_pulse_path(duration, horizon):
@@ -192,6 +194,55 @@ class TestHybridKernel:
             paths, 1.0, freqs, trig_dtype=np.float64
         )
         assert np.allclose(est.values, _direct_float64(paths, freqs), rtol=1e-9)
+
+
+class TestThreadedTransform:
+    """The direct sum's frequency blocks on threads: the same bytes for
+    any thread count."""
+
+    # float32 cosines mostly add exactly in float64, so a changed summation
+    # order shows in the bytes with float64 trig far more than with float32
+    @pytest.mark.parametrize("trig_dtype", [np.float32, np.float64])
+    def test_bytes_do_not_depend_on_workers(self, thread_pools, trig_dtype):
+        cfg = SimConfig(
+            rates=UniformRates(1e-4, 1e2), trapping=PoissonTrapping(1.0),
+            horizon=2e4, n_carriers=3, seed=2,
+        )
+        paths = simulate_realization(cfg, 0)
+        freqs = natural_frequencies(cfg.horizon, 160.0, points_per_decade=20)
+        # one frequency between the natural ones k = 3 and 4
+        freqs = np.sort(np.append(freqs, 3.37 / cfg.horizon))
+        low = freqs * cfg.horizon <= _binned_cut(paths, freqs)
+        assert 10 < low.sum() < len(freqs) - 2 * _FREQ_BLOCK
+        serial = periodogram_superposed_events(
+            paths, 1.0, freqs, trig_dtype=trig_dtype, workers=1
+        )
+        assert thread_pools == []
+        for workers in (2, 3):
+            threaded = periodogram_superposed_events(
+                paths, 1.0, freqs, trig_dtype=trig_dtype, workers=workers
+            )
+            assert threaded.values.tobytes() == serial.values.tobytes()
+        assert thread_pools == [2, 3]
+
+    @pytest.mark.parametrize("n_direct", [2, _FREQ_BLOCK + 1])
+    def test_fewer_direct_blocks_than_workers(self, thread_pools, n_direct):
+        cfg = SimConfig(
+            rates=UniformRates(0.0, 1e3), trapping=PoissonTrapping(1.0),
+            horizon=1e4, seed=5,
+        )
+        paths = simulate_realization(cfg, 0)
+        # every k <= 100 goes through the binned series, and the
+        # frequencies between natural ones through the direct sum
+        grid = natural_frequencies(cfg.horizon, 1e-2, points_per_decade=16)
+        assert grid[-1] * cfg.horizon <= _binned_cut(paths, grid)
+        between = (np.arange(n_direct) * 7 + 0.37) / cfg.horizon
+        freqs = np.sort(np.concatenate([grid, between]))
+        serial = periodogram_superposed_events(paths, 1.0, freqs, workers=1)
+        threaded = periodogram_superposed_events(paths, 1.0, freqs, workers=3)
+        assert threaded.values.tobytes() == serial.values.tobytes()
+        # one block runs on the calling thread; two get two threads
+        assert thread_pools == ([] if n_direct <= _FREQ_BLOCK else [2])
 
 
 class TestFftEstimator:
