@@ -1,10 +1,9 @@
 """Experiment runner: spread each run over the workers, merge
 deterministically, and write the artifact set.
 
-A run with at least as many realizations as workers fans them out to
-that many processes; a run with fewer realizations than workers
-computes them in this process, one after the other, and each one's
-event-exact transform splits its frequencies over that many threads.
+A run of several realizations fans them out to a pool of ``workers``
+processes; a run of one realization computes it in this process, and its
+event-exact transform splits its frequencies over ``workers`` threads.
 
 Artifacts per experiment ``name``:
 
@@ -113,9 +112,9 @@ def run_spectrum_config(
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     R = config.n_realizations
-    # processes over realizations, or, when there are fewer realizations
-    # than workers, threads over each realization's frequencies
-    pooled = n_workers > 1 and R >= n_workers
+    # processes over realizations, or, for a single realization, threads
+    # over its frequencies
+    pooled = n_workers > 1 and R > 1
     threads = 1 if pooled else n_workers
     tasks = [(config, estimator, freqs, r, threads) for r in range(R)]
     if pooled:

@@ -35,8 +35,8 @@ two paths per frequency:
   ``trig_dtype=np.float64`` to make this part double precision.
 
 ``workers`` threads share the direct sum of one transform: its
-frequencies are split into blocks, one task each (numpy releases the GIL
-in the cast, trig and sum loops).  Every frequency's value comes from
+frequencies are split evenly between them (numpy releases the GIL in the
+cast, trig and sum loops).  Every frequency's value comes from
 the same sums over the same event chunks, paths added in order, so the
 result does not depend on the thread count.  The binned series runs
 first, on the calling thread: run beside the direct sum, its grids would
@@ -64,8 +64,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _EVENT_CHUNK = 1 << 16  # fixed so results do not depend on scheduling
-# direct-sum frequencies per task of the threaded transform
-_FREQ_BLOCK = 8
 # Binned path: P Taylor terms on a grid oversampled 8x over the highest
 # mode, so the series is off by at most (pi/8)^10/10! = 2.4e-11 per event.
 _TAYLOR_TERMS = 10
@@ -228,9 +226,8 @@ def _pulse_transform(
     sum over pulses of (e^{-i w t0} - e^{-i w t1}) / (i w).
 
     Natural frequencies k/T up to the cut the cost model picks go through
-    the binned series; every other frequency through the direct sum, in
-    blocks of ``_FREQ_BLOCK`` frequencies on ``min(workers, blocks)``
-    threads.
+    the binned series; every other frequency through the direct sum, split
+    evenly over ``min(workers, frequencies)`` threads.
     """
     T = paths[0].horizon
     # pulse starts and ends alternate in each path's segment end times
@@ -247,19 +244,19 @@ def _pulse_transform(
         ks = modes[binned].astype(np.intp)
         numerator[binned] = _binned_sums(events, ks, grid, T)
     direct = np.flatnonzero(~binned)
-    blocks = [direct[i : i + _FREQ_BLOCK] for i in range(0, len(direct), _FREQ_BLOCK)]
+    threads = min(workers, len(direct))
+    parts = np.array_split(direct, max(threads, 1))
 
-    def block_sums(block):
-        return _direct_sums(events, freqs[block], trig_dtype)
+    def part_sums(part):
+        return _direct_sums(events, freqs[part], trig_dtype)
 
-    threads = min(workers, len(blocks))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(block_sums, blocks))
+            sums = list(pool.map(part_sums, parts))
     else:
-        sums = map(block_sums, blocks)
-    for block, total in zip(blocks, sums):
-        numerator[block] = total
+        sums = map(part_sums, parts)
+    for part, total in zip(parts, sums):
+        numerator[part] = total
     return numerator / (1j * _TWO_PI * freqs)
 
 

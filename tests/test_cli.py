@@ -15,6 +15,7 @@ from trapnoise import (
 )
 from trapnoise.cli import main
 from trapnoise.presets import FIG2_COMPONENT_RATES, DEFAULT_SEED
+from trapnoise import runner
 from trapnoise.runner import run, run_spectrum_config
 
 
@@ -297,6 +298,38 @@ class TestRunner:
                 for meta in (one, two):
                     del meta["wall_time_s"], meta["workers"]
             assert one == two, name
+
+    @pytest.mark.parametrize("n_realizations", [1, 2])
+    def test_only_a_single_realization_runs_on_threads(
+        self, monkeypatch, thread_pools, n_realizations
+    ):
+        # two realizations at three workers keep the process pool
+        processes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                processes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 1e2), trapping=PoissonTrapping(1.0),
+            horizon=1e3, n_realizations=n_realizations, seed=4,
+        )
+        freqs = (np.arange(1, 10) + 0.37) / cfg.horizon  # all direct
+        run_spectrum_config(cfg, freqs=freqs, workers=3)
+        if n_realizations == 1:
+            assert (processes, thread_pools) == ([], [3])
+        else:
+            assert (processes, thread_pools) == ([3], [])
 
 
 class TestCli:

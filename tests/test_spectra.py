@@ -20,7 +20,7 @@ from trapnoise import (
     superpose,
 )
 from trapnoise.spectra import (
-    _FREQ_BLOCK, _OVERSAMPLE, _binned_grid, write_spectrum_csv,
+    _OVERSAMPLE, _binned_grid, write_spectrum_csv,
 )
 
 
@@ -197,8 +197,8 @@ class TestHybridKernel:
 
 
 class TestThreadedTransform:
-    """The direct sum's frequency blocks on threads: the same bytes for
-    any thread count."""
+    """The direct sum's frequencies split over threads: the same bytes
+    for any thread count."""
 
     # float32 cosines mostly add exactly in float64, so a changed summation
     # order shows in the bytes with float64 trig far more than with float32
@@ -213,7 +213,7 @@ class TestThreadedTransform:
         # one frequency between the natural ones k = 3 and 4
         freqs = np.sort(np.append(freqs, 3.37 / cfg.horizon))
         low = freqs * cfg.horizon <= _binned_cut(paths, freqs)
-        assert 10 < low.sum() < len(freqs) - 2 * _FREQ_BLOCK
+        assert 10 < low.sum() < len(freqs) - 3
         serial = periodogram_superposed_events(
             paths, 1.0, freqs, trig_dtype=trig_dtype, workers=1
         )
@@ -225,8 +225,8 @@ class TestThreadedTransform:
             assert threaded.values.tobytes() == serial.values.tobytes()
         assert thread_pools == [2, 3]
 
-    @pytest.mark.parametrize("n_direct", [2, _FREQ_BLOCK + 1])
-    def test_fewer_direct_blocks_than_workers(self, thread_pools, n_direct):
+    @pytest.mark.parametrize("n_direct", [1, 2])
+    def test_fewer_direct_frequencies_than_workers(self, thread_pools, n_direct):
         cfg = SimConfig(
             rates=UniformRates(0.0, 1e3), trapping=PoissonTrapping(1.0),
             horizon=1e4, seed=5,
@@ -241,8 +241,8 @@ class TestThreadedTransform:
         serial = periodogram_superposed_events(paths, 1.0, freqs, workers=1)
         threaded = periodogram_superposed_events(paths, 1.0, freqs, workers=3)
         assert threaded.values.tobytes() == serial.values.tobytes()
-        # one block runs on the calling thread; two get two threads
-        assert thread_pools == ([] if n_direct <= _FREQ_BLOCK else [2])
+        # one frequency runs on the calling thread; two get two threads
+        assert thread_pools == ([] if n_direct == 1 else [2])
 
 
 class TestFftEstimator:
