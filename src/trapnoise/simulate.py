@@ -11,7 +11,13 @@ Durations are the stored record; segment end times come from one
 extended-precision prefix sum, so phase errors stay negligible even for
 ~1e8 events.  ``simulate_carrier`` keeps the times of the prefix sum it
 already takes to find the horizon, and a path built directly sums its
-durations on first use.
+durations on first use; either sum runs in place on one longdouble copy.
+
+``superpose`` builds the sampled signal in one float64 array: the
+bincount of the pulses' rising (+1) and falling (-1) sample indices,
+then its prefix sum, then the pulse height, all in place.  The sums are
+over whole numbers, so they are exact.  ``occupancy_counts`` counts the
+signal in blocks of ``_HIST_BLOCK`` samples.
 
 Reproducibility contract: one random sub-stream per (realization,
 carrier), derived from the master seed by index, so results are
@@ -56,6 +62,8 @@ __all__ = [
 # event block opens with a gap); bounds the strings a long path or signal
 # would otherwise build
 _CSV_BLOCK = 1 << 14
+# samples per block of the occupancy histogram
+_HIST_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -124,9 +132,9 @@ class CarrierPath:
         Computed once per path and returned read-only.
         """
         if self._times is None:
-            self._set_times(
-                np.cumsum(self.durations, dtype=np.longdouble).astype(np.float64)
-            )
+            prefix = self.durations.astype(np.longdouble)
+            np.cumsum(prefix, out=prefix)
+            self._set_times(prefix.astype(np.float64))
         return self._times
 
     def _set_times(self, times: np.ndarray) -> None:
@@ -204,7 +212,8 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     interleaved[0::2] = gaps
     interleaved[1::2] = pulses
 
-    prefix = np.cumsum(interleaved, dtype=np.longdouble)
+    prefix = interleaved.astype(np.longdouble)
+    np.cumsum(prefix, out=prefix)
     ends = prefix.astype(np.float64)
     cut = int(np.searchsorted(ends, T, side="left"))
     if cut >= len(interleaved):
@@ -270,14 +279,18 @@ def superpose(
         starts, stops = p.pulse_bounds()
         rising.append(np.ceil(starts / dt).astype(np.int64))
         falling.append(np.ceil(stops / dt).astype(np.int64))
-    k0 = np.clip(np.concatenate(rising), 0, n_samples)
-    k1 = np.clip(np.concatenate(falling), 0, n_samples)
-    delta = np.bincount(k0, minlength=n_samples + 1) - np.bincount(
-        k1, minlength=n_samples + 1
-    )
-    occupancy = np.cumsum(delta)[:n_samples]
+    k = np.clip(np.concatenate(rising + falling), 0, n_samples)
+    step = np.ones(len(k))
+    step[sum(map(len, rising)) :] = -1.0
+    # one float64 array holds the increments, then the occupancy; both
+    # are whole numbers far below 2**53, so every sum is exact (bincount
+    # returns integers when there is no pulse at all)
+    delta = np.bincount(k, step, minlength=n_samples + 1).astype(np.float64, copy=False)
+    values = delta[:n_samples]
+    np.cumsum(values, out=values)
+    values *= amplitude
     return SampledSignal(
-        values=amplitude * occupancy.astype(np.float64),
+        values=values,
         dt=dt,
         n_carriers=len(paths),
         amplitude=amplitude,
@@ -286,9 +299,17 @@ def superpose(
 
 
 def occupancy_counts(signal: SampledSignal) -> np.ndarray:
-    """Number of samples with 0..N carriers free (unnormalized histogram)."""
-    counts = np.rint(signal.values / signal.amplitude).astype(np.int64)
-    return np.bincount(counts, minlength=signal.n_carriers + 1)
+    """Number of samples with 0..N carriers free (unnormalized histogram).
+
+    Counted ``_HIST_BLOCK`` samples at a time, so no temporary is as
+    large as the signal.
+    """
+    hist = np.zeros(signal.n_carriers + 1, dtype=np.int64)
+    for i in range(0, len(signal.values), _HIST_BLOCK):
+        x = signal.values[i : i + _HIST_BLOCK] / signal.amplitude
+        np.rint(x, out=x)
+        hist += np.bincount(x.astype(np.int64), minlength=len(hist))
+    return hist
 
 
 def amplitude_pmf(signal: SampledSignal) -> np.ndarray:

@@ -8,7 +8,8 @@ with ``F`` the finite-time Fourier integral of the current:
   no discretization error and can be evaluated on sparse log-spaced grids
   over millions of pulses.
 * ``periodogram_fft`` is the standard rectangular-window periodogram of a
-  uniformly sampled signal on its natural frequencies k/T.
+  uniformly sampled signal on its natural frequencies k/T.  Past the
+  rfft it works in place on one array of the spectrum's size.
 
 The signal mean is kept in the signal (the definition uses the raw
 current); evaluating on natural frequencies k/T makes the mean contribute
@@ -41,6 +42,11 @@ the same sums over the same event chunks, paths added in order, so the
 result does not depend on the thread count.  The binned series runs
 first, on the calling thread: run beside the direct sum, its grids would
 raise the peak memory by about as much as they hold.
+
+Averaging keeps one running sum in realization order and divides it by
+the realization count, which gives the bytes of the stacked mean without
+holding every realization.  Log binning finds each bin's run of points
+by one binary search per bin edge.
 """
 from __future__ import annotations
 
@@ -302,8 +308,12 @@ def periodogram_fft(signal: SampledSignal) -> SpectrumEstimate:
         raise ValueError("signal too short")
     length = x.size
     spectrum = np.fft.rfft(x)
-    values = (2.0 * signal.dt / length) * np.abs(spectrum[1:]) ** 2
-    freqs = np.arange(1, len(spectrum)) / (length * signal.dt)
+    values = np.abs(spectrum[1:])
+    del spectrum
+    np.square(values, out=values)
+    values *= 2.0 * signal.dt / length
+    freqs = np.arange(1, len(values) + 1, dtype=np.float64)
+    freqs /= length * signal.dt
     return SpectrumEstimate(
         freqs=freqs,
         values=values,
@@ -313,17 +323,21 @@ def periodogram_fft(signal: SampledSignal) -> SpectrumEstimate:
 
 
 def average_spectra(estimates: Sequence[SpectrumEstimate]) -> SpectrumEstimate:
-    """Pointwise mean over realizations (fixed input order, fixed reduction)."""
+    """Pointwise mean over realizations: a running sum in input order,
+    divided by their number (the bytes of ``np.stack(...).mean(axis=0)``)."""
     if not estimates:
         raise ValueError("nothing to average")
     base = estimates[0]
     for est in estimates[1:]:
         if not np.array_equal(est.freqs, base.freqs):
             raise ValueError("frequency grids differ")
-    stacked = np.stack([est.values for est in estimates], axis=0)
+    total = base.values.copy()
+    for est in estimates[1:]:
+        total += est.values
+    total /= len(estimates)
     return SpectrumEstimate(
         freqs=base.freqs.copy(),
-        values=stacked.mean(axis=0),
+        values=total,
         n_averaged=sum(est.n_averaged for est in estimates),
         estimator=base.estimator,
     )
@@ -333,7 +347,8 @@ def logbin_spectrum(est: SpectrumEstimate, bins_per_decade: int) -> SpectrumEsti
     """Geometric-mean frequency and arithmetic-mean PSD per log bin.
 
     Bin edges sit on the absolute grid 10^(j / bins_per_decade), so a grid
-    that already places one point per bin passes through unchanged.
+    that already places one point per bin passes through unchanged.  A
+    point on an edge opens the bin above it.
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
@@ -341,9 +356,10 @@ def logbin_spectrum(est: SpectrumEstimate, bins_per_decade: int) -> SpectrumEsti
     j0 = int(np.floor(logf[0] * bins_per_decade))
     j1 = int(np.ceil(logf[-1] * bins_per_decade)) + 1
     edges = np.arange(j0, j1 + 1) / bins_per_decade
-    idx = np.digitize(logf, edges) - 1
-    # the grid is increasing, so each bin is one contiguous run of idx
-    runs = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1, [len(idx)]))
+    # the grid is increasing, so each bin is the run between the first
+    # points at or above its two edges; empty bins give repeated bounds
+    cuts = np.searchsorted(logf, edges, side="left")
+    runs = np.unique(np.concatenate(([0], cuts, [len(logf)])))
     spans = list(zip(runs[:-1], runs[1:]))
     freqs = [10.0 ** logf[a:b].mean() for a, b in spans]
     values = [est.values[a:b].mean() for a, b in spans]

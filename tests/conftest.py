@@ -1,12 +1,13 @@
 """Fixtures shared by the test modules."""
 import pytest
 
-from trapnoise import spectra
+from trapnoise import runner, spectra
 
 
 @pytest.fixture
 def thread_pools(monkeypatch):
-    """The thread count of every pool the event-exact transform makes."""
+    """The thread count of every pool a run makes: the event-exact
+    transform's, and the sampled run's second thread for the histogram."""
     made = []
     real = spectra.ThreadPoolExecutor
 
@@ -14,5 +15,6 @@ def thread_pools(monkeypatch):
         made.append(max_workers)
         return real(max_workers=max_workers)
 
-    monkeypatch.setattr(spectra, "ThreadPoolExecutor", spy)
+    for module in (spectra, runner):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", spy)
     return made

@@ -142,6 +142,22 @@ class TestPresets:
             preset("fig3", scale=scale)
 
 
+def _assert_same_artifacts(one_dir, two_dir) -> list:
+    """Both runs wrote the same files with the same bytes, apart from the
+    timing and worker keys of the meta JSON; returns the file names."""
+    names = sorted(p.name for p in one_dir.iterdir())
+    assert names == sorted(p.name for p in two_dir.iterdir())
+    for name in names:
+        one = (one_dir / name).read_bytes()
+        two = (two_dir / name).read_bytes()
+        if name.endswith("_meta.json"):
+            one, two = json.loads(one), json.loads(two)
+            for meta in (one, two):
+                del meta["wall_time_s"], meta["workers"]
+        assert one == two, name
+    return names
+
+
 class TestRunner:
     def test_fig3_artifacts_exist(self, tmp_path):
         spec = preset("fig3", scale=1000.0, seed=5)
@@ -287,17 +303,19 @@ class TestRunner:
         assert thread_pools == []
         run(spec, tmp_path / "w2", workers=2, events_csv=True)
         assert thread_pools == [2, 2]
-        names = sorted(p.name for p in (tmp_path / "w1").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+        names = _assert_same_artifacts(tmp_path / "w1", tmp_path / "w2")
         assert "fig4_T1e6_events.csv" in names
-        for name in names:
-            one = (tmp_path / "w1" / name).read_bytes()
-            two = (tmp_path / "w2" / name).read_bytes()
-            if name.endswith("_meta.json"):
-                one, two = json.loads(one), json.loads(two)
-                for meta in (one, two):
-                    del meta["wall_time_s"], meta["workers"]
-            assert one == two, name
+
+    def test_sampled_run_keeps_every_byte_on_a_second_thread(
+        self, tmp_path, thread_pools
+    ):
+        spec = preset("fig6", scale=64.0)  # one realization, sampled FFT
+        run(spec, tmp_path / "w1", workers=1)
+        assert thread_pools == []
+        run(spec, tmp_path / "w2", workers=2)
+        assert thread_pools == [1]  # the histogram beside the rfft
+        names = _assert_same_artifacts(tmp_path / "w1", tmp_path / "w2")
+        assert "fig6_amplitude_pmf.csv" in names
 
     @pytest.mark.parametrize("n_realizations", [1, 2])
     def test_only_a_single_realization_runs_on_threads(

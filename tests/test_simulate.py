@@ -23,7 +23,9 @@ from trapnoise import (
     simulate_realization,
     superpose,
 )
-from trapnoise.simulate import _CSV_BLOCK, write_event_csv, write_signal_csv
+from trapnoise.simulate import (
+    _CSV_BLOCK, _HIST_BLOCK, occupancy_counts, write_event_csv, write_signal_csv,
+)
 
 
 def make_config(**kw):
@@ -187,6 +189,63 @@ class TestSuperpose:
             idx = np.searchsorted(starts, t, side="right") - 1
             occupancy += (idx >= 0) & (t < ends[np.clip(idx, 0, len(ends) - 1)])
         assert sig.values.mean() == 1.5 * occupancy.mean()
+
+
+def superpose_formula(paths, amplitude, dt):
+    """The sampled signal as one expression over every pulse's bounds."""
+    n = int(np.floor(paths[0].horizon / dt + 1e-9))
+    starts, stops = zip(*(p.pulse_bounds() for p in paths))
+    k0 = np.clip(np.concatenate([np.ceil(t / dt).astype(np.int64) for t in starts]), 0, n)
+    k1 = np.clip(np.concatenate([np.ceil(t / dt).astype(np.int64) for t in stops]), 0, n)
+    delta = np.bincount(k0, minlength=n + 1) - np.bincount(k1, minlength=n + 1)
+    return amplitude * np.cumsum(delta)[:n].astype(np.float64)
+
+
+class TestAgainstFormulas:
+    """The blocked and in-place kernels give the bytes of the one-expression
+    formulas they stand for."""
+
+    @pytest.mark.parametrize("n_samples", [_HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1])
+    def test_superpose_and_histogram_around_one_block(self, n_samples):
+        dt = 0.01
+        cfg = make_config(n_carriers=6, horizon=n_samples * dt)
+        paths = simulate_realization(cfg, 0)
+        sig = superpose(paths, 1.5, dt)
+        assert len(sig.values) == n_samples
+        want = superpose_formula(paths, 1.5, dt)
+        assert sig.values.tobytes() == want.tobytes()
+        hist = occupancy_counts(sig)
+        assert hist.dtype == np.int64
+        want_hist = np.bincount(
+            np.rint(want / 1.5).astype(np.int64), minlength=cfg.n_carriers + 1
+        )
+        assert hist.tobytes() == want_hist.tobytes()
+
+    def test_pulses_past_the_last_sample_are_clipped(self):
+        # n = floor(10.05 / 0.1) = 100 samples; the last pulse of each path
+        # ends at the horizon, at k = ceil(100.5) = 101 before clipping
+        paths = [
+            CarrierPath(durations=np.array([0.0, 2.0, 3.0, 5.05]), horizon=10.05),
+            CarrierPath(durations=np.array([9.99, 0.06]), horizon=10.05),
+            CarrierPath(durations=np.array([0.26, 9.79]), horizon=10.05),
+        ]
+        sig = superpose(paths, 1.5, 0.1)
+        want = superpose_formula(paths, 1.5, 0.1)
+        assert len(want) == 100
+        assert sig.values.tobytes() == want.tobytes()
+        assert sig.values[-1] == 1.5 * 2
+
+    @pytest.mark.parametrize(
+        "length", [1, _HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1, 3 * _HIST_BLOCK + 7]
+    )
+    def test_histogram_of_any_length(self, length):
+        rng = np.random.default_rng(length)
+        values = 1.5 * rng.integers(0, 9, length).astype(np.float64)
+        sig = SampledSignal(
+            values=values, dt=0.1, n_carriers=8, amplitude=1.5, horizon=1.0
+        )
+        want = np.bincount(np.rint(values / 1.5).astype(np.int64), minlength=9)
+        assert occupancy_counts(sig).tobytes() == want.tobytes()
 
 
 class TestAmplitudePmf:

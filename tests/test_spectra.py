@@ -264,6 +264,20 @@ class TestFftEstimator:
         total = est.values.sum() * df
         assert abs(total / x.var() - 1.0) < 0.01
 
+    @pytest.mark.parametrize("length", [2, 3, 1000, 1001])
+    def test_matches_the_one_expression_formula(self, length):
+        rng = np.random.default_rng(length)
+        values = 1.5 * rng.integers(0, 5, length).astype(np.float64)
+        sig = SampledSignal(
+            values=values, dt=0.01, n_carriers=4, amplitude=1.5, horizon=length * 0.01
+        )
+        est = periodogram_fft(sig)
+        spectrum = np.fft.rfft(values)
+        want = (2.0 * 0.01 / length) * np.abs(spectrum[1:]) ** 2
+        want_f = np.arange(1, len(spectrum)) / (length * 0.01)
+        assert est.values.tobytes() == want.tobytes()
+        assert est.freqs.tobytes() == want_f.tobytes()
+
     def test_short_signal_rejected(self):
         sig = SampledSignal(values=np.array([1.0]), dt=0.1, n_carriers=1,
                             amplitude=1.0, horizon=0.1)
@@ -306,6 +320,24 @@ class TestAveraging:
         assert np.allclose(avg.values, est.values, rtol=1e-15)
         assert avg.n_averaged == 7
 
+    @pytest.mark.parametrize("n_realizations", [1, 2, 3, 7])
+    def test_matches_the_stacked_mean(self, n_realizations):
+        rng = np.random.default_rng(n_realizations)
+        freqs = np.geomspace(0.01, 1.0, 999)
+        ests = [
+            SpectrumEstimate(
+                freqs=freqs, values=rng.exponential(1.0, 999), n_averaged=1,
+                estimator="sampled_fft",
+            )
+            for _ in range(n_realizations)
+        ]
+        stacked = np.stack([e.values for e in ests], axis=0)
+        avg = average_spectra(ests)
+        assert avg.values.tobytes() == stacked.mean(axis=0).tobytes()
+        assert avg.n_averaged == n_realizations
+        # the running sum leaves its inputs as they were
+        assert np.stack([e.values for e in ests], axis=0).tobytes() == stacked.tobytes()
+
     def test_grid_mismatch_rejected(self):
         est = self._estimate(0)
         other = SpectrumEstimate(
@@ -327,6 +359,18 @@ class TestAveraging:
         var_grouped = np.var(grouped, axis=0).mean()
         ratio = var_single / var_grouped
         assert group / 2.5 < ratio < group * 2.5
+
+
+def logbin_by_digitize(est, bins_per_decade):
+    """(freqs, values) of the log bins, one mask per np.digitize bin."""
+    logf = np.log10(est.freqs)
+    edges = np.arange(
+        np.floor(logf[0] * bins_per_decade), np.ceil(logf[-1] * bins_per_decade) + 2
+    ) / bins_per_decade
+    idx = np.digitize(logf, edges) - 1
+    masks = [idx == j for j in np.unique(idx)]
+    freqs = np.array([10.0 ** logf[m].mean() for m in masks])
+    return freqs, np.array([est.values[m].mean() for m in masks])
 
 
 class TestLogbin:
@@ -360,14 +404,47 @@ class TestLogbin:
             estimator="event_exact",
         )
         binned = logbin_spectrum(est, 8)
-        logf = np.log10(freqs)
-        edges = np.arange(np.floor(logf[0] * 8), np.ceil(logf[-1] * 8) + 2) / 8
-        idx = np.digitize(logf, edges) - 1
-        masks = [idx == j for j in np.unique(idx)]
-        want_f = np.array([10.0 ** logf[m].mean() for m in masks])
-        want_s = np.array([est.values[m].mean() for m in masks])
+        want_f, want_s = logbin_by_digitize(est, 8)
         assert np.array_equal(binned.freqs, want_f)
         assert np.array_equal(binned.values, want_s)
+
+    @pytest.mark.parametrize("bins_per_decade", [1, 3, 4, 7, 40])
+    def test_points_on_edges_and_empty_bins(self, bins_per_decade):
+        # points on the edges 10^(j / bpd) (f = 1, 10 and 100 among them),
+        # one ulp to either side, and gaps of several empty bins
+        j = np.arange(-2 * bins_per_decade, 2 * bins_per_decade + 1)
+        on_edges = 10.0 ** (j / bins_per_decade)
+        below, above = np.nextafter(on_edges, 0.0), np.nextafter(on_edges, np.inf)
+        freqs = np.unique(np.concatenate([[1.0, 10.0, 100.0], on_edges, below, above]))
+        freqs = freqs[(freqs < 0.05) | (freqs > 0.5)]  # an empty stretch of bins
+        rng = np.random.default_rng(bins_per_decade)
+        est = SpectrumEstimate(
+            freqs=freqs, values=rng.exponential(1.0, len(freqs)), n_averaged=1,
+            estimator="sampled_fft",
+        )
+        binned = logbin_spectrum(est, bins_per_decade)
+        want_f, want_s = logbin_by_digitize(est, bins_per_decade)
+        assert binned.freqs.tobytes() == want_f.tobytes()
+        assert binned.values.tobytes() == want_s.tobytes()
+
+    def test_first_point_below_its_rounded_edge(self):
+        # log10(f) * 3 rounds up to the integer j although log10(f) < j / 3,
+        # so the first point lies below the lowest edge and gets a bin of
+        # its own, as np.digitize gives it
+        on_edges = 10.0 ** (np.arange(-600, 600) / 3)
+        cands = np.concatenate([np.nextafter(on_edges, 0.0), on_edges])
+        logf = np.log10(cands)
+        below = cands[np.floor(logf * 3) / 3 > logf]
+        assert len(below)
+        freqs = below[0] * np.array([1.0, 1.0 + 1e-12, 1.5, 2.0, 30.0])
+        est = SpectrumEstimate(
+            freqs=freqs, values=np.arange(1.0, 6.0), n_averaged=1, estimator="sampled_fft"
+        )
+        binned = logbin_spectrum(est, 3)
+        want_f, want_s = logbin_by_digitize(est, 3)
+        assert binned.values[0] == 1.0
+        assert binned.freqs.tobytes() == want_f.tobytes()
+        assert binned.values.tobytes() == want_s.tobytes()
 
     def test_pure_flicker_slope_preserved(self):
         freqs = np.geomspace(1e-2, 1e2, 900)
