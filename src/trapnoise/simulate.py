@@ -62,7 +62,8 @@ __all__ = [
 # event block opens with a gap); bounds the strings a long path or signal
 # would otherwise build
 _CSV_BLOCK = 1 << 14
-# samples per block of the occupancy histogram
+# samples per block of the occupancy histogram (512 kB of float64), so
+# counting makes no temporary as large as the signal
 _HIST_BLOCK = 1 << 16
 
 
@@ -285,8 +286,8 @@ def superpose(
     # one float64 array holds the increments, then the occupancy; both
     # are whole numbers far below 2**53, so every sum is exact (bincount
     # returns integers when there is no pulse at all)
-    delta = np.bincount(k, step, minlength=n_samples + 1).astype(np.float64, copy=False)
-    values = delta[:n_samples]
+    delta = np.bincount(k, step, minlength=n_samples + 1)
+    values = delta[:n_samples].astype(np.float64, copy=False)
     np.cumsum(values, out=values)
     values *= amplitude
     return SampledSignal(
