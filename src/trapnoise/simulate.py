@@ -280,9 +280,12 @@ def superpose(
         starts, stops = p.pulse_bounds()
         rising.append(np.ceil(starts / dt).astype(np.int64))
         falling.append(np.ceil(stops / dt).astype(np.int64))
-    k = np.clip(np.concatenate(rising + falling), 0, n_samples)
+    k = np.concatenate(rising + falling)
+    # freed before the next temporaries, which can then reuse the memory
+    del rising, falling
+    np.clip(k, 0, n_samples, out=k)
     step = np.ones(len(k))
-    step[sum(map(len, rising)) :] = -1.0
+    step[len(k) // 2 :] = -1.0  # every rise has its fall
     # one float64 array holds the increments, then the occupancy; both
     # are whole numbers far below 2**53, so every sum is exact (bincount
     # returns integers when there is no pulse at all)
