@@ -10,9 +10,8 @@ Subcommands:
 
 ``--scale`` divides horizon and realization count, ``--full`` enables the
 long horizon-1e8 run of fig4, ``--workers`` caps parallelism (processes
-over realizations; for a run of one realization, threads over the
-frequencies of its event-exact transform, or a second thread for the
-histogram of a sampled run; results do not depend on it),
+over realizations, or threads over the frequencies of a run of one
+realization; results do not depend on it),
 ``--seed`` sets the seed of every run, of a preset and of a config file
 alike.
 """
@@ -33,9 +32,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="processes over realizations; for a run of one realization, "
-        "threads over the event-exact frequencies, or a second thread for "
-        "the sampled histogram (default: CPU count)",
+        help="processes over realizations, or threads over the frequencies "
+        "of a run of one realization (default: CPU count)",
     )
 
 

@@ -2,13 +2,8 @@
 deterministically, and write the artifact set.
 
 A run of several realizations fans them out to a pool of ``workers``
-processes; a run of one realization computes it in this process, and
-with ``workers`` > 1 its event-exact transform splits its frequencies
-over ``workers`` threads, or its sampled FFT runs beside a second
-thread that counts the occupancy histogram (numpy's rfft releases the
-GIL).  A sampled realization drops its carrier paths once their pulse
-count and free time are taken, so only the signal is held during the
-rfft.
+processes; a run of one realization computes it in this process, and its
+event-exact transform splits its frequencies over ``workers`` threads.
 
 Artifacts per experiment ``name``:
 
@@ -21,15 +16,15 @@ Artifacts per experiment ``name``:
 
 Results are bit-identical for a given seed regardless of the worker
 count: every realization runs on a sub-stream derived from the master
-seed by its index, the reduction is ordered by index, and neither a
-frequency's value nor the histogram depends on which thread computed it.
+seed by its index, the reduction is ordered by index, and a frequency's
+value does not depend on which thread computed it.
 """
 from __future__ import annotations
 
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -81,27 +76,20 @@ class RunResult:
 def _one_realization(args) -> RealizationResult:
     config, estimator, freqs, realization, threads = args
     paths = simulate_realization(config, realization)
-    pulse_count = sum(p.pulse_count for p in paths)
-    free_time = sum(p.free_time for p in paths)
     hist = None
     if estimator == "sampled_fft":
         signal = superpose(paths, config.amplitude, config.sample_dt)
-        del paths  # the rfft and the histogram need only the signal
-        if threads > 1:
-            # the rfft releases the GIL, so a second thread can count
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                counting = pool.submit(occupancy_counts, signal)
-                est = periodogram_fft(signal)
-                hist = counting.result()
-        else:
-            est = periodogram_fft(signal)
-            hist = occupancy_counts(signal)
+        est = periodogram_fft(signal)
+        hist = occupancy_counts(signal)
     else:
         est = periodogram_superposed_events(
             paths, config.amplitude, freqs, workers=threads
         )
     return RealizationResult(
-        spectrum=est, pulse_count=pulse_count, free_time=free_time, hist=hist
+        spectrum=est,
+        pulse_count=sum(p.pulse_count for p in paths),
+        free_time=sum(p.free_time for p in paths),
+        hist=hist,
     )
 
 

@@ -45,8 +45,10 @@ raise the peak memory by about as much as they hold.
 
 Averaging keeps one running sum in realization order and divides it by
 the realization count, which gives the bytes of the stacked mean without
-holding every realization.  Log binning finds each bin's run of points
-by one binary search per bin edge.
+holding every realization.  A grid of one point is the exception: numpy
+sums a single column pairwise, so it keeps the stacked mean.  Log
+binning finds each bin's run of points by one binary search per bin
+edge.
 """
 from __future__ import annotations
 
@@ -324,17 +326,22 @@ def periodogram_fft(signal: SampledSignal) -> SpectrumEstimate:
 
 def average_spectra(estimates: Sequence[SpectrumEstimate]) -> SpectrumEstimate:
     """Pointwise mean over realizations: a running sum in input order,
-    divided by their number (the bytes of ``np.stack(...).mean(axis=0)``)."""
+    divided by their number (the bytes of ``np.stack(...).mean(axis=0)``,
+    which a grid of one point computes as it is)."""
     if not estimates:
         raise ValueError("nothing to average")
     base = estimates[0]
     for est in estimates[1:]:
         if not np.array_equal(est.freqs, base.freqs):
             raise ValueError("frequency grids differ")
-    total = base.values.copy()
-    for est in estimates[1:]:
-        total += est.values
-    total /= len(estimates)
+    if base.values.size == 1:
+        # numpy sums a single column pairwise, not in order
+        total = np.stack([est.values for est in estimates], axis=0).mean(axis=0)
+    else:
+        total = base.values.copy()
+        for est in estimates[1:]:
+            total += est.values
+        total /= len(estimates)
     return SpectrumEstimate(
         freqs=base.freqs.copy(),
         values=total,

@@ -1,13 +1,12 @@
 """Fixtures shared by the test modules."""
 import pytest
 
-from trapnoise import runner, spectra
+from trapnoise import spectra
 
 
 @pytest.fixture
 def thread_pools(monkeypatch):
-    """The thread count of every pool a run makes: the event-exact
-    transform's, and the sampled run's second thread for the histogram."""
+    """The thread count of every pool the event-exact transform makes."""
     made = []
     real = spectra.ThreadPoolExecutor
 
@@ -15,6 +14,5 @@ def thread_pools(monkeypatch):
         made.append(max_workers)
         return real(max_workers=max_workers)
 
-    for module in (spectra, runner):
-        monkeypatch.setattr(module, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(spectra, "ThreadPoolExecutor", spy)
     return made

@@ -306,14 +306,10 @@ class TestRunner:
         names = _assert_same_artifacts(tmp_path / "w1", tmp_path / "w2")
         assert "fig4_T1e6_events.csv" in names
 
-    def test_sampled_run_keeps_every_byte_on_a_second_thread(
-        self, tmp_path, thread_pools
-    ):
+    def test_sampled_run_keeps_every_byte_at_any_workers(self, tmp_path):
         spec = preset("fig6", scale=64.0)  # one realization, sampled FFT
         run(spec, tmp_path / "w1", workers=1)
-        assert thread_pools == []
         run(spec, tmp_path / "w2", workers=2)
-        assert thread_pools == [1]  # the histogram beside the rfft
         names = _assert_same_artifacts(tmp_path / "w1", tmp_path / "w2")
         assert "fig6_amplitude_pmf.csv" in names
 

@@ -320,13 +320,17 @@ class TestAveraging:
         assert np.allclose(avg.values, est.values, rtol=1e-15)
         assert avg.n_averaged == 7
 
-    @pytest.mark.parametrize("n_realizations", [1, 2, 3, 7])
-    def test_matches_the_stacked_mean(self, n_realizations):
+    @pytest.mark.parametrize(
+        "n_realizations, n_points",
+        [(1, 999), (2, 999), (3, 999), (7, 999), (8, 999), (400, 999),
+         (8, 1), (400, 1), (8, 2)],
+    )
+    def test_matches_the_stacked_mean(self, n_realizations, n_points):
         rng = np.random.default_rng(n_realizations)
-        freqs = np.geomspace(0.01, 1.0, 999)
+        freqs = np.geomspace(0.01, 1.0, n_points)
         ests = [
             SpectrumEstimate(
-                freqs=freqs, values=rng.exponential(1.0, 999), n_averaged=1,
+                freqs=freqs, values=rng.exponential(1.0, n_points), n_averaged=1,
                 estimator="sampled_fft",
             )
             for _ in range(n_realizations)
