@@ -53,11 +53,9 @@ from .simulate import (
     CarrierPath,
     SampledSignal,
     SimConfig,
-    amplitude_pmf,
     carrier_stream,
     empirical_nu,
     free_fraction,
-    predicted_amplitude_pmf,
     simulate_carrier,
     simulate_realization,
     superpose,

@@ -47,8 +47,6 @@ __all__ = [
 
 # candidate floors scanned by fitted_floor_rate
 _FLOOR_GRID = 140
-# consecutive points below the line that mark a departure from it
-_PERSISTENCE = 2
 
 _REGIMES = (
     "ergodic_exact",
@@ -329,29 +327,26 @@ def line_departure_frequency(
     """Highest frequency at which a spectrum drops below its flicker line.
 
     ``ratio`` is S(f)*f/A, the spectrum in units of the measured 1/f
-    line.  Scanning downward in frequency, the crossing is the first
-    point below ``threshold`` that stays below for ``_PERSISTENCE``
-    consecutive points (so single noisy bins do not trigger), with the
-    exact frequency log-interpolated against the last point above.
-    Returns NaN if the profile never departs.
+    line.  The crossing is the highest point below ``threshold`` whose
+    neighbour below it is under ``threshold`` too (so single noisy bins
+    do not trigger), with the exact frequency log-interpolated against
+    the point above it.  Returns NaN if the profile never departs.
     """
     freqs = np.asarray(freqs, dtype=float)
     ratio = np.asarray(ratio, dtype=float)
-    for i in range(len(freqs) - 1, -1, -1):
-        if not ratio[i] < threshold:
-            continue
-        lower = ratio[max(0, i - _PERSISTENCE + 1) : i]
-        if len(lower) < _PERSISTENCE - 1 or not np.all(lower < threshold):
-            continue
-        if i + 1 >= len(freqs) or not ratio[i + 1] > 0.0:
-            return float(freqs[i])
-        lf = np.log(freqs[i : i + 2])
-        lr = np.log(ratio[i : i + 2])
-        if lr[1] == lr[0]:
-            return float(freqs[i])
-        t = (np.log(threshold) - lr[0]) / (lr[1] - lr[0])
-        return float(np.exp(lf[0] + np.clip(t, 0.0, 1.0) * (lf[1] - lf[0])))
-    return float("nan")
+    below = ratio < threshold
+    hits = np.flatnonzero(below[1:] & below[:-1])
+    if not hits.size:
+        return float("nan")
+    i = hits[-1] + 1
+    if i + 1 >= len(freqs) or not ratio[i + 1] > 0.0:
+        return float(freqs[i])
+    lf = np.log(freqs[i : i + 2])
+    lr = np.log(ratio[i : i + 2])
+    if lr[1] == lr[0]:
+        return float(freqs[i])
+    t = (np.log(threshold) - lr[0]) / (lr[1] - lr[0])
+    return float(np.exp(lf[0] + np.clip(t, 0.0, 1.0) * (lf[1] - lf[0])))
 
 
 def plateau_onset(

@@ -21,6 +21,7 @@ value does not depend on which thread computed it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -73,8 +74,7 @@ class RunResult:
     hist: Optional[np.ndarray]  # occupancy counts summed over realizations
 
 
-def _one_realization(args) -> RealizationResult:
-    config, estimator, freqs, realization, threads = args
+def _one_realization(config, estimator, freqs, threads, realization) -> RealizationResult:
     paths = simulate_realization(config, realization)
     hist = None
     if estimator == "sampled_fft":
@@ -91,6 +91,15 @@ def _one_realization(args) -> RealizationResult:
         free_time=sum(p.free_time for p in paths),
         hist=hist,
     )
+
+
+def _worker_count(workers: Optional[int]) -> int:
+    """``workers``, or the CPU count when it is None; below 1 is an error."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1 or None, got {workers}")
+    return workers
 
 
 def run_spectrum_config(
@@ -110,19 +119,20 @@ def run_spectrum_config(
     if estimator == "event_exact" and freqs is None:
         raise ValueError("event_exact estimator needs freqs")
 
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
+    n_workers = _worker_count(workers)
     R = config.n_realizations
     # processes over realizations, or, for a single realization, threads
     # over its frequencies
     pooled = n_workers > 1 and R > 1
-    threads = 1 if pooled else n_workers
-    tasks = [(config, estimator, freqs, r, threads) for r in range(R)]
+    task = functools.partial(
+        _one_realization, config, estimator, freqs, 1 if pooled else n_workers
+    )
     if pooled:
-        chunk = max(1, len(tasks) // (4 * n_workers))
+        chunk = max(1, R // (4 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_one_realization, tasks, chunksize=chunk))
+            results = list(pool.map(task, range(R), chunksize=chunk))
     else:
-        results = [_one_realization(t) for t in tasks]
+        results = list(map(task, range(R)))
 
     averaged = average_spectra([r.spectrum for r in results])
 
@@ -302,6 +312,7 @@ def run(
     additionally writes one row per simulated segment (event-level
     export; large for long horizons).
     """
+    _worker_count(workers)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
@@ -329,13 +340,10 @@ def run(
             with open(outdir / csv_name, "w") as fh:
                 write_spectrum_csv(fh, est)
             csv_names.append(csv_name)
-            pmf = p_fit = None
+            p_fit = None
             if "amplitude_pmf" in spec.analyses:
                 pmf = result.hist / result.hist.sum()
                 p_fit = float(np.arange(len(pmf)) @ pmf) / config.n_carriers
-            report["runs"].append(_analyze_run(spec, label, config, result, p_fit))
-
-            if pmf is not None:
                 # the binomial of the measured mean occupancy
                 model = binomial_pmf(config.n_carriers, p_fit)
                 pmf_name = f"{stem}_amplitude_pmf.csv"
@@ -344,6 +352,7 @@ def run(
                     for k, (p, m) in enumerate(zip(pmf, model)):
                         fh.write(f"{k},{p:.17g},{m:.17g}\n")
                 artifacts["amplitude_pmf"] = str(outdir / pmf_name)
+            report["runs"].append(_analyze_run(spec, label, config, result, p_fit))
 
             if events_csv:
                 for role, path in _export_events(config, stem, outdir).items():

@@ -36,7 +36,6 @@ from .distributions import (
     RateModel,
     detrap_mean,
     escape_times,
-    free_probability,
     sample_rate,
 )
 
@@ -51,8 +50,6 @@ __all__ = [
     "free_fraction",
     "superpose",
     "occupancy_counts",
-    "amplitude_pmf",
-    "predicted_amplitude_pmf",
     "binomial_pmf",
     "write_event_csv",
     "write_signal_csv",
@@ -314,37 +311,6 @@ def occupancy_counts(signal: SampledSignal) -> np.ndarray:
         np.rint(x, out=x)
         hist += np.bincount(x.astype(np.int64), minlength=len(hist))
     return hist
-
-
-def amplitude_pmf(signal: SampledSignal) -> np.ndarray:
-    """Normalized occupancy histogram over 0..N free carriers."""
-    if signal.values.size == 0:
-        raise ValueError("empty signal")
-    hist = occupancy_counts(signal)
-    return hist / hist.sum()
-
-
-def predicted_amplitude_pmf(
-    signal: SampledSignal,
-    rates: Optional[RateModel] = None,
-    trapping: Optional[PoissonTrapping] = None,
-) -> np.ndarray:
-    """Binomial companion to :func:`amplitude_pmf`.
-
-    The success probability is the free-state probability
-    ``<pulse>/(<pulse> + <gap>)`` when the mean gap exists, otherwise the
-    measured mean occupancy fraction.
-    """
-    n = signal.n_carriers
-    p = None
-    if rates is not None and trapping is not None:
-        try:
-            p = free_probability(rates, trapping)
-        except NonergodicError:
-            pass
-    if p is None:
-        p = float(np.mean(signal.values)) / (signal.amplitude * n)
-    return binomial_pmf(n, p)
 
 
 def binomial_pmf(n_carriers: int, p_free: float) -> np.ndarray:

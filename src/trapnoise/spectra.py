@@ -43,12 +43,12 @@ result does not depend on the thread count.  The binned series runs
 first, on the calling thread: run beside the direct sum, its grids would
 raise the peak memory by about as much as they hold.
 
-Averaging keeps one running sum in realization order and divides it by
-the realization count, which gives the bytes of the stacked mean without
-holding every realization.  A grid of one point is the exception: numpy
-sums a single column pairwise, so it keeps the stacked mean.  Log
-binning finds each bin's run of points by one binary search per bin
-edge.
+Averaging is the stacked mean of the realizations, one formula for every
+grid and realization count.  The stack holds R x n values beside the R
+spectra it is built from: a sampled run of R > 1 would hold its spectra
+twice, though no preset runs one (fig6 has R = 1 at every scale).  The
+average shares the first spectrum's frequencies.  Log binning finds each
+bin's run of points by one binary search per bin edge.
 """
 from __future__ import annotations
 
@@ -325,26 +325,16 @@ def periodogram_fft(signal: SampledSignal) -> SpectrumEstimate:
 
 
 def average_spectra(estimates: Sequence[SpectrumEstimate]) -> SpectrumEstimate:
-    """Pointwise mean over realizations: a running sum in input order,
-    divided by their number (the bytes of ``np.stack(...).mean(axis=0)``,
-    which a grid of one point computes as it is)."""
+    """Pointwise mean over realizations, on the first one's frequencies."""
     if not estimates:
         raise ValueError("nothing to average")
     base = estimates[0]
     for est in estimates[1:]:
         if not np.array_equal(est.freqs, base.freqs):
             raise ValueError("frequency grids differ")
-    if base.values.size == 1:
-        # numpy sums a single column pairwise, not in order
-        total = np.stack([est.values for est in estimates], axis=0).mean(axis=0)
-    else:
-        total = base.values.copy()
-        for est in estimates[1:]:
-            total += est.values
-        total /= len(estimates)
     return SpectrumEstimate(
-        freqs=base.freqs.copy(),
-        values=total,
+        freqs=base.freqs,
+        values=np.stack([est.values for est in estimates]).mean(axis=0),
         n_averaged=sum(est.n_averaged for est in estimates),
         estimator=base.estimator,
     )

@@ -36,6 +36,28 @@ def mc_min_rate(gamma_min, gamma_max, k, trials, seed):
     return draws.min(axis=1).mean()
 
 
+def departure_by_scan(freqs, ratio, threshold, persistence=2):
+    """Reference: the downward scan for ``persistence`` points in a row
+    below ``threshold``, one point at a time."""
+    freqs = np.asarray(freqs, dtype=float)
+    ratio = np.asarray(ratio, dtype=float)
+    for i in range(len(freqs) - 1, -1, -1):
+        if not ratio[i] < threshold:
+            continue
+        lower = ratio[max(0, i - persistence + 1) : i]
+        if len(lower) < persistence - 1 or not np.all(lower < threshold):
+            continue
+        if i + 1 >= len(freqs) or not ratio[i + 1] > 0.0:
+            return float(freqs[i])
+        lf = np.log(freqs[i : i + 2])
+        lr = np.log(ratio[i : i + 2])
+        if lr[1] == lr[0]:
+            return float(freqs[i])
+        t = (np.log(threshold) - lr[0]) / (lr[1] - lr[0])
+        return float(np.exp(lf[0] + np.clip(t, 0.0, 1.0) * (lf[1] - lf[0])))
+    return float("nan")
+
+
 def make_config(**kw):
     base = dict(
         rates=UniformRates(0.0, 1e3),
@@ -264,6 +286,52 @@ class TestFitting:
     def test_line_departure_none(self):
         freqs = np.geomspace(1e-2, 1.0, 30)
         assert np.isnan(line_departure_frequency(freqs, np.ones(30)))
+
+    @staticmethod
+    def _assert_same_departure(freqs, ratio, threshold):
+        # a zero ratio takes the log of zero on both paths
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = line_departure_frequency(freqs, ratio, threshold)
+            want = departure_by_scan(freqs, ratio, threshold)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+            ratio, got, want
+        )
+
+    @pytest.mark.parametrize("threshold", [2.0**-0.5, 0.5])
+    def test_line_departure_matches_the_downward_scan(self, threshold):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            freqs = np.sort(rng.uniform(1e-3, 10.0, n))
+            ratio = rng.uniform(0.2, 1.4, n)
+            ratio[rng.random(n) < 0.1] = 0.0
+            ratio[rng.random(n) < 0.05] = np.nan
+            self._assert_same_departure(freqs, ratio, threshold)
+
+    @pytest.mark.parametrize(
+        "ratio",
+        [
+            [0.1, 0.2, np.nan, 0.1, 1.0],  # a NaN entry
+            [0.1, np.nan, 0.1, 1.0, 1.0],
+            [0.1, 0.2, 0.3, 0.1],  # every point below
+            [0.1],  # a single point
+            [1.0, 1.0, 1.0, 0.1],  # only the top point below
+            [0.1, 0.2, 1.0, 1.0],  # only the two lowest points below
+            [0.1, 0.5, 0.5, 1.0],  # equal ratios around the crossing
+        ],
+    )
+    def test_line_departure_edge_cases(self, ratio):
+        freqs = np.geomspace(1e-2, 1.0, len(ratio))
+        self._assert_same_departure(freqs, np.asarray(ratio), 2.0**-0.5)
+
+    def test_line_departure_equal_logs_around_the_crossing(self):
+        # two neighbouring floats whose logs round alike: lr[1] == lr[0]
+        below = np.nextafter(4.0, 0.0)
+        assert np.log(below) == np.log(4.0)
+        freqs = np.geomspace(1e-2, 1.0, 3)
+        ratio = np.array([1.0, below, 4.0])
+        self._assert_same_departure(freqs, ratio, 4.0)
+        assert line_departure_frequency(freqs, ratio, 4.0) == freqs[1]
 
     def test_plateau_onset_wraps_departure(self):
         freqs = np.geomspace(1e-4, 1.0, 300)

@@ -14,9 +14,11 @@ from trapnoise import (
     spec_to_dict,
 )
 from trapnoise.cli import main
+from trapnoise.distributions import free_probability
 from trapnoise.presets import FIG2_COMPONENT_RATES, DEFAULT_SEED
 from trapnoise import runner
 from trapnoise.runner import run, run_spectrum_config
+from trapnoise.simulate import binomial_pmf
 
 
 class TestPresets:
@@ -344,6 +346,69 @@ class TestRunner:
             assert (processes, thread_pools) == ([], [3])
         else:
             assert (processes, thread_pools) == ([3], [])
+
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(
+        self, monkeypatch, thread_pools, tmp_path, workers
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 1e2), trapping=PoissonTrapping(1.0),
+            horizon=1e2, n_realizations=2, seed=4,
+        )
+        freqs = np.arange(1, 10) / cfg.horizon
+        with pytest.raises(ValueError, match="workers"):
+            run_spectrum_config(cfg, freqs=freqs, workers=workers)
+        # fig2 never reaches run_spectrum_config; nothing is written
+        with pytest.raises(ValueError, match="workers"):
+            run(preset("fig2"), tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+        assert thread_pools == []
+
+
+def _amplitude_spec(gamma_min, gamma_max, n_carriers, horizon, sample_dt):
+    return spec_from_dict({
+        "name": "amp",
+        "runs": [{
+            "rates": {"kind": "uniform", "gamma_min": gamma_min,
+                      "gamma_max": gamma_max},
+            "trapping_rate": 1.0,
+            "horizon": horizon,
+            "n_carriers": n_carriers,
+            "sample_dt": sample_dt,
+            "seed": 123,
+        }],
+        "estimator": "sampled_fft",
+        "analyses": ["amplitude_pmf"],
+    })
+
+
+class TestAmplitudeStatistics:
+    def test_ergodic_pmf_beside_the_analytic_binomial(self, tmp_path):
+        spec = _amplitude_spec(0.5, 5.0, 20, 2e3, 0.5)
+        _, cfg = spec.runs[0]
+        run(spec, tmp_path, workers=1)
+        amplitude = json.loads((tmp_path / "amp_report.json").read_text())[
+            "runs"][0]["amplitude"]
+        p_analytic = free_probability(cfg.rates, cfg.trapping)
+        assert amplitude["p_analytic"] == p_analytic
+        data = np.genfromtxt(tmp_path / "amp_amplitude_pmf.csv", delimiter=",",
+                             names=True)
+        assert len(data) == 21
+        assert abs(data["pmf"].sum() - 1.0) < 1e-12
+        model = binomial_pmf(20, p_analytic)
+        assert abs(int(np.argmax(data["pmf"])) - int(np.argmax(model))) <= 2
+
+    def test_nonergodic_run_has_no_analytic_p(self, tmp_path):
+        run(_amplitude_spec(0.0, 1e2, 5, 200.0, 0.1), tmp_path, workers=1)
+        amplitude = json.loads((tmp_path / "amp_report.json").read_text())[
+            "runs"][0]["amplitude"]
+        assert amplitude["p_analytic"] is None
+        assert 0.0 <= amplitude["p_fit"] <= 1.0
 
 
 class TestCli:

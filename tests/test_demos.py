@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _missing_names(source: str) -> list[str]:
@@ -64,3 +65,22 @@ def test_checker_flags_a_missing_name():
         "trapnoise.spectra.no_such_estimator",
         "tn.no_such_function",
     ]
+
+
+MODULES = ["trapnoise"] + [
+    f"trapnoise.{path.stem}"
+    for path in sorted((ROOT / "src/trapnoise").glob("*.py"))
+    if path.stem != "__init__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_exist(name):
+    # every name in __all__ and every name the package imports resolves
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    if name == "trapnoise":
+        missing += _missing_names(Path(module.__file__).read_text().replace(
+            "from .", "from trapnoise."
+        ))
+    assert missing == []

@@ -12,13 +12,11 @@ from trapnoise import (
     SampledSignal,
     SimConfig,
     UniformRates,
-    amplitude_pmf,
     carrier_stream,
     detrap_cdf,
     detrap_mean,
     empirical_nu,
     free_fraction,
-    predicted_amplitude_pmf,
     simulate_carrier,
     simulate_realization,
     superpose,
@@ -246,40 +244,6 @@ class TestAgainstFormulas:
         )
         want = np.bincount(np.rint(values / 1.5).astype(np.int64), minlength=9)
         assert occupancy_counts(sig).tobytes() == want.tobytes()
-
-
-class TestAmplitudePmf:
-    def test_constant_signal_point_mass(self):
-        sig = SampledSignal(
-            values=np.full(100, 3.0), dt=0.1, n_carriers=3, amplitude=1.0, horizon=10.0
-        )
-        pmf = amplitude_pmf(sig)
-        assert pmf[3] == 1.0
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_normalization(self):
-        cfg = make_config(n_carriers=10, horizon=500.0)
-        sig = superpose(simulate_realization(cfg, 0), 1.0, 0.1)
-        pmf = amplitude_pmf(sig)
-        assert abs(pmf.sum() - 1.0) < 1e-12
-
-    def test_binomial_companion_ergodic(self):
-        cfg = make_config(rates=UniformRates(0.5, 5.0), n_carriers=20, horizon=2e3)
-        sig = superpose(simulate_realization(cfg, 0), 1.0, 0.5)
-        model = predicted_amplitude_pmf(sig, cfg.rates, cfg.trapping)
-        assert model.sum() == pytest.approx(1.0, abs=1e-9)
-        p_free = 1.0 / (1.0 + detrap_mean(cfg.rates))
-        assert np.argmax(model) == round(20 * p_free)
-        # observed mode should sit near the predicted mode
-        pmf = amplitude_pmf(sig)
-        assert abs(int(np.argmax(pmf)) - int(np.argmax(model))) <= 2
-
-    def test_binomial_companion_nonergodic_fallback(self):
-        cfg = make_config(rates=UniformRates(0.0, 1e2), n_carriers=5, horizon=200.0)
-        sig = superpose(simulate_realization(cfg, 0), 1.0, 0.1)
-        model = predicted_amplitude_pmf(sig)  # empirical success probability
-        assert model.shape == (6,)
-        assert model.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestExports:
