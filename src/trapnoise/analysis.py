@@ -341,6 +341,8 @@ def line_departure_frequency(
     i = hits[-1] + 1
     if i + 1 >= len(freqs) or not ratio[i + 1] > 0.0:
         return float(freqs[i])
+    if ratio[i] == 0.0:  # the limit of the interpolation as ratio[i] -> 0
+        return float(freqs[i + 1])
     lf = np.log(freqs[i : i + 2])
     lr = np.log(ratio[i : i + 2])
     if lr[1] == lr[0]:

@@ -129,7 +129,8 @@ def run_spectrum_config(
     )
     if pooled:
         chunk = max(1, R // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # the pool forks every worker at its first submit
+        with ProcessPoolExecutor(max_workers=min(n_workers, R)) as pool:
             results = list(pool.map(task, range(R), chunksize=chunk))
     else:
         results = list(map(task, range(R)))

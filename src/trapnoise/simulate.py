@@ -12,6 +12,11 @@ extended-precision prefix sum, so phase errors stay negligible even for
 ~1e8 events.  ``simulate_carrier`` keeps the times of the prefix sum it
 already takes to find the horizon, and a path built directly sums its
 durations on first use; either sum runs in place on one longdouble copy.
+A carrier's draws go straight into one interleaved float64 buffer, and
+the segment that crosses the horizon is clipped in place, so a path
+peaks at about 35 bytes per kept segment (the float64 durations, their
+longdouble prefix sum and its float64 cast, 32 bytes per drawn segment,
+with about 1.1 drawn per kept) and keeps 16 (durations and end times).
 
 ``superpose`` builds the sampled signal in one float64 array: the
 bincount of the pulses' rising (+1) and falling (-1) sample indices,
@@ -64,6 +69,11 @@ _CSV_BLOCK = 1 << 14
 _HIST_BLOCK = 1 << 16
 
 
+def _sample_count(horizon: float, dt: float) -> int:
+    """Samples at k * dt below ``horizon``, forgiving rounding of horizon/dt."""
+    return int(np.floor(horizon / dt + 1e-9))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to regenerate a run exactly."""
@@ -86,9 +96,18 @@ class SimConfig:
             count = getattr(self, name)
             if not isinstance(count, (int, np.integer)) or count < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-        if self.sample_dt is not None and not 0.0 < self.sample_dt < np.inf:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.sample_dt is None:
+            return
+        if not 0.0 < self.sample_dt < np.inf:
             raise ValueError(
                 f"sample_dt must be finite and positive, got {self.sample_dt}"
+            )
+        if _sample_count(self.horizon, self.sample_dt) < 2:
+            raise ValueError(
+                f"sample_dt {self.sample_dt} leaves fewer than 2 samples "
+                f"on horizon {self.horizon}"
             )
 
 
@@ -183,55 +202,42 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     """Generate one carrier path, starting trapped, truncated at the horizon.
 
     Gap and pulse durations are drawn in blocks (rates, then gap
-    exponentials, then pulse exponentials) so the draw sequence is a pure
-    function of the stream state.  A zero-rate gap comes out infinite and
-    is clipped at the horizon, closing the path with a terminal gap.
+    exponentials, then pulse exponentials), each straight into its
+    interleaved slots, so the draw sequence is a pure function of the
+    stream state.  A zero-rate gap comes out infinite and is clipped at
+    the horizon, closing the path with a terminal gap.
     """
     T = config.horizon
     theta_scale = config.trapping.mean_time
     guess = _cycle_time_guess(config.rates, config.trapping, T)
 
-    gap_blocks: list[np.ndarray] = []
-    pulse_blocks: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     total = 0.0
     while total < T:
-        n = max(16, int(1.1 * (T - min(total, T)) / guess) + 1)
+        n = max(16, int(1.1 * (T - total) / guess) + 1)
+        block = np.empty(2 * n)
         gamma = np.asarray(sample_rate(config.rates, rng, n), dtype=float)
-        gaps = escape_times(gamma, rng.standard_exponential(n))
-        pulses = rng.exponential(theta_scale, n)
-        gap_blocks.append(gaps)
-        pulse_blocks.append(pulses)
-        block_total = gaps.sum() + pulses.sum()
+        block[0::2] = escape_times(gamma, rng.standard_exponential(n))
+        block[1::2] = rng.exponential(theta_scale, n)
+        blocks.append(block)
+        block_total = block[0::2].sum() + block[1::2].sum()
         total = total + block_total if np.isfinite(block_total) else np.inf
-
-    gaps = np.concatenate(gap_blocks)
-    pulses = np.concatenate(pulse_blocks)
-    interleaved = np.empty(2 * len(gaps))
-    interleaved[0::2] = gaps
-    interleaved[1::2] = pulses
+    interleaved = np.concatenate(blocks)
+    del blocks, block, gamma  # the loop variables hold the last block's draw
 
     prefix = interleaved.astype(np.longdouble)
     np.cumsum(prefix, out=prefix)
     ends = prefix.astype(np.float64)
     cut = int(np.searchsorted(ends, T, side="left"))
-    if cut >= len(interleaved):
-        kept = interleaved.copy()  # horizon reached within rounding of the last ulp
-        times = ends
-    else:
-        start_of_last = ends[cut - 1] if cut > 0 else 0.0
-        last = T - start_of_last
-        # the clipped segment's end as the path's own prefix sum gives it
-        last_end = prefix[cut - 1] + last if cut > 0 else last
-        del prefix  # free the extended-precision sum before the copies
-        kept = interleaved[: cut + 1].copy()
-        times = ends[: cut + 1].copy()
-        kept[-1] = last
-        times[-1] = last_end
-        if kept[-1] <= 0.0:
-            kept = kept[:-1]
-            times = times[:-1]
-    path = CarrierPath(durations=kept, horizon=T)
-    path._set_times(times)
+    if cut < len(interleaved):
+        # clip the segment that crosses the horizon (positive, as its start
+        # is below T) and end it as the path's own prefix sum would
+        interleaved[cut] = T - (ends[cut - 1] if cut else 0.0)
+        ends[cut] = (prefix[cut - 1] if cut else 0.0) + interleaved[cut]
+        cut += 1
+    del prefix  # free the extended-precision sum before the copies
+    path = CarrierPath(durations=interleaved[:cut].copy(), horizon=T)
+    path._set_times(ends[:cut].copy())
     return path
 
 
@@ -266,7 +272,7 @@ def superpose(
     T = paths[0].horizon
     if any(p.horizon != T for p in paths):
         raise ValueError("mismatched horizons")
-    n_samples = int(np.floor(T / dt + 1e-9))
+    n_samples = _sample_count(T, dt)
     if n_samples < 1:
         raise ValueError("horizon shorter than one sample interval")
 

@@ -49,6 +49,8 @@ def departure_by_scan(freqs, ratio, threshold, persistence=2):
             continue
         if i + 1 >= len(freqs) or not ratio[i + 1] > 0.0:
             return float(freqs[i])
+        if ratio[i] == 0.0:
+            return float(freqs[i + 1])
         lf = np.log(freqs[i : i + 2])
         lr = np.log(ratio[i : i + 2])
         if lr[1] == lr[0]:
@@ -289,10 +291,8 @@ class TestFitting:
 
     @staticmethod
     def _assert_same_departure(freqs, ratio, threshold):
-        # a zero ratio takes the log of zero on both paths
-        with np.errstate(divide="ignore", invalid="ignore"):
-            got = line_departure_frequency(freqs, ratio, threshold)
-            want = departure_by_scan(freqs, ratio, threshold)
+        got = line_departure_frequency(freqs, ratio, threshold)
+        want = departure_by_scan(freqs, ratio, threshold)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
             ratio, got, want
         )
@@ -332,6 +332,14 @@ class TestFitting:
         ratio = np.array([1.0, below, 4.0])
         self._assert_same_departure(freqs, ratio, 4.0)
         assert line_departure_frequency(freqs, ratio, 4.0) == freqs[1]
+
+    def test_line_departure_from_a_zero_crossing(self):
+        # log(0) would make the interpolation inf/inf; its limit is the
+        # point above the crossing
+        freqs = np.array([1.0, 2.0, 4.0, 8.0])
+        assert line_departure_frequency(freqs, [0.1, 0.0, 1.0, 1.0]) == 4.0
+        tiny = line_departure_frequency(freqs, [0.1, 1e-300, 1.0, 1.0])
+        assert tiny == pytest.approx(4.0, rel=1e-3)
 
     def test_plateau_onset_wraps_departure(self):
         freqs = np.geomspace(1e-4, 1.0, 300)

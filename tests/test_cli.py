@@ -315,11 +315,12 @@ class TestRunner:
         names = _assert_same_artifacts(tmp_path / "w1", tmp_path / "w2")
         assert "fig6_amplitude_pmf.csv" in names
 
-    @pytest.mark.parametrize("n_realizations", [1, 2])
+    @pytest.mark.parametrize("n_realizations", [1, 2, 5])
     def test_only_a_single_realization_runs_on_threads(
         self, monkeypatch, thread_pools, n_realizations
     ):
-        # two realizations at three workers keep the process pool
+        # several realizations at three workers keep the process pool, of
+        # no more processes than realizations
         processes = []
 
         class SerialPool:
@@ -345,7 +346,7 @@ class TestRunner:
         if n_realizations == 1:
             assert (processes, thread_pools) == ([], [3])
         else:
-            assert (processes, thread_pools) == ([3], [])
+            assert (processes, thread_pools) == ([min(3, n_realizations)], [])
 
 
     @pytest.mark.parametrize("workers", [0, -2])
@@ -502,6 +503,12 @@ class TestCli:
                      "--workers", "1"]) == 0
         report = json.loads((out / "fig3_report.json").read_text())
         assert "hooge" not in report["runs"][0]
+
+    def test_negative_seed_rejected_before_anything_is_written(self, tmp_path, capsys):
+        out = tmp_path / "arts"
+        assert main(["reproduce", "fig4", "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_path_fails_cleanly(self, capsys):
         assert main(["analyze", "--config", "/nonexistent.json"]) == 1

@@ -1,5 +1,6 @@
 """Carrier-path generation, superposition, and reproducibility."""
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,11 @@ from trapnoise import (
     simulate_realization,
     superpose,
 )
+from trapnoise import simulate
+from trapnoise.distributions import escape_times, sample_rate
 from trapnoise.simulate import (
-    _CSV_BLOCK, _HIST_BLOCK, occupancy_counts, write_event_csv, write_signal_csv,
+    _CSV_BLOCK, _HIST_BLOCK, _cycle_time_guess, occupancy_counts, write_event_csv,
+    write_signal_csv,
 )
 
 
@@ -107,6 +111,107 @@ class TestSimulateCarrier:
         assert len(gaps) > 1e5
         res = stats.kstest(gaps, lambda t: detrap_cdf(t, cfg.rates))
         assert res.pvalue > 0.01
+
+
+def simulate_carrier_three_buffers(config, rng):
+    """Reference: the sampler that kept separate gap and pulse buffers,
+    interleaved them afterwards and clipped the horizon segment in copies."""
+    T = config.horizon
+    theta_scale = config.trapping.mean_time
+    guess = _cycle_time_guess(config.rates, config.trapping, T)
+
+    gap_blocks = []
+    pulse_blocks = []
+    total = 0.0
+    while total < T:
+        n = max(16, int(1.1 * (T - min(total, T)) / guess) + 1)
+        gamma = np.asarray(sample_rate(config.rates, rng, n), dtype=float)
+        gaps = escape_times(gamma, rng.standard_exponential(n))
+        pulses = rng.exponential(theta_scale, n)
+        gap_blocks.append(gaps)
+        pulse_blocks.append(pulses)
+        block_total = gaps.sum() + pulses.sum()
+        total = total + block_total if np.isfinite(block_total) else np.inf
+
+    gaps = np.concatenate(gap_blocks)
+    pulses = np.concatenate(pulse_blocks)
+    interleaved = np.empty(2 * len(gaps))
+    interleaved[0::2] = gaps
+    interleaved[1::2] = pulses
+
+    prefix = interleaved.astype(np.longdouble)
+    np.cumsum(prefix, out=prefix)
+    ends = prefix.astype(np.float64)
+    cut = int(np.searchsorted(ends, T, side="left"))
+    if cut >= len(interleaved):
+        kept = interleaved.copy()
+        times = ends
+    else:
+        start_of_last = ends[cut - 1] if cut > 0 else 0.0
+        last = T - start_of_last
+        last_end = prefix[cut - 1] + last if cut > 0 else last
+        kept = interleaved[: cut + 1].copy()
+        times = ends[: cut + 1].copy()
+        kept[-1] = last
+        times[-1] = last_end
+        if kept[-1] <= 0.0:
+            kept = kept[:-1]
+            times = times[:-1]
+    return kept, times
+
+
+class TestOneBufferSampler:
+    """``simulate_carrier`` draws into one interleaved buffer and clips in
+    place, with the bytes of the three-buffer reference."""
+
+    def test_same_bytes_as_three_buffers(self, monkeypatch):
+        blocks_drawn = []
+
+        def counting_sample_rate(*args):
+            blocks_drawn[-1] += 1
+            return sample_rate(*args)
+
+        monkeypatch.setattr(simulate, "sample_rate", counting_sample_rate)
+        models = [
+            UniformRates(0.0, 10.0),
+            UniformRates(1e-3, 10.0),
+            UniformRates(2.0, 2.0),
+            ArrheniusRates(1e3, 0.1, 0.2, 1.0),
+        ]
+        lengths = []
+        for rates in models:
+            for horizon in (0.01, 1.0, 37.3, 1e3, 1e5):
+                for trapping_rate in (0.01, 1.0, 100.0):
+                    cfg = make_config(
+                        rates=rates, trapping=PoissonTrapping(trapping_rate),
+                        horizon=horizon,
+                    )
+                    for seed in range(3):
+                        blocks_drawn.append(0)
+                        path = simulate_carrier(cfg, carrier_stream(seed, 0, 0))
+                        kept, times = simulate_carrier_three_buffers(
+                            cfg, carrier_stream(seed, 0, 0)
+                        )
+                        assert path.durations.tobytes() == kept.tobytes()
+                        assert path.segment_times().tobytes() == times.tobytes()
+                        lengths.append(len(kept))
+        # the grid covers a path cut in its first segment and a draw that
+        # needed more than one block
+        assert min(lengths) == 1
+        assert max(blocks_drawn) > 1
+
+    def test_peak_memory_per_kept_segment(self):
+        cfg = make_config(rates=UniformRates(1e-3, 1e3), horizon=2e5)
+        rng = carrier_stream(1, 0, 0)
+        tracemalloc.start()
+        try:
+            path = simulate_carrier(cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 3e5 < len(path.durations) < 5e5
+        # the prefix stage: 32 bytes per drawn segment, ~1.1 drawn per kept
+        assert peak / len(path.durations) <= 40.0
 
 
 class TestDeterminism:
@@ -333,14 +438,25 @@ class TestConfigValidation:
             (dict(n_carriers=3.0), "n_carriers"),
             (dict(n_realizations=2.0), "n_realizations"),
             (dict(n_realizations="4"), "n_realizations"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=1.5), "seed"),
+            (dict(seed="7"), "seed"),
+            (dict(horizon=1.0, sample_dt=2.0), "sample_dt"),
+            (dict(horizon=1.0, sample_dt=0.7), "sample_dt"),
         ],
         ids=["amplitude-zero", "amplitude-negative", "amplitude-nan",
              "amplitude-inf", "carriers-fraction", "carriers-float",
-             "realizations-float", "realizations-str"],
+             "realizations-float", "realizations-str", "seed-negative",
+             "seed-fraction", "seed-str", "dt-above-horizon", "dt-one-sample"],
     )
     def test_bad_amplitude_and_counts_rejected(self, kw, field):
         with pytest.raises(ValueError, match=field):
             make_config(**kw)
+
+    def test_two_samples_accepted(self):
+        cfg = make_config(horizon=1.0, sample_dt=0.5, seed=np.uint32(0))
+        path = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
+        assert len(superpose([path], 1.0, cfg.sample_dt).values) == 2
 
     def test_numpy_integer_counts_accepted(self):
         cfg = make_config(n_carriers=np.int64(3), n_realizations=np.int32(2))
