@@ -10,8 +10,9 @@ Subcommands:
 
 ``--scale`` divides horizon and realization count, ``--full`` enables the
 long horizon-1e8 run of fig4, ``--workers`` caps parallelism (processes
-over realizations, or threads over the frequencies of a run of one
-realization; results do not depend on it),
+over realizations, or, in a run of one realization, threads over the
+frequencies of the event-exact transform or two threads over the halves
+of the sampled rfft; results do not depend on it),
 ``--seed`` sets the seed of every run, of a preset and of a config file
 alike.
 """
@@ -32,8 +33,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="processes over realizations, or threads over the frequencies "
-        "of a run of one realization (default: CPU count)",
+        help="processes over realizations, or, in a run of one realization, "
+        "threads over the event-exact frequencies or two threads over the "
+        "sampled rfft (default: CPU count; results do not depend on it)",
     )
 
 

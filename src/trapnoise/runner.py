@@ -3,7 +3,8 @@ deterministically, and write the artifact set.
 
 A run of several realizations fans them out to a pool of ``workers``
 processes; a run of one realization computes it in this process, and its
-event-exact transform splits its frequencies over ``workers`` threads.
+event-exact transform splits its frequencies over ``workers`` threads,
+its sampled periodogram the two half-length rffts over two.
 
 Artifacts per experiment ``name``:
 
@@ -79,7 +80,7 @@ def _one_realization(config, estimator, freqs, threads, realization) -> Realizat
     hist = None
     if estimator == "sampled_fft":
         signal = superpose(paths, config.amplitude, config.sample_dt)
-        est = periodogram_fft(signal)
+        est = periodogram_fft(signal, workers=threads)
         hist = occupancy_counts(signal)
     else:
         est = periodogram_superposed_events(
@@ -122,7 +123,7 @@ def run_spectrum_config(
     n_workers = _worker_count(workers)
     R = config.n_realizations
     # processes over realizations, or, for a single realization, threads
-    # over its frequencies
+    # within its transform
     pooled = n_workers > 1 and R > 1
     task = functools.partial(
         _one_realization, config, estimator, freqs, 1 if pooled else n_workers
@@ -264,19 +265,21 @@ def _export_events(config: SimConfig, stem: str, outdir: Path) -> dict:
     from .simulate import write_event_csv, write_signal_csv
 
     out: dict[str, str] = {}
-    realized = [
-        simulate_realization(config, r) for r in range(config.n_realizations)
-    ]
     ev_name = f"{stem}_events.csv"
-    with open(outdir / ev_name, "w") as fh:
-        write_event_csv(fh, realized)
     out[ev_name] = str(outdir / ev_name)
-    if config.sample_dt is not None:
-        signal = superpose(realized[0], config.amplitude, config.sample_dt)
-        sig_name = f"{stem}_signal.csv"
-        with open(outdir / sig_name, "w") as fh:
-            write_signal_csv(fh, signal, config.seed)
-        out[sig_name] = str(outdir / sig_name)
+    # one realization's paths at a time, written and dropped
+    with open(outdir / ev_name, "w") as fh:
+        for r in range(config.n_realizations):
+            paths = simulate_realization(config, r)
+            write_event_csv(fh, [paths], start=r)
+            if r == 0 and config.sample_dt is not None:
+                signal = superpose(paths, config.amplitude, config.sample_dt)
+                sig_name = f"{stem}_signal.csv"
+                with open(outdir / sig_name, "w") as sig_fh:
+                    write_signal_csv(sig_fh, signal, config.seed)
+                del signal
+                out[sig_name] = str(outdir / sig_name)
+            del paths
     return out
 
 

@@ -327,14 +327,19 @@ def binomial_pmf(n_carriers: int, p_free: float) -> np.ndarray:
     return binom.pmf(np.arange(n_carriers + 1), n_carriers, p_free)
 
 
-def write_event_csv(fileobj, realizations: Sequence[Sequence[CarrierPath]]) -> None:
+def write_event_csv(
+    fileobj, realizations: Sequence[Sequence[CarrierPath]], start: int = 0
+) -> None:
     """One row per segment: realization, carrier, kind, duration.
 
-    Rows are formatted ``_CSV_BLOCK`` segments at a time, one ``%`` pass
-    and one write per block.
+    Rows carry realization index ``start + i``, and the header is written
+    when ``start`` is 0, so realizations can be written one call at a
+    time.  Rows are formatted ``_CSV_BLOCK`` segments at a time, one ``%``
+    pass and one write per block.
     """
-    fileobj.write("realization,carrier,kind,duration\n")
-    for r, paths in enumerate(realizations):
+    if start == 0:
+        fileobj.write("realization,carrier,kind,duration\n")
+    for r, paths in enumerate(realizations, start):
         for c, path in enumerate(paths):
             gap = f"{r},{c},gap,%.17g\n"
             pair = gap + f"{r},{c},pulse,%.17g\n"

@@ -8,8 +8,7 @@ with ``F`` the finite-time Fourier integral of the current:
   no discretization error and can be evaluated on sparse log-spaced grids
   over millions of pulses.
 * ``periodogram_fft`` is the standard rectangular-window periodogram of a
-  uniformly sampled signal on its natural frequencies k/T.  Past the
-  rfft it works in place on one array of the spectrum's size.
+  uniformly sampled signal on its natural frequencies k/T.
 
 The signal mean is kept in the signal (the definition uses the raw
 current); evaluating on natural frequencies k/T makes the mean contribute
@@ -43,15 +42,33 @@ result does not depend on the thread count.  The binned series runs
 first, on the calling thread: run beside the direct sum, its grids would
 raise the peak memory by about as much as they hold.
 
+A signal of even length L is transformed as two: the rffts E and O of
+its even and odd samples, which ``min(workers, 2)`` threads compute side
+by side (numpy releases the GIL in the rfft).  With N = L/2 and
+W = e^{-2 pi i/L}, the decimation-in-time identity (Cooley & Tukey 1965)
+gives X_k = E_k + W^k O_k and X_{N-k} = conj(E_k - W^k O_k) for
+k = 0..N/2, and each ordinate |X_k|^2 is written once, by one of the two
+rules, straight into the spectrum.  The two threads share this combine
+in fixed blocks of k, with W^k from two short tables, so no value
+depends on the thread count.  On integer random walks the split differs
+from the single rfft by at most 1.5e-10 of the mean ordinate at
+L = 2^22 and 5.2e-10 at L = 6710886 (L = 2 mod 4; three seeds each),
+about one rounding of the largest ordinate.  Against a long-double DFT
+with exactly reduced phases it is as accurate as the single rfft at the
+largest and the smallest ordinates.  An odd L takes one rfft.
+
 Averaging is the stacked mean of the realizations, one formula for every
-grid and realization count.  The stack holds R x n values beside the R
-spectra it is built from: a sampled run of R > 1 would hold its spectra
-twice, though no preset runs one (fig6 has R = 1 at every scale).  The
-average shares the first spectrum's frequencies.  Log binning finds each
-bin's run of points by one binary search per bin edge.
+grid and realization count; a single estimate is its own mean and is
+returned as it is.  The stack holds R x n values beside the R spectra it
+is built from: a sampled run of R > 1 would hold its spectra twice,
+though no preset runs one (fig6 has R = 1 at every scale).  The average
+shares the first spectrum's frequencies.  Log binning finds each bin's
+run of points by one binary search per bin edge, on the log10 of the
+grid that each estimate takes once.
 """
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -72,6 +89,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _EVENT_CHUNK = 1 << 16  # fixed so results do not depend on scheduling
+# ordinates per block of the split periodogram's combine, fixed likewise
+_COMBINE_BLOCK = 1 << 12
 # Binned path: P Taylor terms on a grid oversampled 8x over the highest
 # mode, so the series is off by at most (pi/8)^10/10! = 2.4e-11 per event.
 _TAYLOR_TERMS = 10
@@ -101,10 +120,20 @@ class SpectrumEstimate:
     estimator: str
 
     def __post_init__(self):
-        if np.any(self.freqs <= 0.0):
-            raise ValueError("frequencies must be positive (zero bin excluded)")
-        if np.any(np.diff(self.freqs) <= 0.0):
+        f = self.freqs
+        # increasing from a positive first to a finite last point: one pass,
+        # and NaN fails every comparison
+        if not (len(f) and f[0] > 0.0 and f[-1] < np.inf):
+            raise ValueError(
+                "frequencies must be positive and finite (zero bin excluded)"
+            )
+        if not np.all(f[1:] > f[:-1]):
             raise ValueError("frequencies must be strictly increasing")
+
+    @functools.cached_property
+    def log_freqs(self) -> np.ndarray:
+        """log10 of the frequencies, taken once per estimate."""
+        return np.log10(self.freqs)
 
 
 def natural_frequencies(
@@ -299,21 +328,85 @@ def periodogram_superposed_events(
     )
 
 
-def periodogram_fft(signal: SampledSignal) -> SpectrumEstimate:
+def _split_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndarray:
+    """``scale |X_k|^2`` for k = 1..L/2, X the DFT of the even-length ``x``,
+    from the rffts E and O of its even and odd samples.
+
+    With N = L/2 and W = e^{-2 pi i / L}, for k = 0..N/2:
+    X_k = E_k + W^k O_k and X_{N-k} = conj(E_k - W^k O_k).  Each ordinate
+    takes one rule: the first for k >= 1, the second for N - k > N/2.
+    The two rffts, then the blocks of k, are shared by ``min(workers, 2)``
+    threads; the blocks are fixed, so no value depends on the thread.
+    """
+    half = len(x) // 2
+    top = half // 2
+    # the big arrays are allocated here, so no thread arena holds them
+    even = np.empty(top + 1, dtype=complex)
+    odd = np.empty(top + 1, dtype=complex)
+    values = np.empty(half)
+    # W^k = hi[k // B] * lo[k % B]: two short tables instead of trig per k
+    step = -_TWO_PI / len(x)
+    lo = np.exp(1j * step * np.arange(_COMBINE_BLOCK))
+    hi = np.exp(1j * step * np.arange(0, top + 1, _COMBINE_BLOCK))
+
+    def transform(samples, out):
+        np.fft.rfft(samples, out=out)
+
+    def combine(starts):
+        for a in starts:
+            b = min(a + _COMBINE_BLOCK, top + 1)
+            e = even[a:b]
+            p = hi[a // _COMBINE_BLOCK] * lo[: b - a]
+            p *= odd[a:b]
+            # X_k for k in [max(a, 1), b), into values[k - 1]
+            i = 1 if a == 0 else 0
+            _scaled_power(e[i:] + p[i:], scale, values[a + i - 1 : b - 1])
+            # X_{N-k} for k in [a, c), N - k > N/2, into values[N - k - 1]
+            c = min(b, (half + 1) // 2)
+            p -= e
+            _scaled_power(p[: c - a], scale, values[half - c : half - a][::-1])
+
+    halves = ([x[0::2], x[1::2]], [even, odd])
+    blocks = range(0, top + 1, _COMBINE_BLOCK)
+    parts = [blocks[: len(blocks) // 2], blocks[len(blocks) // 2 :]]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(transform, *halves))
+            list(pool.map(combine, parts))
+    else:
+        list(map(transform, *halves))
+        list(map(combine, parts))
+    return values
+
+
+def _scaled_power(z: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """out = scale |z|^2, the real part of z conj(z); overwrites z."""
+    np.multiply(z, z.conj(), out=z)
+    np.multiply(z.real, scale, out=out)
+
+
+def periodogram_fft(signal: SampledSignal, workers: int = 1) -> SpectrumEstimate:
     """Rectangular-window periodogram of a sampled signal.
 
     Natural frequencies k/(L dt) for k = 1..L//2; normalized to the same
     one-sided convention as the event-exact estimator, zero bin dropped.
+    An even length L goes through the split of the rfft into its even and
+    odd samples on ``min(workers, 2)`` threads (the values do not depend
+    on it); an odd one through a single rfft.
     """
     x = np.asarray(signal.values, dtype=float)
     if x.size < 2:
         raise ValueError("signal too short")
     length = x.size
-    spectrum = np.fft.rfft(x)
-    values = np.abs(spectrum[1:])
-    del spectrum
-    np.square(values, out=values)
-    values *= 2.0 * signal.dt / length
+    scale = 2.0 * signal.dt / length
+    if length % 2 == 0:
+        values = _split_periodogram(x, scale, workers)
+    else:
+        spectrum = np.fft.rfft(x)
+        values = np.abs(spectrum[1:])
+        del spectrum
+        np.square(values, out=values)
+        values *= scale
     freqs = np.arange(1, len(values) + 1, dtype=np.float64)
     freqs /= length * signal.dt
     return SpectrumEstimate(
@@ -325,10 +418,15 @@ def periodogram_fft(signal: SampledSignal) -> SpectrumEstimate:
 
 
 def average_spectra(estimates: Sequence[SpectrumEstimate]) -> SpectrumEstimate:
-    """Pointwise mean over realizations, on the first one's frequencies."""
+    """Pointwise mean over realizations, on the first one's frequencies.
+
+    A single estimate is its own mean and comes back as it is.
+    """
     if not estimates:
         raise ValueError("nothing to average")
     base = estimates[0]
+    if len(estimates) == 1:
+        return base
     for est in estimates[1:]:
         if not np.array_equal(est.freqs, base.freqs):
             raise ValueError("frequency grids differ")
@@ -349,7 +447,7 @@ def logbin_spectrum(est: SpectrumEstimate, bins_per_decade: int) -> SpectrumEsti
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
-    logf = np.log10(est.freqs)
+    logf = est.log_freqs
     j0 = int(np.floor(logf[0] * bins_per_decade))
     j1 = int(np.ceil(logf[-1] * bins_per_decade)) + 1
     edges = np.arange(j0, j1 + 1) / bins_per_decade

@@ -6,7 +6,9 @@ from trapnoise import spectra
 
 @pytest.fixture
 def thread_pools(monkeypatch):
-    """The thread count of every pool the event-exact transform makes."""
+    """The thread count of every pool the spectra module makes: the
+    event-exact transform's direct sum and the split rfft of a sampled
+    signal."""
     made = []
     real = spectra.ThreadPoolExecutor
 

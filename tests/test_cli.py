@@ -349,6 +349,45 @@ class TestRunner:
             assert (processes, thread_pools) == ([min(3, n_realizations)], [])
 
 
+    def test_sampled_run_of_one_realization_runs_on_two_threads(self, thread_pools):
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 1e2), trapping=PoissonTrapping(1.0),
+            horizon=100.0, n_carriers=20, sample_dt=1e-2, seed=4,
+        )
+        serial = run_spectrum_config(cfg, estimator="sampled_fft", workers=1)
+        assert thread_pools == []
+        threaded = run_spectrum_config(cfg, estimator="sampled_fft", workers=2)
+        assert thread_pools == [2]
+        assert threaded.spectrum.values.tobytes() == serial.spectrum.values.tobytes()
+
+    def test_pooled_sampled_run_starts_no_thread_pool(self, thread_pools):
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 1e2), trapping=PoissonTrapping(1.0),
+            horizon=100.0, n_carriers=20, n_realizations=2, sample_dt=1e-2, seed=4,
+        )
+        serial = run_spectrum_config(cfg, estimator="sampled_fft", workers=1)
+        pooled = run_spectrum_config(cfg, estimator="sampled_fft", workers=2)
+        # the workers run the halves one after the other, with the same bytes
+        assert thread_pools == []
+        assert pooled.spectrum.values.tobytes() == serial.spectrum.values.tobytes()
+
+    def test_event_export_holds_one_realization(self, tmp_path):
+        import tracemalloc
+
+        def export_peak(n_realizations):
+            cfg = SimConfig(
+                rates=UniformRates(1.0, 10.0), trapping=PoissonTrapping(1.0),
+                horizon=2e4, n_realizations=n_realizations, seed=4,
+            )
+            tracemalloc.start()
+            try:
+                runner._export_events(cfg, f"r{n_realizations}", tmp_path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert export_peak(6) <= 1.5 * export_peak(1)
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(
         self, monkeypatch, thread_pools, tmp_path, workers

@@ -381,6 +381,16 @@ class TestExports:
         ]
         assert buf.getvalue() == "\n".join(expected) + "\n"
 
+    def test_event_csv_one_realization_at_a_time(self):
+        cfg = make_config(horizon=200.0, n_carriers=3)
+        realized = [simulate_realization(cfg, r) for r in range(3)]
+        whole = io.StringIO()
+        write_event_csv(whole, realized)
+        parts = io.StringIO()
+        for r, paths in enumerate(realized):
+            write_event_csv(parts, [paths], start=r)
+        assert parts.getvalue() == whole.getvalue()
+
     def test_signal_csv_layout(self):
         sig = SampledSignal(
             values=np.array([0.0, 1.0, 1.0]), dt=0.5, n_carriers=1,

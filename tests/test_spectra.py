@@ -275,7 +275,11 @@ class TestFftEstimator:
         spectrum = np.fft.rfft(values)
         want = (2.0 * 0.01 / length) * np.abs(spectrum[1:]) ** 2
         want_f = np.arange(1, len(spectrum)) / (length * 0.01)
-        assert est.values.tobytes() == want.tobytes()
+        if length % 2:
+            assert est.values.tobytes() == want.tobytes()
+        else:
+            # even lengths take the split rfft (TestSplitPeriodogram)
+            assert np.max(np.abs(est.values - want)) <= 1e-9 * want.mean()
         assert est.freqs.tobytes() == want_f.tobytes()
 
     def test_short_signal_rejected(self):
@@ -303,6 +307,104 @@ class TestFftEstimator:
         b_ev = logbin_spectrum(ev, 4)
         b_ff = logbin_spectrum(fft_match, 4)
         assert np.max(np.abs(b_ev.values / b_ff.values - 1.0)) < 0.01
+
+
+def _walk(length, seed=0):
+    """An integer random walk: a long-memory signal, as occupancy sums are."""
+    steps = np.random.default_rng(seed).integers(-1, 2, length)
+    return np.cumsum(steps).astype(np.float64)
+
+
+def _sampled(values, dt=0.01):
+    return SampledSignal(
+        values=values, dt=dt, n_carriers=1, amplitude=1.0, horizon=len(values) * dt
+    )
+
+
+def _one_rfft(values, dt=0.01):
+    """The periodogram of a single rfft, as odd lengths compute it."""
+    return (2.0 * dt / len(values)) * np.abs(np.fft.rfft(values)[1:]) ** 2
+
+
+class TestSplitPeriodogram:
+    """Even lengths: the rffts of the even and odd samples, combined."""
+
+    # L = 0 and 2 mod 4; 4000000 has the non-power-of-two half 2^7 5^6
+    @pytest.mark.parametrize("length", [2, 4, 6, 1000, 1002, 4_000_000])
+    def test_matches_the_single_rfft(self, length):
+        values = _walk(length, seed=length)
+        est = periodogram_fft(_sampled(values), workers=2)
+        want = _one_rfft(values)
+        assert len(est.values) == length // 2
+        assert np.max(np.abs(est.values - want)) <= 1e-9 * want.mean()
+
+    def test_as_accurate_as_the_single_rfft(self):
+        # against a DFT with phases reduced as integers k n mod L and the
+        # sums in long double, at the largest and the smallest ordinates
+        length, dt = 1 << 16, 0.01
+        values = _walk(length)
+        split = periodogram_fft(_sampled(values, dt)).values
+        single = _one_rfft(values, dt)
+        n = np.arange(length)
+        x = values.astype(np.longdouble)
+        two_pi = 2 * np.arccos(np.longdouble(-1))
+        order = np.argsort(single)
+        for ordinates in (order[-5:], order[:5]):
+            errors = []
+            for i in ordinates:
+                phase = ((i + 1) * n % length).astype(np.longdouble) * (two_pi / length)
+                re, im = np.sum(x * np.cos(phase)), np.sum(x * np.sin(phase))
+                exact = (2 * np.longdouble(dt) / length) * (re * re + im * im)
+                errors.append(
+                    [float(abs(s[i] - exact) / exact) for s in (split, single)]
+                )
+            worst_split, worst_single = np.max(errors, axis=0)
+            eps = np.finfo(np.float64).eps
+            assert worst_split <= 2.0 * max(worst_single, eps)
+
+    # several blocks of the combine each; L = 0 and 2 mod 4, and odd
+    @pytest.mark.parametrize("length", [1 << 15, 24594, 24595])
+    def test_bytes_do_not_depend_on_workers(self, thread_pools, length):
+        sig = _sampled(_walk(length, seed=3))
+        serial = periodogram_fft(sig, workers=1)
+        assert thread_pools == []
+        for workers in (2, 3):
+            threaded = periodogram_fft(sig, workers=workers)
+            assert threaded.values.tobytes() == serial.values.tobytes()
+            assert threaded.freqs.tobytes() == serial.freqs.tobytes()
+        # the two halves share two threads; an odd length has one rfft
+        assert thread_pools == ([] if length % 2 else [2, 2])
+
+
+class TestSpectrumEstimate:
+    @pytest.mark.parametrize(
+        "freqs, message",
+        [
+            ([1.0, np.nan, 3.0], "increasing"),
+            ([np.nan, 1.0], "positive"),
+            ([1.0, np.nan], "positive"),
+            ([1.0, np.inf], "positive"),
+            ([1.0, np.inf, 3.0], "increasing"),
+            ([0.0, 1.0], "positive"),
+            ([1.0, 2.0, 2.0], "increasing"),
+            ([], "positive"),
+        ],
+    )
+    def test_bad_grid_rejected(self, freqs, message):
+        freqs = np.array(freqs, dtype=float)
+        with pytest.raises(ValueError, match=message):
+            SpectrumEstimate(
+                freqs=freqs, values=np.ones(len(freqs)), n_averaged=1,
+                estimator="event_exact",
+            )
+
+    def test_log_frequencies_taken_once(self):
+        freqs = np.geomspace(0.01, 1.0, 12)
+        est = SpectrumEstimate(
+            freqs=freqs, values=np.ones(12), n_averaged=1, estimator="event_exact"
+        )
+        assert est.log_freqs is est.log_freqs
+        assert est.log_freqs.tobytes() == np.log10(est.freqs).tobytes()
 
 
 class TestAveraging:
@@ -341,6 +443,10 @@ class TestAveraging:
         assert avg.n_averaged == n_realizations
         # the running sum leaves its inputs as they were
         assert np.stack([e.values for e in ests], axis=0).tobytes() == stacked.tobytes()
+
+    def test_single_estimate_is_its_own_mean(self):
+        est = self._estimate(3)
+        assert average_spectra([est]) is est
 
     def test_grid_mismatch_rejected(self):
         est = self._estimate(0)
