@@ -55,7 +55,6 @@ from .simulate import (
     SimConfig,
     carrier_stream,
     empirical_nu,
-    free_fraction,
     simulate_carrier,
     simulate_realization,
     superpose,

@@ -11,8 +11,8 @@ Subcommands:
 ``--scale`` divides horizon and realization count, ``--full`` enables the
 long horizon-1e8 run of fig4, ``--workers`` caps parallelism (processes
 over realizations, or, in a run of one realization, threads over the
-frequencies of the event-exact transform or two threads over the halves
-of the sampled rfft; results do not depend on it),
+frequencies of the event-exact transform or two threads over the blocks
+of the sampled signal's in-place FFT; results do not depend on it),
 ``--seed`` sets the seed of every run, of a preset and of a config file
 alike.
 """
@@ -35,7 +35,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=None,
         help="processes over realizations, or, in a run of one realization, "
         "threads over the event-exact frequencies or two threads over the "
-        "sampled rfft (default: CPU count; results do not depend on it)",
+        "sampled FFT (default: CPU count; results do not depend on it)",
     )
 
 

@@ -4,7 +4,9 @@ deterministically, and write the artifact set.
 A run of several realizations fans them out to a pool of ``workers``
 processes; a run of one realization computes it in this process, and its
 event-exact transform splits its frequencies over ``workers`` threads,
-its sampled periodogram the two half-length rffts over two.
+its sampled periodogram the blocks of its in-place FFT over two.  A
+sampled realization counts its occupancy histogram first, because the
+transform overwrites the signal.
 
 Artifacts per experiment ``name``:
 
@@ -80,8 +82,9 @@ def _one_realization(config, estimator, freqs, threads, realization) -> Realizat
     hist = None
     if estimator == "sampled_fft":
         signal = superpose(paths, config.amplitude, config.sample_dt)
-        est = periodogram_fft(signal, workers=threads)
+        # the transform overwrites the signal, so it is counted first
         hist = occupancy_counts(signal)
+        est = periodogram_fft(signal, workers=threads, overwrite=True)
     else:
         est = periodogram_superposed_events(
             paths, config.amplitude, freqs, workers=threads

@@ -19,10 +19,11 @@ longdouble prefix sum and its float64 cast, 32 bytes per drawn segment,
 with about 1.1 drawn per kept) and keeps 16 (durations and end times).
 
 ``superpose`` builds the sampled signal in one float64 array: the
-bincount of the pulses' rising (+1) and falling (-1) sample indices,
-then its prefix sum, then the pulse height, all in place.  The sums are
-over whole numbers, so they are exact.  ``occupancy_counts`` counts the
-signal in blocks of ``_HIST_BLOCK`` samples.
+pulses' rising (+1) and falling (-1) sample indices added in with
+``np.add.at``, a group of carriers at a time, then its prefix sum, then
+the pulse height, all in place.  The sums are over whole numbers, so
+they are exact.  ``occupancy_counts`` counts the signal in blocks of
+``_HIST_BLOCK`` samples.
 
 Reproducibility contract: one random sub-stream per (realization,
 carrier), derived from the master seed by index, so results are
@@ -52,7 +53,6 @@ __all__ = [
     "simulate_carrier",
     "simulate_realization",
     "empirical_nu",
-    "free_fraction",
     "superpose",
     "occupancy_counts",
     "binomial_pmf",
@@ -67,6 +67,9 @@ _CSV_BLOCK = 1 << 14
 # samples per block of the occupancy histogram (512 kB of float64), so
 # counting makes no temporary as large as the signal
 _HIST_BLOCK = 1 << 16
+# ``superpose`` adds the pulse bounds of whole carriers with one np.add.at
+# call per group of at least this many, so many short paths take few calls
+_SUPERPOSE_GROUP = 1 << 16
 
 
 def _sample_count(horizon: float, dt: float) -> int:
@@ -254,11 +257,6 @@ def empirical_nu(path: CarrierPath) -> float:
     return path.pulse_count / path.horizon
 
 
-def free_fraction(path: CarrierPath) -> float:
-    """Fraction of the horizon the carrier spends free."""
-    return path.free_time / path.horizon
-
-
 def superpose(
     paths: Sequence[CarrierPath], amplitude: float, dt: float
 ) -> SampledSignal:
@@ -276,24 +274,23 @@ def superpose(
     if n_samples < 1:
         raise ValueError("horizon shorter than one sample interval")
 
-    # carrier free on [t0, t1) contributes to samples ceil(t0/dt) .. ceil(t1/dt)-1
-    rising: list[np.ndarray] = []
-    falling: list[np.ndarray] = []
-    for p in paths:
-        starts, stops = p.pulse_bounds()
-        rising.append(np.ceil(starts / dt).astype(np.int64))
-        falling.append(np.ceil(stops / dt).astype(np.int64))
-    k = np.concatenate(rising + falling)
-    # freed before the next temporaries, which can then reuse the memory
-    del rising, falling
-    np.clip(k, 0, n_samples, out=k)
-    step = np.ones(len(k))
-    step[len(k) // 2 :] = -1.0  # every rise has its fall
+    # carrier free on [t0, t1) contributes to samples ceil(t0/dt) .. ceil(t1/dt)-1;
     # one float64 array holds the increments, then the occupancy; both
-    # are whole numbers far below 2**53, so every sum is exact (bincount
-    # returns integers when there is no pulse at all)
-    delta = np.bincount(k, step, minlength=n_samples + 1)
-    values = delta[:n_samples].astype(np.float64, copy=False)
+    # are whole numbers far below 2**53, so every sum is exact
+    delta = np.zeros(n_samples + 1)
+    group: list = []
+    size = 0
+    for i, p in enumerate(paths):
+        group.append(p.pulse_bounds())
+        size += 2 * p.pulse_count
+        if size >= _SUPERPOSE_GROUP or i == len(paths) - 1:
+            # a group's rising (+1) and falling (-1) sample indices
+            for times, step in zip(zip(*group), (1.0, -1.0)):
+                k = np.ceil(np.concatenate(times) / dt).astype(np.int64)
+                np.clip(k, 0, n_samples, out=k)
+                np.add.at(delta, k, step)
+            group, size = [], 0
+    values = delta[:n_samples]
     np.cumsum(values, out=values)
     values *= amplitude
     return SampledSignal(

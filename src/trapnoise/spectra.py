@@ -42,20 +42,37 @@ result does not depend on the thread count.  The binned series runs
 first, on the calling thread: run beside the direct sum, its grids would
 raise the peak memory by about as much as they hold.
 
-A signal of even length L is transformed as two: the rffts E and O of
-its even and odd samples, which ``min(workers, 2)`` threads compute side
-by side (numpy releases the GIL in the rfft).  With N = L/2 and
-W = e^{-2 pi i/L}, the decimation-in-time identity (Cooley & Tukey 1965)
-gives X_k = E_k + W^k O_k and X_{N-k} = conj(E_k - W^k O_k) for
-k = 0..N/2, and each ordinate |X_k|^2 is written once, by one of the two
-rules, straight into the spectrum.  The two threads share this combine
-in fixed blocks of k, with W^k from two short tables, so no value
-depends on the thread count.  On integer random walks the split differs
-from the single rfft by at most 1.5e-10 of the mean ordinate at
-L = 2^22 and 5.2e-10 at L = 6710886 (L = 2 mod 4; three seeds each),
-about one rounding of the largest ordinate.  Against a long-double DFT
-with exactly reduced phases it is as accurate as the single rfft at the
-largest and the smallest ordinates.  An odd L takes one rfft.
+A signal of even length L is transformed in place, in about one signal
+of memory.  Its N = L/2 complex values z[m] = x[2m] + i x[2m+1], a view
+of the float64 samples, go through the four-step FFT (Bailey 1990,
+"FFTs in external or hierarchical memory") as an N1 x N2 matrix, N1 the
+divisor of N nearest sqrt(N): FFTs of the columns, in blocks copied to
+one small buffer, the twiddle W_N^{k1 n2}, then FFTs of the rows, all
+through ``scipy.fft``.  The real transform is unpacked from the complex
+one (Press et al., *Numerical Recipes*, sec. 12.3): with
+E_k = (Z_k + conj Z_{N-k})/2, O_k = (Z_k - conj Z_{N-k})/(2i) and
+W = e^{-2 pi i/L}, X_k = E_k + W^k O_k and X_{N-k} = conj(E_k - W^k O_k),
+and each ordinate |X_k|^2 is written once, straight into the spectrum.
+The twiddles come from short tables of phases reduced exactly and taken
+in long double, each rounded once (a twiddle from ``exp`` of a float64
+phase made the smallest ordinates twice as noisy as numpy's rfft).  Each
+pass runs in fixed blocks, which ``min(workers, 2)`` threads share
+(scipy releases the GIL); N1 and the blocks depend on L alone, so no
+value depends on the thread count.  ``periodogram_fft`` transforms a
+copy unless told it may overwrite the signal.  An odd L takes one rfft.
+
+Accuracy, on integer random walks with three seeds per length, as the
+largest error over the spectrum in units of the mean ordinate: against
+a long-double rfft, 2.8e-10 at L = 2^22 (numpy's rfft: 4.3e-10) and
+1.0e-9 at L = 6710886 (rfft: 5.3e-10), a few roundings of the largest
+ordinate, which is 1.4e6 to 2.2e6 times the mean.  The single rfft and this
+transform differ by at most 1.5e-10 and 1.6e-9.  Against a long-double
+DFT with exactly reduced phases it is as accurate as the single rfft at
+the largest and the smallest ordinates (L = 2^16).  Where N1 or N2 has
+a large prime factor, scipy's FFT of that length is less accurate and
+the smallest ordinates are noisier: at L = 6710886 (N1 = 7 x 241) the
+rms relative error is 2.4e-12 to 1.3e-11, against 1.4e-12 to 2.6e-12
+for the rfft.
 
 Averaging is the stacked mean of the realizations, one formula for every
 grid and realization count; a single estimate is its own mean and is
@@ -69,6 +86,7 @@ grid that each estimate takes once.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -88,9 +106,12 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_PI_LONG = np.arccos(np.longdouble(-1))
 _EVENT_CHUNK = 1 << 16  # fixed so results do not depend on scheduling
-# ordinates per block of the split periodogram's combine, fixed likewise
-_COMBINE_BLOCK = 1 << 12
+# columns per block of the four-step FFT's column pass, and rows per block
+# of its row pass and of the unpack, fixed likewise
+_COLUMN_BLOCK = 32
+_ROW_BLOCK = 16
 # Binned path: P Taylor terms on a grid oversampled 8x over the highest
 # mode, so the series is off by at most (pi/8)^10/10! = 2.4e-11 per event.
 _TAYLOR_TERMS = 10
@@ -328,71 +349,148 @@ def periodogram_superposed_events(
     )
 
 
-def _split_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndarray:
-    """``scale |X_k|^2`` for k = 1..L/2, X the DFT of the even-length ``x``,
-    from the rffts E and O of its even and odd samples.
+def _rows(n: int) -> int:
+    """The divisor of ``n`` nearest sqrt(n): the rows N1 of the four-step
+    transform of ``n`` points (1 when ``n`` is prime)."""
+    small = np.arange(1, math.isqrt(n) + 1)
+    small = small[n % small == 0]
+    divisors = np.concatenate((small, n // small))
+    return int(divisors[np.argmin(np.abs(divisors - math.sqrt(n)))])
 
-    With N = L/2 and W = e^{-2 pi i / L}, for k = 0..N/2:
-    X_k = E_k + W^k O_k and X_{N-k} = conj(E_k - W^k O_k).  Each ordinate
-    takes one rule: the first for k >= 1, the second for N - k > N/2.
-    The two rffts, then the blocks of k, are shared by ``min(workers, 2)``
-    threads; the blocks are fixed, so no value depends on the thread.
+
+def _unit_roots(m: np.ndarray, n: int) -> np.ndarray:
+    """e^{-2 pi i m / n} for integers m, from phases reduced exactly
+    modulo n and taken in long double, so each is rounded once."""
+    phase = (m % n).astype(np.longdouble) * (-2 * _PI_LONG / n)
+    roots = np.empty(np.shape(m), dtype=complex)
+    roots.real = np.cos(phase)
+    roots.imag = np.sin(phase)
+    return roots
+
+
+def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndarray:
+    """``scale |X_k|^2`` for k = 1..L/2, X the DFT of the even-length,
+    contiguous ``x``, which it overwrites.
+
+    The N = L/2 complex values z[m] = x[2m] + i x[2m+1], viewed as an
+    N1 x N2 matrix, are transformed in place by the four-step FFT:
+    column FFTs, the twiddle W_N^{k1 n2}, row FFTs, after which the
+    matrix holds Z[k1 + N1 k2] at [k1, k2].  Then, with W = W_L^k,
+    X_k = E_k + W O_k and X_{N-k} = conj(E_k - W O_k), where
+    E_k = (Z_k + conj Z_{N-k})/2 and O_k = (Z_k - conj Z_{N-k})/(2i);
+    each ordinate is written once, into ``values.reshape(N2, N1)``.
+    Each pass is split into fixed blocks, shared by two threads when
+    ``workers > 1``; N1 and the blocks depend on L alone, so no value
+    depends on the thread count.
     """
-    half = len(x) // 2
-    top = half // 2
-    # the big arrays are allocated here, so no thread arena holds them
-    even = np.empty(top + 1, dtype=complex)
-    odd = np.empty(top + 1, dtype=complex)
-    values = np.empty(half)
-    # W^k = hi[k // B] * lo[k % B]: two short tables instead of trig per k
-    step = -_TWO_PI / len(x)
-    lo = np.exp(1j * step * np.arange(_COMBINE_BLOCK))
-    hi = np.exp(1j * step * np.arange(0, top + 1, _COMBINE_BLOCK))
+    import scipy.fft
 
-    def transform(samples, out):
-        np.fft.rfft(samples, out=out)
+    n = len(x) // 2
+    rows = _rows(n)
+    cols = n // rows
+    half = rows // 2
+    z = x.view(np.complex128).reshape(rows, cols)
+    # the big array is allocated here, so no thread arena holds it
+    values = np.empty(n)
+    grid = values.reshape(cols, rows)
+    # the unpack makes 2 X_k, so its powers are scaled by a quarter
+    quarter = scale / 4
+    k1 = np.arange(rows)
+    # W_N^{k1 (j + c)} = W_N^{k1 j} table[k1, c] for a block of columns
+    # from j, and W_N^m = coarse[m // N1] fine[m % N1]
+    table = _unit_roots(np.outer(k1, np.arange(_COLUMN_BLOCK)), n)
+    coarse = _unit_roots(np.arange(cols) * rows, n)
+    fine = _unit_roots(k1, n)
+    # -i W_L^k = row_twiddle[k1] col_twiddle[k2] for k = k1 + N1 k2
+    row_twiddle = -1j * _unit_roots(k1, len(x))[:, None]
+    col_twiddle = _unit_roots(np.arange(cols) * rows, len(x))
 
-    def combine(starts):
+    def column_ffts(starts):
+        buf = np.empty((rows, _COLUMN_BLOCK), dtype=complex)
+        for j in starts:
+            w = min(_COLUMN_BLOCK, cols - j)
+            block = buf[:, :w]
+            block[...] = z[:, j : j + w]
+            block = scipy.fft.fft(block, axis=0, overwrite_x=True, workers=1)
+            block *= table[:, :w]
+            q, r = np.divmod(k1 * j % n, rows)
+            np.multiply(block, (coarse[q] * fine[r])[:, None], out=z[:, j : j + w])
+
+    def row_ffts(starts):
+        for i in starts:
+            block = z[i : i + _ROW_BLOCK]
+            out = scipy.fft.fft(block, axis=1, overwrite_x=True, workers=1)
+            if not np.may_share_memory(out, block):
+                block[...] = out
+
+    def doubled(zk, zm, twiddle):
+        """2 X_k = 2 E_k + 2 W O_k and 2 conj X_{N-k} = 2 E_k - 2 W O_k,
+        for the rows ``zk``, the rows ``zm`` that hold conj Z_{N-k} at the
+        same places, and ``twiddle`` = -i W."""
+        plus = zk + zm
+        odd = zk - zm
+        odd *= twiddle
+        minus = plus - odd
+        plus += odd
+        return plus, minus
+
+    def unpack_rows(starts):
+        # row k1 of the spectrum pairs with row N1 - k1, reversed
         for a in starts:
-            b = min(a + _COMBINE_BLOCK, top + 1)
-            e = even[a:b]
-            p = hi[a // _COMBINE_BLOCK] * lo[: b - a]
-            p *= odd[a:b]
-            # X_k for k in [max(a, 1), b), into values[k - 1]
-            i = 1 if a == 0 else 0
-            _scaled_power(e[i:] + p[i:], scale, values[a + i - 1 : b - 1])
-            # X_{N-k} for k in [a, c), N - k > N/2, into values[N - k - 1]
-            c = min(b, (half + 1) // 2)
-            p -= e
-            _scaled_power(p[: c - a], scale, values[half - c : half - a][::-1])
+            b = min(a + _ROW_BLOCK, half + 1)
+            plus, minus = doubled(
+                z[a:b],
+                z[rows - a : rows - b : -1, ::-1].conj(),
+                row_twiddle[a:b] * col_twiddle,
+            )
+            # X_k for k = k1 + N1 k2 goes to grid[k2, k1 - 1], and
+            # X_{N-k} to grid[N2 - 1 - k2, N1 - 1 - k1] while N - k is
+            # in another row (k1 < N1 - k1)
+            grid[:, a - 1 : b - 1] = _power(plus, quarter).T
+            c = min(b, (rows + 1) // 2)
+            grid[::-1, rows - c : rows - a] = _power(minus[: c - a], quarter)[::-1].T
 
-    halves = ([x[0::2], x[1::2]], [even, odd])
-    blocks = range(0, top + 1, _COMBINE_BLOCK)
-    parts = [blocks[: len(blocks) // 2], blocks[len(blocks) // 2 :]]
+    passes = [
+        (column_ffts, range(0, cols, _COLUMN_BLOCK)),
+        (row_ffts, range(0, rows, _ROW_BLOCK)),
+        (unpack_rows, range(1, half + 1, _ROW_BLOCK)),
+    ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            list(pool.map(transform, *halves))
-            list(pool.map(combine, parts))
+            for fn, blocks in passes:
+                cut = len(blocks) // 2
+                list(pool.map(fn, (blocks[:cut], blocks[cut:])))
     else:
-        list(map(transform, *halves))
-        list(map(combine, parts))
+        for fn, blocks in passes:
+            fn(blocks)
+    # row 0 pairs with itself: Z_{N - N1 k2} = Z[0, -k2 mod N2]
+    plus, minus = doubled(z[0], np.roll(z[0, ::-1], 1).conj(), -1j * col_twiddle)
+    grid[:-1, rows - 1] = _power(plus[1:], quarter)
+    # X_N = conj(E_0 - W^0 O_0)
+    values[-1] = _power(minus[0], quarter)
     return values
 
 
-def _scaled_power(z: np.ndarray, scale: float, out: np.ndarray) -> None:
-    """out = scale |z|^2, the real part of z conj(z); overwrites z."""
-    np.multiply(z, z.conj(), out=z)
-    np.multiply(z.real, scale, out=out)
+def _power(z: np.ndarray, scale: float) -> np.ndarray:
+    """scale |z|^2."""
+    power = np.square(z.real)
+    power += np.square(z.imag)
+    power *= scale
+    return power
 
 
-def periodogram_fft(signal: SampledSignal, workers: int = 1) -> SpectrumEstimate:
+def periodogram_fft(
+    signal: SampledSignal, workers: int = 1, overwrite: bool = False
+) -> SpectrumEstimate:
     """Rectangular-window periodogram of a sampled signal.
 
     Natural frequencies k/(L dt) for k = 1..L//2; normalized to the same
     one-sided convention as the event-exact estimator, zero bin dropped.
-    An even length L goes through the split of the rfft into its even and
-    odd samples on ``min(workers, 2)`` threads (the values do not depend
-    on it); an odd one through a single rfft.
+    An even length L goes through the in-place four-step FFT on
+    ``min(workers, 2)`` threads (the values do not depend on it), of a
+    copy of the signal unless ``overwrite`` allows it to use the signal's
+    own memory, which it then leaves holding no samples; an odd length
+    goes through a single rfft and leaves the signal as it was.
     """
     x = np.asarray(signal.values, dtype=float)
     if x.size < 2:
@@ -400,7 +498,8 @@ def periodogram_fft(signal: SampledSignal, workers: int = 1) -> SpectrumEstimate
     length = x.size
     scale = 2.0 * signal.dt / length
     if length % 2 == 0:
-        values = _split_periodogram(x, scale, workers)
+        x = np.array(x, order="C", copy=None if overwrite else True)
+        values = _four_step_periodogram(x, scale, workers)
     else:
         spectrum = np.fft.rfft(x)
         values = np.abs(spectrum[1:])

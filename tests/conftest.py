@@ -7,8 +7,8 @@ from trapnoise import spectra
 @pytest.fixture
 def thread_pools(monkeypatch):
     """The thread count of every pool the spectra module makes: the
-    event-exact transform's direct sum and the split rfft of a sampled
-    signal."""
+    event-exact transform's direct sum and the four-step FFT of a sampled
+    signal (one pool for its three passes)."""
     made = []
     real = spectra.ThreadPoolExecutor
 

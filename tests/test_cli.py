@@ -18,7 +18,9 @@ from trapnoise.distributions import free_probability
 from trapnoise.presets import FIG2_COMPONENT_RATES, DEFAULT_SEED
 from trapnoise import runner
 from trapnoise.runner import run, run_spectrum_config
-from trapnoise.simulate import binomial_pmf
+from trapnoise.simulate import (
+    binomial_pmf, occupancy_counts, simulate_realization, superpose,
+)
 
 
 class TestPresets:
@@ -359,6 +361,16 @@ class TestRunner:
         threaded = run_spectrum_config(cfg, estimator="sampled_fft", workers=2)
         assert thread_pools == [2]
         assert threaded.spectrum.values.tobytes() == serial.spectrum.values.tobytes()
+
+    def test_sampled_run_counts_the_signal_before_its_transform(self):
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 1e2), trapping=PoissonTrapping(1.0),
+            horizon=100.0, n_carriers=20, sample_dt=1e-2, seed=4,
+        )
+        paths = simulate_realization(cfg, 0)
+        want = occupancy_counts(superpose(paths, cfg.amplitude, cfg.sample_dt))
+        res = run_spectrum_config(cfg, estimator="sampled_fft", workers=1)
+        assert res.hist.tobytes() == want.tobytes()
 
     def test_pooled_sampled_run_starts_no_thread_pool(self, thread_pools):
         cfg = SimConfig(

@@ -17,7 +17,6 @@ from trapnoise import (
     detrap_cdf,
     detrap_mean,
     empirical_nu,
-    free_fraction,
     simulate_carrier,
     simulate_realization,
     superpose,
@@ -90,7 +89,7 @@ class TestSimulateCarrier:
         # very high trapping rate: carrier is almost always trapped
         cfg = make_config(trapping=PoissonTrapping(1e3), horizon=1e3)
         path = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
-        assert free_fraction(path) < 0.02
+        assert path.free_time / path.horizon < 0.02
 
     def test_zero_rate_draw_closes_with_terminal_gap(self):
         # gamma_min = 0 with a tiny range: most draws are ~0, so the first
@@ -248,10 +247,8 @@ class TestEmpiricalNu:
 
     def test_free_fraction_near_duty_cycle(self):
         cfg = make_config(rates=UniformRates(0.5, 5.0), horizon=5e3)
-        fracs = np.array([
-            free_fraction(simulate_carrier(cfg, carrier_stream(cfg.seed, r, 0)))
-            for r in range(40)
-        ])
+        paths = [simulate_carrier(cfg, carrier_stream(cfg.seed, r, 0)) for r in range(40)]
+        fracs = np.array([p.free_time / p.horizon for p in paths])
         tau = detrap_mean(cfg.rates)
         p_free = 1.0 / (1.0 + tau)
         se = fracs.std(ddof=1) / np.sqrt(len(fracs))

@@ -327,7 +327,8 @@ def _one_rfft(values, dt=0.01):
 
 
 class TestSplitPeriodogram:
-    """Even lengths: the rffts of the even and odd samples, combined."""
+    """Even lengths: the four-step FFT of the samples viewed as complex
+    pairs, unpacked into the real transform."""
 
     # L = 0 and 2 mod 4; 4000000 has the non-power-of-two half 2^7 5^6
     @pytest.mark.parametrize("length", [2, 4, 6, 1000, 1002, 4_000_000])
@@ -374,6 +375,40 @@ class TestSplitPeriodogram:
             assert threaded.freqs.tobytes() == serial.freqs.tobytes()
         # the two halves share two threads; an odd length has one rfft
         assert thread_pools == ([] if length % 2 else [2, 2])
+
+
+class TestFourStepPeriodogram:
+    """The in-place transform: its memory, its input and its lengths."""
+
+    def test_overwriting_transform_allocates_little_beyond_the_spectrum(self):
+        import tracemalloc
+
+        length = 1 << 20
+        sig = _sampled(_walk(length))
+        tracemalloc.start()
+        try:
+            est = periodogram_fft(sig, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the spectrum alone is half a signal; the frequency grid is made
+        # after the transform
+        assert peak - est.freqs.nbytes <= 0.75 * sig.values.nbytes
+
+    @pytest.mark.parametrize("length", [1000, 1001])
+    def test_default_leaves_the_signal_as_it_was(self, length):
+        values = _walk(length, seed=4)
+        sig = _sampled(values.copy())
+        periodogram_fft(sig, workers=2)
+        assert sig.values.tobytes() == values.tobytes()
+
+    # N = L/2 prime (one row), and N = 3 2^20 with rows of 1536
+    @pytest.mark.parametrize("length", [2 * 65537, 3 << 21])
+    def test_awkward_lengths_match_the_single_rfft(self, length):
+        values = _walk(length, seed=5)
+        want = _one_rfft(values)
+        est = periodogram_fft(_sampled(values), workers=2, overwrite=True)
+        assert np.max(np.abs(est.values - want)) <= 1e-9 * want.mean()
 
 
 class TestSpectrumEstimate:
