@@ -20,7 +20,7 @@ from trapnoise.runner import run_spectrum_config
 gamma_max, trapping_rate = 1e3, 1.0
 
 predicted = tn.hooge_alpha_predicted(trapping_rate, gamma_max)
-print(f"predicted alpha = trapping/gamma_max = {predicted.alpha:.1e}")
+print(f"predicted alpha = trapping/gamma_max = {predicted:.1e}")
 
 nu = 1.0 / (1.0 + tn.detrap_mean(tn.UniformRates(1e-3, gamma_max)))
 exact = tn.hooge_alpha_exact(nu, 1.0 / trapping_rate, gamma_max)
@@ -39,7 +39,8 @@ fitted = tn.hooge_alpha_fitted(
     result.spectrum, result.mean_current, config.n_carriers, (1e-2, 10.0)
 )
 print(f"fitted alpha = {fitted.alpha:.4e} "
-      f"(free-slope deviation from -1: {fitted.slope_deviation:.3f})")
+      f"(free-slope deviation from -1: {fitted.slope_deviation:.3f}, "
+      f"in the flicker band: {fitted.in_band})")
 
 # --- material relations -------------------------------------------------
 m = tn.MaterialParams(

@@ -10,11 +10,12 @@ to ``(R + gamma_max <pulse>)/(R T)``.
 
 The flicker spectrum rewritten in Hooge form ``S = I^2 alpha / (N f)``
 gives ``alpha = trapping_rate / gamma_max`` when pulses are long compared
-to gaps.
+to gaps, and ``1 / (nu <pulse>^2 gamma_max)`` without that assumption.
+Fitted to a measured spectrum, alpha comes with the deviation of the free
+slope from -1 and an ``in_band`` verdict, values a report records.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,16 +68,14 @@ class CutoffPrediction:
 
 @dataclass(frozen=True)
 class HoogeEstimate:
-    """Dimensionless flicker-noise coefficient.
-
-    Estimates fitted to a measured spectrum carry the window and the
-    deviation of the freely fitted slope from -1.
-    """
+    """Hooge coefficient fitted to a measured spectrum, with the deviation
+    of the freely fitted slope from -1 (None when the window holds fewer
+    than two points) and whether that deviation puts the window in the
+    flicker band."""
 
     alpha: float
-    fit_window: Optional[tuple] = None
-    slope_deviation: Optional[float] = None
-    in_band: bool = True
+    slope_deviation: Optional[float]
+    in_band: bool
 
 
 @dataclass(frozen=True)
@@ -167,21 +166,12 @@ def cutoff_by_regime(config: SimConfig) -> dict:
     return out
 
 
-def hooge_alpha_predicted(trapping_rate: float, gamma_max: float) -> HoogeEstimate:
-    """alpha = trapping_rate / gamma_max; assumes pulses much longer than gaps.
-
-    Warns when the rates are within two orders of magnitude of each
-    other, where the long-pulse assumption starts to fail.
-    """
+def hooge_alpha_predicted(trapping_rate: float, gamma_max: float) -> float:
+    """alpha = trapping_rate / gamma_max; assumes pulses much longer than
+    gaps (compare :func:`hooge_alpha_exact` where they are not)."""
     if trapping_rate <= 0.0 or gamma_max <= 0.0:
         raise ValueError("rates must be positive")
-    if trapping_rate > 1e-2 * gamma_max:
-        warnings.warn(
-            "trapping rate not small compared to gamma_max; "
-            "long-pulse assumption is weak",
-            stacklevel=2,
-        )
-    return HoogeEstimate(alpha=trapping_rate / gamma_max)
+    return trapping_rate / gamma_max
 
 
 def hooge_alpha_exact(pulse_rate: float, mean_pulse: float, gamma_max: float) -> float:
@@ -204,27 +194,19 @@ def hooge_alpha_fitted(
     about 0.56, on a single realization; the arithmetic mean is
     unbiased.  Rescaling the amplitude (a -> 2a: S -> 4S, I -> 2I)
     cancels bit for bit.  A free-slope fit alongside reports the
-    deviation, and more than 0.2 flags the window as outside the flicker
-    band.
+    deviation; the window is in the flicker band when it is at most 0.2.
+    A window of one point has no slope: the deviation is None and the
+    window is not in band.
     """
     if not mean_current > 0.0:
         raise ValueError("mean current must be positive")
-    alpha = n_carriers * flicker_line_level(est, window) / mean_current**2
-    f1, f2 = window
-    sel = (est.freqs >= f1) & (est.freqs <= f2)
-    slope = fit_loglog(est.freqs[sel], est.values[sel])[0] if sel.sum() > 1 else -1.0
-    deviation = abs(slope + 1.0)
-    in_band = deviation <= 0.2
-    if not in_band:
-        warnings.warn(
-            f"fit window not in the flicker regime (slope {slope:.2f})",
-            stacklevel=2,
-        )
+    alpha = float(n_carriers * flicker_line_level(est, window) / mean_current**2)
+    try:
+        deviation = abs(fit_loglog(est.freqs, est.values, window)[0] + 1.0)
+    except ValueError:  # fewer than two points in the window
+        return HoogeEstimate(alpha=alpha, slope_deviation=None, in_band=False)
     return HoogeEstimate(
-        alpha=float(alpha),
-        fit_window=(float(f1), float(f2)),
-        slope_deviation=deviation,
-        in_band=in_band,
+        alpha=alpha, slope_deviation=deviation, in_band=deviation <= 0.2
     )
 
 

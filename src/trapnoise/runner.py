@@ -11,7 +11,10 @@ transform overwrites the signal.
 Artifacts per experiment ``name``:
 
 * ``name[_label]_spectrum.csv``  one per run (f, S, R_eff, estimator)
-* ``name_amplitude_pmf.csv``     when the amplitude histogram is requested
+* ``name[_label]_amplitude_pmf.csv``  one per run when the amplitude
+  histogram is requested
+* ``name[_label]_events.csv``, ``name[_label]_signal.csv``  with the
+  event export (the signal when the run is sampled)
 * ``name_curves.csv``            for curve-only experiments
 * ``name_report.json``           empirical rates, cutoff and Hooge analyses
 * ``name_meta.json``             everything needed to re-run exactly
@@ -184,11 +187,14 @@ def _analyze_run(spec, label, config, result, p_fit) -> dict:
         info["cutoff"]["measured_onset"] = onset
 
     if "hooge" in spec.analyses:
-        predicted = _analysis.hooge_alpha_predicted(config.trapping.rate, gamma_max)
-        hooge = {"predicted": predicted.alpha}
-        hooge["exact"] = _analysis.hooge_alpha_exact(
-            result.nu_bar, config.trapping.mean_time, gamma_max
-        )
+        hooge = {
+            "predicted": _analysis.hooge_alpha_predicted(
+                config.trapping.rate, gamma_max
+            ),
+            "exact": _analysis.hooge_alpha_exact(
+                result.nu_bar, config.trapping.mean_time, gamma_max
+            ),
+        }
         try:
             fitted = _analysis.hooge_alpha_fitted(
                 est, result.mean_current, config.n_carriers, (lo, hi)
@@ -199,8 +205,9 @@ def _analyze_run(spec, label, config, result, p_fit) -> dict:
             hooge["fit_skipped"] = str(exc)
         else:
             hooge["fitted"] = fitted.alpha
-            hooge["fit_window"] = list(fitted.fit_window)
+            hooge["fit_window"] = [lo, hi]
             hooge["slope_deviation"] = fitted.slope_deviation
+            hooge["in_band"] = fitted.in_band
         info["hooge"] = hooge
 
     if p_fit is not None:
@@ -262,14 +269,14 @@ def _plot_script(spec: ExperimentSpec, csv_names: list[str], report_name: str) -
     return "\n".join(lines) + "\n"
 
 
-def _export_events(config: SimConfig, stem: str, outdir: Path) -> dict:
+def _export_events(config: SimConfig, stem: str, outdir: Path) -> list[str]:
     """Event-level CSV (one row per segment) plus the sampled first
-    realization when a sampling interval is configured."""
+    realization when a sampling interval is configured; returns the
+    names of the files written."""
     from .simulate import write_event_csv, write_signal_csv
 
-    out: dict[str, str] = {}
     ev_name = f"{stem}_events.csv"
-    out[ev_name] = str(outdir / ev_name)
+    names = [ev_name]
     # one realization's paths at a time, written and dropped
     with open(outdir / ev_name, "w") as fh:
         for r in range(config.n_realizations):
@@ -281,9 +288,9 @@ def _export_events(config: SimConfig, stem: str, outdir: Path) -> dict:
                 with open(outdir / sig_name, "w") as sig_fh:
                     write_signal_csv(sig_fh, signal, config.seed)
                 del signal
-                out[sig_name] = str(outdir / sig_name)
+                names.append(sig_name)
             del paths
-    return out
+    return names
 
 
 def _write_curves(spec: ExperimentSpec, outdir: Path) -> list[str]:
@@ -315,9 +322,10 @@ def run(
 ) -> dict:
     """Execute an experiment spec and write its artifact set.
 
-    Returns a dict mapping artifact roles to paths.  ``events_csv``
-    additionally writes one row per simulated segment (event-level
-    export; large for long horizons).
+    Returns a dict mapping each data file's name, and the roles
+    ``report``, ``meta``, ``plot`` and (the last run's) ``amplitude_pmf``,
+    to paths.  ``events_csv`` additionally writes one row per simulated
+    segment (event-level export; large for long horizons).
     """
     _worker_count(workers)
     outdir = Path(outdir)
@@ -328,10 +336,12 @@ def run(
 
     if spec.kind == "curves":
         csv_names = _write_curves(spec, outdir)
+        written = list(csv_names)
         report["component_rates"] = [float(g) for g in FIG2_COMPONENT_RATES]
         report["rate_bounds"] = list(FIG2_RATE_BOUNDS)
     else:
-        csv_names = []
+        csv_names = []  # the spectra, which the plot script reads
+        written = []  # every data file, in the order written
         for label, config in spec.runs:
             freqs = None
             if spec.estimator == "event_exact":
@@ -347,6 +357,7 @@ def run(
             with open(outdir / csv_name, "w") as fh:
                 write_spectrum_csv(fh, est)
             csv_names.append(csv_name)
+            written.append(csv_name)
             p_fit = None
             if "amplitude_pmf" in spec.analyses:
                 pmf = result.hist / result.hist.sum()
@@ -358,12 +369,12 @@ def run(
                     fh.write("count,pmf,binomial\n")
                     for k, (p, m) in enumerate(zip(pmf, model)):
                         fh.write(f"{k},{p:.17g},{m:.17g}\n")
+                written.append(pmf_name)
                 artifacts["amplitude_pmf"] = str(outdir / pmf_name)
             report["runs"].append(_analyze_run(spec, label, config, result, p_fit))
 
             if events_csv:
-                for role, path in _export_events(config, stem, outdir).items():
-                    artifacts[role] = path
+                written += _export_events(config, stem, outdir)
 
     report_name = f"{spec.name}_report.json"
     with open(outdir / report_name, "w") as fh:
@@ -380,14 +391,14 @@ def run(
         "workers": workers,
         "numpy_version": np.__version__,
         "wall_time_s": time.perf_counter() - t_start,
-        "artifacts": csv_names + [report_name, plot_name],
+        "artifacts": written + [report_name, plot_name],
     }
     with open(outdir / meta_name, "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 
-    for csv_name in csv_names:
-        artifacts[csv_name] = str(outdir / csv_name)
+    for name in written:
+        artifacts[name] = str(outdir / name)
     artifacts["report"] = str(outdir / report_name)
     artifacts["meta"] = str(outdir / meta_name)
     artifacts["plot"] = str(outdir / plot_name)

@@ -12,6 +12,9 @@ extended-precision prefix sum, so phase errors stay negligible even for
 ~1e8 events.  ``simulate_carrier`` keeps the times of the prefix sum it
 already takes to find the horizon, and a path built directly sums its
 durations on first use; either sum runs in place on one longdouble copy.
+``CarrierPath.events`` is the one place that reads the pulse events off
+those times: the pulse starts and ends, alternating, which the
+event-exact transform takes whole and ``pulse_bounds`` splits.
 A carrier's draws go straight into one interleaved float64 buffer, and
 the segment that crosses the horizon is clipped in place, so a path
 peaks at about 35 bytes per kept segment (the float64 durations, their
@@ -32,7 +35,7 @@ bit-identical for a given config regardless of how work is distributed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -161,14 +164,16 @@ class CarrierPath:
         times.flags.writeable = False
         self._times = times
 
+    @property
+    def events(self) -> np.ndarray:
+        """Pulse starts and ends, alternating (read-only): the segment end
+        times up to the last pulse's end."""
+        return self.segment_times()[: 2 * self.pulse_count]
+
     def pulse_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(start, end) times of every pulse segment."""
-        events = self.segment_times()[: 2 * self.pulse_count]
+        events = self.events
         return events[0::2], events[1::2]
-
-    def segments(self) -> Iterator[tuple[str, float]]:
-        for i, d in enumerate(self.durations):
-            yield ("gap" if i % 2 == 0 else "pulse"), float(d)
 
 
 @dataclass

@@ -288,9 +288,7 @@ def _pulse_transform(
     evenly over ``min(workers, frequencies)`` threads.
     """
     T = paths[0].horizon
-    # pulse starts and ends alternate in each path's segment end times
-    events = [p.segment_times()[: 2 * p.pulse_count] for p in paths]
-    events = [e for e in events if len(e)]
+    events = [p.events for p in paths if p.pulse_count]
     numerator = np.zeros(len(freqs), dtype=complex)
     if not events:
         return numerator

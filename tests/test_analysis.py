@@ -1,4 +1,6 @@
 """Order statistics, cutoff predictions, Hooge estimates, fitting."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,18 +157,14 @@ class TestEffectiveCutoff:
 
 class TestHoogePredicted:
     def test_direct_ratios(self):
-        assert hooge_alpha_predicted(1.0, 1e4).alpha == pytest.approx(1e-4)
-        assert hooge_alpha_predicted(1.0, 1e3).alpha == pytest.approx(1e-3)
+        assert hooge_alpha_predicted(1.0, 1e4) == pytest.approx(1e-4)
+        assert hooge_alpha_predicted(1.0, 1e3) == pytest.approx(1e-3)
 
     def test_full_form_close_to_ratio(self):
         # reference parameters: rates on [1e-4, 1e4], unit trapping rate
         nu = 1.0 / (1.0 + detrap_mean(UniformRates(1e-4, 1e4)))
         full = hooge_alpha_exact(nu, 1.0, 1e4)
         assert abs(full / 1e-4 - 1.0) < 0.005
-
-    def test_warns_when_rates_comparable(self):
-        with pytest.warns(UserWarning):
-            hooge_alpha_predicted(10.0, 100.0)
 
 
 class TestHoogeFitted:
@@ -214,8 +212,20 @@ class TestHoogeFitted:
             freqs=freqs, values=1.0 / freqs**2, n_averaged=1,
             estimator="event_exact",
         )
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = hooge_alpha_fitted(est, 1.0, 1, (1e-1, 1e1))
+        assert fit.slope_deviation == pytest.approx(1.0, rel=1e-9)
+        assert not fit.in_band
+
+    def test_one_point_window_has_no_slope(self):
+        freqs = np.geomspace(1e-2, 1e2, 9)  # one point per half decade
+        est = self._flicker_estimate(3.7e-4, 2.5, 10, freqs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = hooge_alpha_fitted(est, 2.5, 10, (0.5, 2.0))
+        assert fit.alpha == pytest.approx(3.7e-4, rel=1e-12)
+        assert fit.slope_deviation is None
         assert not fit.in_band
 
     def test_empty_window_rejected(self):

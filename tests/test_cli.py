@@ -1,5 +1,7 @@
 """Presets, runner artifacts, CLI subcommands, determinism."""
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +245,19 @@ class TestRunner:
         f_lo, f_hi = hooge["fit_window"]
         assert 1e-2 < f_lo < f_hi
 
+    def test_fig3_report_adds_in_band_to_hooge(self, tmp_path):
+        run(preset("fig3", scale=1000.0, seed=5), tmp_path, workers=1)
+        info = json.loads((tmp_path / "fig3_report.json").read_text())["runs"][0]
+        assert list(info) == [
+            "label", "nu_bar_empirical", "mean_current", "pulse_count",
+            "cutoff", "hooge",
+        ]
+        assert list(info["hooge"]) == [
+            "predicted", "exact", "fitted", "fit_window", "slope_deviation",
+            "in_band",
+        ]
+        assert info["hooge"]["in_band"] is (info["hooge"]["slope_deviation"] <= 0.2)
+
     def test_hooge_fit_unbiased_across_seeds(self, tmp_path):
         # the fit window starts at the finite-observation floor, ~100x
         # above gamma_min here, so the fit sees only the flicker band
@@ -439,6 +454,36 @@ def _amplitude_spec(gamma_min, gamma_max, n_carriers, horizon, sample_dt):
     })
 
 
+class TestArtifactBookkeeping:
+    def test_every_file_of_two_sampled_runs_is_listed(self, tmp_path, capsys):
+        spec = _amplitude_spec(0.5, 5.0, 4, 100.0, 0.5)
+        d = spec_to_dict(spec)
+        d["name"] = "two"
+        d["runs"] = [dict(d["runs"][0], label=label) for label in ("a", "b")]
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "1"]) == 0
+        listed = dict(
+            line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(
+            f"two_{label}_{kind}.csv"
+            for label in ("a", "b")
+            for kind in ("spectrum", "amplitude_pmf", "events", "signal")
+        ) + ["two_meta.json", "two_plot.py", "two_report.json"]
+        # every file is in the listing; the pmf role names the last run's
+        assert sorted({Path(path).name for path in listed.values()}) == written
+        assert "two_a_amplitude_pmf.csv" in listed
+        assert listed["amplitude_pmf"] == str(out / "two_b_amplitude_pmf.csv")
+        meta = json.loads((out / "two_meta.json").read_text())
+        assert sorted(meta["artifacts"]) == [
+            name for name in written if name != "two_meta.json"
+        ]
+
+
 class TestAmplitudeStatistics:
     def test_ergodic_pmf_beside_the_analytic_binomial(self, tmp_path):
         spec = _amplitude_spec(0.5, 5.0, 20, 2e3, 0.5)
@@ -494,6 +539,21 @@ class TestCli:
         assert (out / "fig3_spectrum.csv").read_bytes() == (
             out2 / "fig3_spectrum.csv"
         ).read_bytes()
+
+    def test_out_of_band_fit_is_reported_not_warned(self, tmp_path, capsys):
+        # a single realization at this scale fits a slope of about -0.57
+        out = tmp_path / "arts"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "reproduce", "fig3", "--scale", "1000", "--seed", "9",
+                "--out", str(out), "--workers", "1",
+            ]) == 0
+        capsys.readouterr()
+        text = (out / "fig3_report.json").read_text()
+        assert '"in_band": false' in text
+        hooge = json.loads(text)["runs"][0]["hooge"]
+        assert hooge["slope_deviation"] > 0.2
 
     def test_seed_option_overrides_config_seeds(self, tmp_path, capsys):
         out = tmp_path / "preset"

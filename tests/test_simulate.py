@@ -47,10 +47,31 @@ class TestSimulateCarrier:
         assert np.all(path.durations > 0.0)
         ends = path.segment_times()
         assert ends[-1] <= path.horizon * (1.0 + 1e-12)
-        kinds = [k for k, _ in path.segments()]
-        assert kinds[0] == "gap"
-        assert all(a != b for a, b in zip(kinds, kinds[1:]))
-        assert path.pulse_count == sum(1 for k in kinds if k == "pulse")
+        # even indices are gaps, odd ones pulses
+        kinds = ["pulse" if i % 2 else "gap" for i in range(len(path.durations))]
+        assert path.pulse_count == kinds.count("pulse")
+        pulses = [d for k, d in zip(kinds, path.durations) if k == "pulse"]
+        assert path.free_time == pytest.approx(sum(pulses), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma_min", [0.0, 1e-2])
+    @pytest.mark.parametrize("horizon", [37.3, 1e4])
+    def test_events_are_the_pulse_segment_ends(self, gamma_min, horizon):
+        # pulse starts and ends alternate in the segment end times
+        cfg = make_config(rates=UniformRates(gamma_min, 1e3), horizon=horizon)
+        built = CarrierPath(np.random.default_rng(2).exponential(size=7), horizon=1e6)
+        paths = simulate_realization(cfg, 0) + [
+            built,
+            CarrierPath(np.array([horizon]), horizon=horizon),  # no pulse
+        ]
+        for path in paths:
+            want = path.segment_times()[: 2 * path.pulse_count]
+            assert path.events.tobytes() == want.tobytes()
+            assert len(path.events) == 2 * path.pulse_count
+            assert not path.events.flags.writeable
+            starts, ends = path.pulse_bounds()
+            assert starts.tobytes() == want[0::2].tobytes()
+            assert ends.tobytes() == want[1::2].tobytes()
+        assert len(built.events) == 6 and len(paths[-1].events) == 0
 
     @pytest.mark.parametrize("gamma_min", [0.0, 1e-2])
     @pytest.mark.parametrize("horizon", [37.3, 1e4])
@@ -371,10 +392,10 @@ class TestExports:
         buf = io.StringIO()
         write_event_csv(buf, realized)
         expected = ["realization,carrier,kind,duration"] + [
-            f"{r},{c},{kind},{duration:.17g}"
+            f"{r},{c},{'pulse' if i % 2 else 'gap'},{duration:.17g}"
             for r, paths in enumerate(realized)
             for c, path in enumerate(paths)
-            for kind, duration in path.segments()
+            for i, duration in enumerate(path.durations)
         ]
         assert buf.getvalue() == "\n".join(expected) + "\n"
 
