@@ -3,16 +3,15 @@
 
 One general renewal-pulse formula, three specializations that must agree:
 the Poisson-trapping form, the logarithm-corrected flicker expression,
-and the pure 1/f law inside gamma_min << 2 pi f << gamma_max.
+and the pure 1/f law inside gamma_min << 2 pi f << gamma_max.  The
+characteristic functions go in as callables of f alone, the parameters
+bound with functools.partial.
 """
+from functools import partial
+
 import numpy as np
 
 import trapnoise as tn
-from trapnoise.analytic import (
-    ExponentialCharFn,
-    UniformRateApproxCharFn,
-    UniformRateCharFn,
-)
 
 gamma_max = 1e4
 trapping_rate = 1.0
@@ -21,13 +20,10 @@ print(f"pulse rate nu = {nu:.5f} (mean pulse 1.0, mean gap "
       f"{tn.detrap_mean(tn.UniformRates(1e-4, gamma_max)):.2e})")
 
 freqs = np.geomspace(1e-3, 1e2, 6)
-general = tn.psd_general_pulse(
-    freqs, 1.0, nu, ExponentialCharFn(trapping_rate),
-    UniformRateCharFn(1e-4, gamma_max),
-)
-poisson = tn.psd_poisson_pulse(
-    freqs, 1.0, nu, trapping_rate, UniformRateCharFn(1e-4, gamma_max)
-)
+chi_pulse = partial(tn.chi_exponential, rate=trapping_rate)
+chi_gap = partial(tn.chi_uniform_rate, gamma_min=1e-4, gamma_max=gamma_max)
+general = tn.psd_general_pulse(freqs, 1.0, nu, chi_pulse, chi_gap)
+poisson = tn.psd_poisson_pulse(freqs, 1.0, nu, trapping_rate, chi_gap)
 full = tn.psd_full_expression(freqs, 1.0, nu, trapping_rate, gamma_max)
 flicker = tn.psd_one_over_f(freqs, 1.0, nu, gamma_max)
 

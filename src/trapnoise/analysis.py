@@ -16,6 +16,7 @@ slope from -1 and an ``in_band`` verdict, values a report records.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -269,7 +270,7 @@ def fitted_floor_rate(
     sits; feed a log-binned spectrum restricted to frequencies around and
     below the expected knee.
     """
-    from .analytic import ExponentialCharFn, UniformRateCharFn, psd_general_pulse
+    from .analytic import chi_exponential, chi_uniform_rate, psd_general_pulse
 
     lo, hi = bounds
     if not (0.0 < lo < hi < gamma_max):
@@ -282,8 +283,8 @@ def fitted_floor_rate(
             est.freqs,
             amplitude,
             pulse_rate,
-            ExponentialCharFn(trapping_rate),
-            UniformRateCharFn(floor, gamma_max),
+            functools.partial(chi_exponential, rate=trapping_rate),
+            functools.partial(chi_uniform_rate, gamma_min=floor, gamma_max=gamma_max),
         )
         resid = float(np.mean((log_meas - np.log(model)) ** 2))
         if resid < best_resid:

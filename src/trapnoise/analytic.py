@@ -17,14 +17,9 @@ Frequencies are in cycles per unit time throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ExponentialCharFn",
-    "UniformRateCharFn",
-    "UniformRateApproxCharFn",
     "chi_exponential",
     "chi_uniform_rate",
     "chi_uniform_rate_approx",
@@ -57,10 +52,10 @@ def chi_uniform_rate(f, gamma_min: float, gamma_max: float):
 
         chi(f) = 1 + (2 pi i f / (b - a)) * log((b - 2 pi i f) / (a - 2 pi i f))
 
-    using the principal complex log.  Both log arguments lie in the
-    closed right half-plane for nonnegative rates, so the quotient never
-    crosses the branch cut; a continuity check across array inputs guards
-    the ``gamma_min = 0`` edge.  ``f = 0`` returns exactly 1.
+    using the principal complex log.  For 0 <= a < b and real w = 2 pi f
+    != 0, Im log((b - iw)/(a - iw)) lies in (-pi/2, pi/2), so the log never
+    meets its branch cut, ``gamma_min = 0`` included.  ``f = 0`` returns
+    exactly 1.
     """
     a, b = float(gamma_min), float(gamma_max)
     if not (0.0 <= a < b):
@@ -73,11 +68,6 @@ def chi_uniform_rate(f, gamma_min: float, gamma_max: float):
     nz = w != 0.0
     wn = w[nz]
     log_term = np.log((b - 1j * wn) / (a - 1j * wn))
-    if log_term.size > 1:
-        # principal-branch continuity on the evaluation grid
-        jumps = np.abs(np.diff(np.imag(log_term)))
-        if jumps.size and np.nanmax(jumps) > np.pi:
-            raise ValueError("branch discontinuity across the frequency grid")
     out[nz] = 1.0 + 1j * wn / (b - a) * log_term
     return out.reshape(f_arr.shape) if f_arr.shape else complex(out[0])
 
@@ -100,37 +90,6 @@ def chi_uniform_rate_approx(f, gamma_max: float):
     return out if out.shape else complex(out)
 
 
-@dataclass(frozen=True)
-class ExponentialCharFn:
-    """Tagged evaluator: exponential duration law."""
-
-    rate: float
-
-    def __call__(self, f):
-        return chi_exponential(f, self.rate)
-
-
-@dataclass(frozen=True)
-class UniformRateCharFn:
-    """Tagged evaluator: exact uniform-rate gap mixture."""
-
-    gamma_min: float
-    gamma_max: float
-
-    def __call__(self, f):
-        return chi_uniform_rate(f, self.gamma_min, self.gamma_max)
-
-
-@dataclass(frozen=True)
-class UniformRateApproxCharFn:
-    """Tagged evaluator: broad-range approximation of the gap mixture."""
-
-    gamma_max: float
-
-    def __call__(self, f):
-        return chi_uniform_rate_approx(f, self.gamma_max)
-
-
 def psd_general_pulse(f, amplitude, pulse_rate, chi_pulse, chi_gap):
     """One-sided PSD of a renewal pulse train with arbitrary duration laws.
 
@@ -143,7 +102,8 @@ def psd_general_pulse(f, amplitude, pulse_rate, chi_pulse, chi_gap):
     pulse_rate : float
         Mean number of pulses per unit time (nu).
     chi_pulse, chi_gap : callable
-        Characteristic functions of the pulse and gap duration laws.
+        Characteristic functions of the pulse and gap duration laws, of f
+        alone, e.g. ``functools.partial(chi_exponential, rate=g)``.
 
     Raises
     ------

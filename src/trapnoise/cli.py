@@ -5,7 +5,7 @@ Subcommands:
 * ``reproduce <figN>``    run a built-in preset and write its artifact set
 * ``dump-preset <figN>``  print (or save) a preset as editable JSON
 * ``simulate``            event-level / sampled export for a config file
-* ``spectrum``            spectrum CSVs only for a config file
+* ``spectrum``            spectrum CSVs and a report without analyses
 * ``analyze``             spectrum plus the analysis report
 
 ``--scale`` divides horizon and realization count, ``--full`` enables the
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
 
     for name, help_text in (
         ("simulate", "write event-level (and sampled) exports"),
-        ("spectrum", "write spectrum CSVs for a config"),
+        ("spectrum", "write spectrum CSVs and a report without analyses"),
         ("analyze", "write spectrum CSVs plus the analysis report"),
     ):
         p = sub.add_parser(name, help=help_text)

@@ -128,6 +128,9 @@ class ExperimentSpec:
                     raise ValueError(
                         f"run {label!r}: sampled_fft estimator needs sample_dt"
                     )
+            for name in ("f_min", "f_max"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} is unused by sampled_fft (grid k/(L dt))")
         unknown = [a for a in self.analyses if a not in _ANALYSES]
         if unknown:
             raise ValueError(f"unknown analyses {unknown}; choose from {_ANALYSES}")

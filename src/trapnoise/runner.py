@@ -45,7 +45,8 @@ from .presets import (
     _ESTIMATORS, FIG2_COMPONENT_RATES, FIG2_RATE_BOUNDS, ExperimentSpec, spec_to_dict,
 )
 from .simulate import (
-    SimConfig, binomial_pmf, occupancy_counts, simulate_realization, superpose,
+    SimConfig, _write_rows, binomial_pmf, occupancy_counts, simulate_realization,
+    superpose,
 )
 from .spectra import (
     SpectrumEstimate,
@@ -125,6 +126,8 @@ def run_spectrum_config(
         raise ValueError("sampled_fft estimator needs sample_dt in the config")
     if estimator == "event_exact" and freqs is None:
         raise ValueError("event_exact estimator needs freqs")
+    if estimator == "sampled_fft" and freqs is not None:
+        raise ValueError("sampled_fft estimator takes no freqs: its grid is k/(L dt)")
 
     n_workers = _worker_count(workers)
     R = config.n_realizations
@@ -307,10 +310,8 @@ def _write_curves(spec: ExperimentSpec, outdir: Path) -> list[str]:
             f"comp_{i}" for i in range(len(FIG2_COMPONENT_RATES))
         ]
         fh.write(",".join(header) + "\n")
-        for i, t in enumerate(tau):
-            row = [f"{t:.17g}", f"{mixture[i]:.17g}"]
-            row += [f"{comp[i]:.17g}" for comp in components]
-            fh.write(",".join(row) + "\n")
+        columns = [mixture] + components
+        _write_rows(fh, tau, *(piece for c in columns for piece in (",", c)), "\n")
     return [name]
 
 
@@ -367,8 +368,7 @@ def run(
                 pmf_name = f"{stem}_amplitude_pmf.csv"
                 with open(outdir / pmf_name, "w") as fh:
                     fh.write("count,pmf,binomial\n")
-                    for k, (p, m) in enumerate(zip(pmf, model)):
-                        fh.write(f"{k},{p:.17g},{m:.17g}\n")
+                    _write_rows(fh, np.arange(len(pmf)), ",", pmf, ",", model, "\n")
                 written.append(pmf_name)
                 artifacts["amplitude_pmf"] = str(outdir / pmf_name)
             report["runs"].append(_analyze_run(spec, label, config, result, p_fit))

@@ -14,7 +14,7 @@ already takes to find the horizon, and a path built directly sums its
 durations on first use; either sum runs in place on one longdouble copy.
 ``CarrierPath.events`` is the one place that reads the pulse events off
 those times: the pulse starts and ends, alternating, which the
-event-exact transform takes whole and ``pulse_bounds`` splits.
+event-exact transform walks in chunks and ``pulse_bounds`` splits.
 A carrier's draws go straight into one interleaved float64 buffer, and
 the segment that crosses the horizon is clipped in place, so a path
 peaks at about 35 bytes per kept segment (the float64 durations, their
@@ -27,6 +27,9 @@ pulses' rising (+1) and falling (-1) sample indices added in with
 the pulse height, all in place.  The sums are over whole numbers, so
 they are exact.  ``occupancy_counts`` counts the signal in blocks of
 ``_HIST_BLOCK`` samples.
+
+Every CSV row of the package is written by ``_write_rows``, in blocks
+of ``_CSV_BLOCK`` rows.
 
 Reproducibility contract: one random sub-stream per (realization,
 carrier), derived from the master seed by index, so results are
@@ -63,9 +66,8 @@ __all__ = [
     "write_signal_csv",
 ]
 
-# rows per formatted block of the event and signal CSVs (even, so every
-# event block opens with a gap); bounds the strings a long path or signal
-# would otherwise build
+# rows per formatted block of every CSV; bounds the strings a long path,
+# signal or spectrum would otherwise build
 _CSV_BLOCK = 1 << 14
 # samples per block of the occupancy histogram (512 kB of float64), so
 # counting makes no temporary as large as the signal
@@ -329,6 +331,21 @@ def binomial_pmf(n_carriers: int, p_free: float) -> np.ndarray:
     return binom.pmf(np.arange(n_carriers + 1), n_carriers, p_free)
 
 
+def _write_rows(fileobj, *pieces) -> None:
+    """One row per index of the equal-length arrays among ``pieces``:
+    strings are fixed text, written as they are, and each array a column
+    at 17 significant digits (so ``2.0`` is ``2``).  One ``%`` pass and
+    one write per ``_CSV_BLOCK`` rows.
+    """
+    row = "".join(
+        p.replace("%", "%%") if isinstance(p, str) else "%.17g" for p in pieces
+    )
+    columns = [p for p in pieces if not isinstance(p, str)]
+    for i in range(0, len(columns[0]), _CSV_BLOCK):
+        block = np.column_stack([c[i : i + _CSV_BLOCK] for c in columns])
+        fileobj.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_event_csv(
     fileobj, realizations: Sequence[Sequence[CarrierPath]], start: int = 0
 ) -> None:
@@ -336,34 +353,24 @@ def write_event_csv(
 
     Rows carry realization index ``start + i``, and the header is written
     when ``start`` is 0, so realizations can be written one call at a
-    time.  Rows are formatted ``_CSV_BLOCK`` segments at a time, one ``%``
-    pass and one write per block.
+    time.  Each gap and pulse pair is one two-line row of
+    :func:`_write_rows`.
     """
     if start == 0:
         fileobj.write("realization,carrier,kind,duration\n")
     for r, paths in enumerate(realizations, start):
         for c, path in enumerate(paths):
-            gap = f"{r},{c},gap,%.17g\n"
-            pair = gap + f"{r},{c},pulse,%.17g\n"
-            # blocks start at even offsets, so each one opens with a gap
-            for i in range(0, len(path.durations), _CSV_BLOCK):
-                block = path.durations[i : i + _CSV_BLOCK].tolist()
-                rows = pair * (len(block) // 2) + gap * (len(block) % 2)
-                fileobj.write(rows % tuple(block))
+            gap, d, n = f"{r},{c},gap,", path.durations, 2 * path.pulse_count
+            _write_rows(fileobj, gap, d[0:n:2], f"\n{r},{c},pulse,", d[1:n:2], "\n")
+            _write_rows(fileobj, gap, d[n:], "\n")  # the closing gap, if any
 
 
 def write_signal_csv(fileobj, signal: SampledSignal, seed: int) -> None:
-    """Sampled values with a header row carrying the grid parameters.
-
-    Values are formatted ``_CSV_BLOCK`` at a time, as in
-    :func:`write_event_csv`.
-    """
+    """Sampled values with a header row carrying the grid parameters."""
     fileobj.write("dt,n_carriers,amplitude,horizon,seed\n")
     fileobj.write(
         f"{signal.dt:.17g},{signal.n_carriers},{signal.amplitude:.17g},"
         f"{signal.horizon:.17g},{seed}\n"
     )
     fileobj.write("value\n")
-    for i in range(0, len(signal.values), _CSV_BLOCK):
-        block = signal.values[i : i + _CSV_BLOCK].tolist()
-        fileobj.write("%.17g\n" * len(block) % tuple(block))
+    _write_rows(fileobj, signal.values, "\n")

@@ -34,13 +34,14 @@ two paths per frequency:
   relative at most and 8e-7 in the median.  Pass
   ``trig_dtype=np.float64`` to make this part double precision.
 
-``workers`` threads share the direct sum of one transform: its
-frequencies are split evenly between them (numpy releases the GIL in the
-cast, trig and sum loops).  Every frequency's value comes from
-the same sums over the same event chunks, paths added in order, so the
-result does not depend on the thread count.  The binned series runs
-first, on the calling thread: run beside the direct sum, its grids would
-raise the peak memory by about as much as they hold.
+The direct sum walks each path once, in chunks of 2 * ``_EVENT_CHUNK``
+events split into pulse starts and ends, frequencies inside.  ``workers``
+threads share it: its frequencies are split evenly between them (numpy
+releases the GIL in the cast, trig and sum loops).  Every frequency adds
+the float64 sums of the same chunks in the same order, paths in order,
+so the result does not depend on the thread count.  The binned series
+runs first, on the calling thread: run beside the direct sum, its grids
+would raise the peak memory by about as much as they hold.
 
 A signal of even length L is transformed in place, in about one signal
 of memory.  Its N = L/2 complex values z[m] = x[2m] + i x[2m+1], a view
@@ -93,7 +94,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simulate import CarrierPath, SampledSignal
+from .simulate import CarrierPath, SampledSignal, _write_rows
 
 __all__ = [
     "SpectrumEstimate",
@@ -181,29 +182,6 @@ def natural_frequencies(
     return ks.astype(np.float64) / horizon
 
 
-def _fourier_sums(times: np.ndarray, freqs: np.ndarray, trig_dtype) -> tuple:
-    """(sum cos, sum sin) of 2*pi*f*t over events, one pair per frequency.
-
-    Phases are reduced modulo one cycle in float64 before the trig calls;
-    sums accumulate in float64 regardless of the trig dtype.
-    """
-    cos_out = np.zeros(len(freqs))
-    sin_out = np.zeros(len(freqs))
-    for j, f in enumerate(freqs):
-        acc_c = 0.0
-        acc_s = 0.0
-        for i in range(0, len(times), _EVENT_CHUNK):
-            x = f * times[i : i + _EVENT_CHUNK]
-            x -= np.floor(x)
-            x *= _TWO_PI
-            ph = x.astype(trig_dtype, copy=False)
-            acc_c += float(np.cos(ph).sum(dtype=np.float64))
-            acc_s += float(np.sin(ph).sum(dtype=np.float64))
-        cos_out[j] = acc_c
-        sin_out[j] = acc_s
-    return cos_out, sin_out
-
-
 def _binned_grid(ks: np.ndarray, n_events: int) -> int:
     """Grid size M of the binned path for the natural modes ``ks``, or 0
     when the direct sum is cheaper for every M.
@@ -267,53 +245,28 @@ def _binned_sums(events: list, ks: np.ndarray, grid: int, horizon: float) -> np.
 
 def _direct_sums(events: list, freqs: np.ndarray, trig_dtype) -> np.ndarray:
     """sum over events of w e^{-2 pi i f t} by the direct sum, with
-    w = +1 at pulse starts and -1 at pulse ends, paths added in order."""
+    w = +1 at pulse starts and -1 at pulse ends: phases reduced modulo one
+    cycle in float64, then per frequency the float64 cos and sin sums of
+    each path's chunks added in chunk order, the paths in order."""
     total = np.zeros(len(freqs), dtype=complex)
     for times in events:
-        c0, s0 = _fourier_sums(times[0::2], freqs, trig_dtype)
-        c1, s1 = _fourier_sums(times[1::2], freqs, trig_dtype)
+        # sums of cos and of sin over the starts (row 0) and ends (row 1)
+        c = np.zeros((2, len(freqs)))
+        s = np.zeros((2, len(freqs)))
+        for i in range(0, len(times), 2 * _EVENT_CHUNK):
+            chunk = times[i : i + 2 * _EVENT_CHUNK]
+            for half in range(2):
+                edges = chunk[half::2]
+                for j, f in enumerate(freqs):
+                    x = f * edges
+                    x -= np.floor(x)
+                    x *= _TWO_PI
+                    ph = x.astype(trig_dtype, copy=False)
+                    c[half, j] += np.cos(ph).sum(dtype=np.float64)
+                    s[half, j] += np.sin(ph).sum(dtype=np.float64)
         # sum of e^{-i w t} is (sum cos) - i (sum sin)
-        total += (c0 - c1) - 1j * (s0 - s1)
+        total += (c[0] - c[1]) - 1j * (s[0] - s[1])
     return total
-
-
-def _pulse_transform(
-    paths: Sequence[CarrierPath], freqs: np.ndarray, trig_dtype, workers: int
-) -> np.ndarray:
-    """Fourier integral of the summed unit pulse trains of ``paths``:
-    sum over pulses of (e^{-i w t0} - e^{-i w t1}) / (i w).
-
-    Natural frequencies k/T up to the cut the cost model picks go through
-    the binned series; every other frequency through the direct sum, split
-    evenly over ``min(workers, frequencies)`` threads.
-    """
-    T = paths[0].horizon
-    events = [p.events for p in paths if p.pulse_count]
-    numerator = np.zeros(len(freqs), dtype=complex)
-    if not events:
-        return numerator
-    modes = np.rint(freqs * T)
-    natural = (modes >= 1) & (np.abs(freqs * T - modes) <= _NATURAL_RTOL * modes)
-    grid = _binned_grid(modes[natural], sum(len(e) for e in events))
-    binned = natural & (modes <= grid // _OVERSAMPLE)
-    if binned.any():
-        ks = modes[binned].astype(np.intp)
-        numerator[binned] = _binned_sums(events, ks, grid, T)
-    direct = np.flatnonzero(~binned)
-    threads = min(workers, len(direct))
-    parts = np.array_split(direct, max(threads, 1))
-
-    def part_sums(part):
-        return _direct_sums(events, freqs[part], trig_dtype)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(part_sums, parts))
-    else:
-        sums = map(part_sums, parts)
-    for part, total in zip(parts, sums):
-        numerator[part] = total
-    return numerator / (1j * _TWO_PI * freqs)
 
 
 def periodogram_superposed_events(
@@ -328,8 +281,11 @@ def periodogram_superposed_events(
     The carriers' Fourier integrals add coherently before the modulus, so
     this equals the periodogram of the superposed signal with no sampling
     involved.  Pass ``[path]`` for a single carrier's pulse train.
-    ``trig_dtype`` is the trig precision of the direct sum; ``workers``
-    threads share its frequencies (the values do not depend on it).
+    The integral is the sum over pulses of (e^{-i w t0} - e^{-i w t1}) /
+    (i w).  Natural frequencies k/T up to the cut the cost model picks go
+    through the binned series; every other frequency through the direct
+    sum, with trig in ``trig_dtype``, split evenly over
+    ``min(workers, frequencies)`` threads (the values do not depend on it).
     """
     freqs = np.asarray(freqs, dtype=float)
     if np.any(freqs <= 0.0):
@@ -337,7 +293,31 @@ def periodogram_superposed_events(
     T = paths[0].horizon
     if any(p.horizon != T for p in paths):
         raise ValueError("mismatched horizons")
-    total = _pulse_transform(paths, freqs, trig_dtype, workers)
+    events = [p.events for p in paths if p.pulse_count]
+    total = np.zeros(len(freqs), dtype=complex)
+    if events:
+        modes = np.rint(freqs * T)
+        natural = (modes >= 1) & (np.abs(freqs * T - modes) <= _NATURAL_RTOL * modes)
+        grid = _binned_grid(modes[natural], sum(len(e) for e in events))
+        binned = natural & (modes <= grid // _OVERSAMPLE)
+        if binned.any():
+            ks = modes[binned].astype(np.intp)
+            total[binned] = _binned_sums(events, ks, grid, T)
+        direct = np.flatnonzero(~binned)
+        threads = min(workers, len(direct))
+        parts = np.array_split(direct, max(threads, 1))
+
+        def part_sums(part):
+            return _direct_sums(events, freqs[part], trig_dtype)
+
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                sums = list(pool.map(part_sums, parts))
+        else:
+            sums = map(part_sums, parts)
+        for part, part_total in zip(parts, sums):
+            total[part] = part_total
+        total /= 1j * _TWO_PI * freqs
     values = (2.0 * amplitude**2 / T) * np.abs(total) ** 2
     return SpectrumEstimate(
         freqs=freqs,
@@ -566,5 +546,6 @@ def logbin_spectrum(est: SpectrumEstimate, bins_per_decade: int) -> SpectrumEsti
 def write_spectrum_csv(fileobj, est: SpectrumEstimate) -> None:
     """Columns (f, S, R_eff, estimator); 17 significant digits."""
     fileobj.write("f,S,R_eff,estimator\n")
-    for f, v in zip(est.freqs, est.values):
-        fileobj.write(f"{f:.17g},{v:.17g},{est.n_averaged},{est.estimator}\n")
+    _write_rows(
+        fileobj, est.freqs, ",", est.values, f",{est.n_averaged},{est.estimator}\n"
+    )

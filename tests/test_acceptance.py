@@ -5,13 +5,14 @@ assertions hold; pytest reports any failure with the offending values.
 The heavy Monte Carlo runs are shared through module-scoped fixtures.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 import trapnoise as tn
 from trapnoise.analysis import fitted_floor_rate
-from trapnoise.analytic import ExponentialCharFn
 from trapnoise.presets import ExperimentSpec
 from trapnoise.runner import run, run_spectrum_config
 
@@ -220,7 +221,8 @@ def test_criterion_7_analytic_cross_validation():
     nu = TRAP_RATE * detrap_rate / (TRAP_RATE + detrap_rate)
     reference = tn.psd_general_pulse(
         freqs, 1.0, nu,
-        ExponentialCharFn(TRAP_RATE), ExponentialCharFn(detrap_rate),
+        partial(tn.chi_exponential, rate=TRAP_RATE),
+        partial(tn.chi_exponential, rate=detrap_rate),
     )
     # bin measurement and reference identically so the comparison is not
     # skewed by in-bin curvature of the steep f^-2 tail

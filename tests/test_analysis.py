@@ -1,5 +1,6 @@
 """Order statistics, cutoff predictions, Hooge estimates, fitting."""
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from trapnoise.analysis import (
     line_departure_frequency,
     mean_current_from_material,
 )
-from trapnoise.analytic import ExponentialCharFn, UniformRateCharFn, psd_general_pulse
+from trapnoise.analytic import chi_exponential, chi_uniform_rate, psd_general_pulse
 
 
 def mc_min_rate(gamma_min, gamma_max, k, trials, seed):
@@ -367,7 +368,8 @@ class TestFitting:
         floor, gmax, gth, nu = 2e-3, 1e3, 1.0, 0.99
         freqs = np.geomspace(1e-4, 1.0, 80)
         values = psd_general_pulse(
-            freqs, 1.0, nu, ExponentialCharFn(gth), UniformRateCharFn(floor, gmax)
+            freqs, 1.0, nu, partial(chi_exponential, rate=gth),
+            partial(chi_uniform_rate, gamma_min=floor, gamma_max=gmax),
         )
         est = SpectrumEstimate(
             freqs=freqs, values=values, n_averaged=1, estimator="event_exact"

@@ -5,6 +5,8 @@ Two independent oracles check the gap-mixture characteristic function:
 function over the rate interval, and an oscillatory-quadrature Fourier
 transform of the mixture density itself.
 """
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -22,11 +24,6 @@ from trapnoise import (
     psd_multi_carrier,
     psd_one_over_f,
     psd_poisson_pulse,
-)
-from trapnoise.analytic import (
-    ExponentialCharFn,
-    UniformRateApproxCharFn,
-    UniformRateCharFn,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -122,18 +119,18 @@ class TestChiUniformRateApprox:
 class TestCharFnProperties:
     def test_unit_at_zero_and_bounded(self):
         evaluators = [
-            ExponentialCharFn(3.0),
-            UniformRateCharFn(1e-3, 10.0),
-            UniformRateCharFn(0.0, 1e3),
-            UniformRateApproxCharFn(1e4),
+            partial(chi_exponential, rate=3.0),
+            partial(chi_uniform_rate, gamma_min=1e-3, gamma_max=10.0),
+            partial(chi_uniform_rate, gamma_min=0.0, gamma_max=1e3),
+            partial(chi_uniform_rate_approx, gamma_max=1e4),
         ]
         f = np.geomspace(1e-6, 1e6, 250)
         for chi in evaluators:
             assert chi(0.0) == pytest.approx(1.0)
             vals = np.abs(chi(f))
-            if isinstance(chi, UniformRateApproxCharFn):
+            if chi.func is chi_uniform_rate_approx:
                 # only meaningful inside its validity window
-                win = f < chi.gamma_max / (100.0 * TWO_PI)
+                win = f < chi.keywords["gamma_max"] / (100.0 * TWO_PI)
                 vals = vals[win]
             assert np.all(vals <= 1.0 + 1e-12)
 
@@ -143,7 +140,8 @@ class TestPsdGeneralPulse:
         f = np.geomspace(1e-3, 1e2, 50)
         nu = 0.75
         got = psd_general_pulse(
-            f, 1.3, nu, ExponentialCharFn(1.0), ExponentialCharFn(3.0)
+            f, 1.3, nu,
+            partial(chi_exponential, rate=1.0), partial(chi_exponential, rate=3.0),
         )
         want = psd_lorentzian(f, 1.3, nu, 1.0, 3.0)
         assert np.allclose(got, want, rtol=1e-10)
@@ -155,13 +153,17 @@ class TestPsdGeneralPulse:
         nu = 1.0 / (1.0 + detrap_mean(UniformRates(1e-4, b)))
         f = np.geomspace(1e-2, 1e1, 40)
         got = psd_general_pulse(
-            f, 1.0, nu, ExponentialCharFn(g), UniformRateApproxCharFn(b)
+            f, 1.0, nu,
+            partial(chi_exponential, rate=g),
+            partial(chi_uniform_rate_approx, gamma_max=b),
         )
         want = psd_one_over_f(f, 1.0, nu, b)
         assert np.max(np.abs(got / want - 1.0)) < 0.05
 
     def test_quadratic_amplitude_scaling(self):
-        args = (ExponentialCharFn(1.0), ExponentialCharFn(3.0))
+        args = (
+            partial(chi_exponential, rate=1.0), partial(chi_exponential, rate=3.0)
+        )
         s1 = psd_general_pulse(0.3, 1.0, 0.5, *args)
         s3 = psd_general_pulse(0.3, 3.0, 0.5, *args)
         assert s3 == pytest.approx(9.0 * s1, rel=1e-12)
@@ -169,33 +171,37 @@ class TestPsdGeneralPulse:
     def test_indeterminate_near_zero(self):
         with pytest.raises(ValueError):
             psd_general_pulse(
-                1e-300, 1.0, 0.5, ExponentialCharFn(1.0), ExponentialCharFn(3.0)
+                1e-300, 1.0, 0.5,
+                partial(chi_exponential, rate=1.0), partial(chi_exponential, rate=3.0),
             )
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             psd_general_pulse(
-                0.0, 1.0, 0.5, ExponentialCharFn(1.0), ExponentialCharFn(3.0)
+                0.0, 1.0, 0.5,
+                partial(chi_exponential, rate=1.0), partial(chi_exponential, rate=3.0),
             )
 
 
 class TestPsdPoissonPulse:
     def test_equals_general_with_exponential_pulses(self):
-        chi_gap = UniformRateCharFn(1e-3, 10.0)
+        chi_gap = partial(chi_uniform_rate, gamma_min=1e-3, gamma_max=10.0)
         for f in (1e-3, 1.0, 1e3):
-            a = psd_general_pulse(f, 1.0, 0.9, ExponentialCharFn(2.0), chi_gap)
+            chi_pulse = partial(chi_exponential, rate=2.0)
+            a = psd_general_pulse(f, 1.0, 0.9, chi_pulse, chi_gap)
             b = psd_poisson_pulse(f, 1.0, 0.9, 2.0, chi_gap)
             assert abs(a - b) / abs(b) < 1e-10
 
     def test_reproduces_full_expression_with_approx_gap(self):
         b = 1e4
         for f in (1e-2, 1.0, 1e1):
-            got = psd_poisson_pulse(f, 1.0, 0.99, 1.0, UniformRateApproxCharFn(b))
+            chi_gap = partial(chi_uniform_rate_approx, gamma_max=b)
+            got = psd_poisson_pulse(f, 1.0, 0.99, 1.0, chi_gap)
             want = psd_full_expression(f, 1.0, 0.99, 1.0, b)
             assert abs(got - want) / abs(want) < 1e-10
 
     def test_quadratic_in_amplitude(self):
-        chi_gap = UniformRateCharFn(1e-3, 10.0)
+        chi_gap = partial(chi_uniform_rate, gamma_min=1e-3, gamma_max=10.0)
         s1 = psd_poisson_pulse(0.5, 1.0, 0.9, 2.0, chi_gap)
         s2 = psd_poisson_pulse(0.5, 2.0, 0.9, 2.0, chi_gap)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)

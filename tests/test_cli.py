@@ -117,10 +117,12 @@ class TestPresets:
             ("fig3", lambda d: d.update(f_min=2.0, f_max=1.0), "f_min"),
             ("fig3", lambda d: d.update(scale=0.0), "scale"),
             ("fig3", lambda d: d.update(scale=-2.0), "scale"),
+            ("fig6", lambda d: d.update(f_min=1e-3), "f_min"),
+            ("fig6", lambda d: d.update(f_max=1.0), "f_max"),
         ],
         ids=["duplicate-label", "pmf-event-exact", "fft-no-dt", "points-zero",
              "bins-zero", "f_min-zero", "f_max-negative", "f_min-above-f_max",
-             "scale-zero", "scale-negative"],
+             "scale-zero", "scale-negative", "fft-f_min", "fft-f_max"],
     )
     def test_unrunnable_spec_rejected(self, figure, edit, field):
         d = spec_to_dict(preset(figure, scale=1000.0))
@@ -307,6 +309,17 @@ class TestRunner:
         )
         with pytest.raises(ValueError, match="freqs"):
             run_spectrum_config(cfg, workers=1)
+
+    def test_sampled_fft_rejects_freqs(self):
+        # the FFT grid is k/(L dt), so a grid passed in would be ignored
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 10.0), trapping=PoissonTrapping(1.0),
+            horizon=100.0, sample_dt=1e-2,
+        )
+        with pytest.raises(ValueError, match="freqs"):
+            run_spectrum_config(
+                cfg, estimator="sampled_fft", freqs=np.array([0.1]), workers=1
+            )
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         spec = preset("fig3", scale=200.0, seed=5)  # 5e3 horizon, R=1... scale

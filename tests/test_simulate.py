@@ -24,8 +24,8 @@ from trapnoise import (
 from trapnoise import simulate
 from trapnoise.distributions import escape_times, sample_rate
 from trapnoise.simulate import (
-    _CSV_BLOCK, _HIST_BLOCK, _cycle_time_guess, occupancy_counts, write_event_csv,
-    write_signal_csv,
+    _CSV_BLOCK, _HIST_BLOCK, _cycle_time_guess, _write_rows, occupancy_counts,
+    write_event_csv, write_signal_csv,
 )
 
 
@@ -433,6 +433,49 @@ class TestExports:
         write_signal_csv(buf, sig, seed=9)
         _, _, body = buf.getvalue().partition("value\n")
         assert body == "".join(f"{v:.17g}\n" for v in values)
+
+
+def awkward_floats(n, seed):
+    """Floats over many decades, with whole numbers, zeros and extremes."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    x[::5] = np.rint(rng.normal(scale=1e4, size=len(x[::5])))
+    x[:6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e22, 0.1]
+    return x
+
+
+class TestBlockedRows:
+    """``_write_rows`` writes the bytes of one f-string per row."""
+
+    N = _CSV_BLOCK + 1
+
+    def test_pmf_rows(self):
+        pmf, model = awkward_floats(self.N, 1), awkward_floats(self.N, 2)
+        buf = io.StringIO()
+        _write_rows(buf, np.arange(self.N), ",", pmf, ",", model, "\n")
+        want = "".join(
+            f"{k},{p:.17g},{m:.17g}\n" for k, (p, m) in enumerate(zip(pmf, model))
+        )
+        assert buf.getvalue() == want
+
+    def test_curves_rows(self):
+        tau = awkward_floats(self.N, 3)
+        mixture = awkward_floats(self.N, 4)
+        components = [awkward_floats(self.N, 5 + i) for i in range(10)]
+        buf = io.StringIO()
+        columns = [mixture] + components
+        _write_rows(buf, tau, *(piece for c in columns for piece in (",", c)), "\n")
+        want = []
+        for i, t in enumerate(tau):
+            row = [f"{t:.17g}", f"{mixture[i]:.17g}"]
+            row += [f"{comp[i]:.17g}" for comp in components]
+            want.append(",".join(row) + "\n")
+        assert buf.getvalue() == "".join(want)
+
+    def test_percent_in_fixed_text_is_written_verbatim(self):
+        buf = io.StringIO()
+        _write_rows(buf, "%d%%", np.array([1.5, 2.0]), ",%s 100%\n")
+        assert buf.getvalue() == "%d%%1.5,%s 100%\n%d%%2,%s 100%\n"
 
 
 class TestConfigValidation:

@@ -19,8 +19,10 @@ from trapnoise import (
     simulate_realization,
     superpose,
 )
+from trapnoise import spectra
+from trapnoise.simulate import _CSV_BLOCK
 from trapnoise.spectra import (
-    _OVERSAMPLE, _binned_grid, write_spectrum_csv,
+    _EVENT_CHUNK, _OVERSAMPLE, _TWO_PI, _binned_grid, write_spectrum_csv,
 )
 
 
@@ -243,6 +245,84 @@ class TestThreadedTransform:
         assert threaded.values.tobytes() == serial.values.tobytes()
         # one frequency runs on the calling thread; two get two threads
         assert thread_pools == ([] if n_direct == 1 else [2])
+
+
+def fourier_sums_by_frequency(times, freqs, trig_dtype):
+    """Reference: (sum cos, sum sin) of 2 pi f t over ``times``, one
+    frequency at a time, each over ``_EVENT_CHUNK`` chunks of the times."""
+    cos_out = np.zeros(len(freqs))
+    sin_out = np.zeros(len(freqs))
+    for j, f in enumerate(freqs):
+        acc_c = 0.0
+        acc_s = 0.0
+        for i in range(0, len(times), _EVENT_CHUNK):
+            x = f * times[i : i + _EVENT_CHUNK]
+            x -= np.floor(x)
+            x *= _TWO_PI
+            ph = x.astype(trig_dtype, copy=False)
+            acc_c += float(np.cos(ph).sum(dtype=np.float64))
+            acc_s += float(np.sin(ph).sum(dtype=np.float64))
+        cos_out[j] = acc_c
+        sin_out[j] = acc_s
+    return cos_out, sin_out
+
+
+def direct_sums_by_frequency(events, freqs, trig_dtype):
+    """Reference: the direct sum that took the starts and the ends of each
+    path as two separate passes, frequencies outside and chunks inside."""
+    total = np.zeros(len(freqs), dtype=complex)
+    for times in events:
+        c0, s0 = fourier_sums_by_frequency(times[0::2], freqs, trig_dtype)
+        c1, s1 = fourier_sums_by_frequency(times[1::2], freqs, trig_dtype)
+        total += (c0 - c1) - 1j * (s0 - s1)
+    return total
+
+
+class TestDirectSumOrder:
+    """The direct sum walks each path once in chunks of 2 * _EVENT_CHUNK
+    events, with the bytes of the reference that ran frequency by
+    frequency over the starts and the ends apart."""
+
+    T = 1e6
+
+    def paths(self):
+        rng = np.random.default_rng(11)
+        long = rng.exponential(size=2 * (2 * _EVENT_CHUNK + 5) + 1)
+        short = rng.exponential(size=7)
+        return [
+            CarrierPath(long * (self.T / long.sum()), horizon=self.T),
+            CarrierPath(short * (self.T / short.sum()), horizon=self.T),
+            CarrierPath(np.array([self.T]), horizon=self.T),  # no pulse
+        ]
+
+    def freqs(self):
+        natural = np.array([1.0, 3.0, 40.0, 1000.0, 123457.0]) / self.T
+        between = np.array([2.37, 57.5, 98765.4321]) / self.T
+        return np.sort(np.concatenate([natural, between]))
+
+    @pytest.mark.parametrize("trig_dtype", [np.float32, np.float64])
+    def test_same_bytes_as_the_reference(self, monkeypatch, trig_dtype):
+        paths, freqs = self.paths(), self.freqs()
+        events = [p.events for p in paths if p.pulse_count]
+        # the long path ends in a short chunk
+        assert len(events[0]) % (2 * _EVENT_CHUNK) == 10
+        assert len(events[0]) > 2 * (2 * _EVENT_CHUNK)
+        got = spectra._direct_sums(events, freqs, trig_dtype)
+        want = direct_sums_by_frequency(events, freqs, trig_dtype)
+        assert got.tobytes() == want.tobytes()
+
+        estimates = [
+            periodogram_superposed_events(
+                paths, 1.0, freqs, trig_dtype=trig_dtype, workers=workers
+            )
+            for workers in (1, 2, 3)
+        ]
+        monkeypatch.setattr(spectra, "_direct_sums", direct_sums_by_frequency)
+        reference = periodogram_superposed_events(
+            paths, 1.0, freqs, trig_dtype=trig_dtype
+        )
+        for est in estimates:
+            assert est.values.tobytes() == reference.values.tobytes()
 
 
 class TestFftEstimator:
@@ -615,3 +695,22 @@ class TestCsvExport:
         parsed = [line.split(",") for line in lines[1:]]
         assert [float(p[1]) for p in parsed] == list(values)
         assert all(p[2] == "3" and p[3] == "event_exact" for p in parsed)
+
+    @pytest.mark.parametrize("estimator", ["event_exact", "100% %s %d %%"])
+    def test_rows_match_one_f_string_per_row(self, estimator):
+        # one block and one row more; a % in the estimator goes out as it is
+        n = _CSV_BLOCK + 1
+        rng = np.random.default_rng(3)
+        freqs = np.cumsum(rng.exponential(size=n))
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        values[::4] = np.rint(values[::4] * 1e-290)
+        est = SpectrumEstimate(
+            freqs=freqs, values=values, n_averaged=7, estimator=estimator
+        )
+        buf = io.StringIO()
+        write_spectrum_csv(buf, est)
+        want = "f,S,R_eff,estimator\n" + "".join(
+            f"{f:.17g},{v:.17g},{est.n_averaged},{est.estimator}\n"
+            for f, v in zip(est.freqs, est.values)
+        )
+        assert buf.getvalue() == want
