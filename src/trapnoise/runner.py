@@ -5,8 +5,13 @@ A run of several realizations fans them out to a pool of ``workers``
 processes; a run of one realization computes it in this process, and its
 event-exact transform splits its frequencies over ``workers`` threads,
 its sampled periodogram the blocks of its in-place FFT over two.  A
-sampled realization counts its occupancy histogram first, because the
-transform overwrites the signal.
+sampled realization simulates its carriers ``_CARRIER_GROUP`` at a time
+while ``superpose`` adds them into the signal, so only a group's paths
+are alive beside it; the pulse count and free time are tallied in
+carrier order, the same sums as over the whole list.  It counts its
+occupancy histogram before the transform, which then keeps the spectrum
+and its grid in the signal's memory.  An event-exact realization
+simulates all its carriers at once.
 
 Artifacts per experiment ``name``:
 
@@ -59,6 +64,10 @@ from .spectra import (
 
 __all__ = ["run", "run_spectrum_config", "RunResult"]
 
+# carriers per group that a sampled realization simulates and superposes
+# before it simulates the next, so only one group's paths are alive
+_CARRIER_GROUP = 64
+
 
 @dataclass
 class RealizationResult:
@@ -82,23 +91,38 @@ class RunResult:
 
 
 def _one_realization(config, estimator, freqs, threads, realization) -> RealizationResult:
-    paths = simulate_realization(config, realization)
+    counts = {"pulse_count": 0, "free_time": 0}
     hist = None
     if estimator == "sampled_fft":
-        signal = superpose(paths, config.amplitude, config.sample_dt)
+
+        def paths():
+            # carrier groups simulated as superpose reads them, tallied in
+            # carrier order; each group is dropped once it is added in
+            for lo in range(0, config.n_carriers, _CARRIER_GROUP):
+                carriers = range(lo, min(lo + _CARRIER_GROUP, config.n_carriers))
+                group = simulate_realization(config, realization, carriers)
+                _tally(counts, group)
+                yield from group
+
+        signal = superpose(paths(), config.amplitude, config.sample_dt)
         # the transform overwrites the signal, so it is counted first
         hist = occupancy_counts(signal)
         est = periodogram_fft(signal, workers=threads, overwrite=True)
     else:
+        paths = simulate_realization(config, realization)
+        _tally(counts, paths)
         est = periodogram_superposed_events(
             paths, config.amplitude, freqs, workers=threads
         )
-    return RealizationResult(
-        spectrum=est,
-        pulse_count=sum(p.pulse_count for p in paths),
-        free_time=sum(p.free_time for p in paths),
-        hist=hist,
-    )
+    return RealizationResult(spectrum=est, hist=hist, **counts)
+
+
+def _tally(counts: dict, paths) -> None:
+    """Add the pulses and free time of ``paths`` to ``counts``, in path
+    order, so a realization's totals do not depend on how it is split."""
+    for p in paths:
+        counts["pulse_count"] += p.pulse_count
+        counts["free_time"] += p.free_time
 
 
 def _worker_count(workers: Optional[int]) -> int:

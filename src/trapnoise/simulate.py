@@ -25,8 +25,13 @@ with about 1.1 drawn per kept) and keeps 16 (durations and end times).
 pulses' rising (+1) and falling (-1) sample indices added in with
 ``np.add.at``, a group of carriers at a time, then its prefix sum, then
 the pulse height, all in place.  The sums are over whole numbers, so
-they are exact.  ``occupancy_counts`` counts the signal in blocks of
-``_HIST_BLOCK`` samples.
+they are exact.  It takes any iterable of paths and reads each once, so
+a producer can simulate the carriers while it adds them in (the
+runner's sampled realizations do), and only the paths of the groups in
+flight are alive beside the signal.  ``simulate_realization`` makes the
+paths of any range of a realization's carriers, the same as the whole
+realization's at those indices.  ``occupancy_counts`` counts the signal
+in blocks of ``_HIST_BLOCK`` samples.
 
 Every CSV row of the package is written by ``_write_rows``, in blocks
 of ``_CSV_BLOCK`` rows.
@@ -38,7 +43,7 @@ bit-identical for a given config regardless of how work is distributed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -183,7 +188,10 @@ class SampledSignal:
     """Superposed current sampled on a uniform grid.
 
     ``values[k]`` is the current at time ``k * dt``: the pulse height
-    times the number of carriers free at that instant.
+    times the number of carriers free at that instant.  An even-length
+    signal passed to ``periodogram_fft(..., overwrite=True)`` gives its
+    memory to the spectrum: ``values`` then holds the frequency grid and
+    the periodogram, not samples, and keeps its length.
     """
 
     values: np.ndarray
@@ -251,11 +259,17 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     return path
 
 
-def simulate_realization(config: SimConfig, realization: int) -> list[CarrierPath]:
-    """All carrier paths of one realization, each on its own sub-stream."""
+def simulate_realization(
+    config: SimConfig, realization: int, carriers: Optional[range] = None
+) -> list[CarrierPath]:
+    """The paths of the ``carriers`` (default: all) of one realization,
+    each on its own sub-stream, so the paths of a range of carriers are
+    those of the whole realization at the same indices."""
+    if carriers is None:
+        carriers = range(config.n_carriers)
     return [
         simulate_carrier(config, carrier_stream(config.seed, realization, c))
-        for c in range(config.n_carriers)
+        for c in carriers
     ]
 
 
@@ -264,46 +278,58 @@ def empirical_nu(path: CarrierPath) -> float:
     return path.pulse_count / path.horizon
 
 
+def _add_bounds(delta: np.ndarray, group: list, dt: float) -> None:
+    """Add the rising (+1) and falling (-1) sample indices of a group of
+    ``pulse_bounds`` into the increments ``delta`` (one past the samples)."""
+    for times, step in zip(zip(*group), (1.0, -1.0)):
+        k = np.ceil(np.concatenate(times) / dt).astype(np.int64)
+        np.clip(k, 0, len(delta) - 1, out=k)
+        np.add.at(delta, k, step)
+
+
 def superpose(
-    paths: Sequence[CarrierPath], amplitude: float, dt: float
+    paths: Iterable[CarrierPath], amplitude: float, dt: float
 ) -> SampledSignal:
     """Sample the summed current of independent carriers on a uniform grid.
 
     State changes are located exactly; the only discretization is the
-    sampling itself.  All paths must share the same horizon.
+    sampling itself.  ``paths`` may be any iterable of paths, a generator
+    included: each path is read as it arrives and dropped once its group
+    is added in, so a producer that makes the paths a few carriers at a
+    time keeps only those alive.  All paths must share the same horizon.
     """
-    if not paths:
-        raise ValueError("need at least one carrier path")
-    T = paths[0].horizon
-    if any(p.horizon != T for p in paths):
-        raise ValueError("mismatched horizons")
-    n_samples = _sample_count(T, dt)
-    if n_samples < 1:
-        raise ValueError("horizon shorter than one sample interval")
-
     # carrier free on [t0, t1) contributes to samples ceil(t0/dt) .. ceil(t1/dt)-1;
     # one float64 array holds the increments, then the occupancy; both
     # are whole numbers far below 2**53, so every sum is exact
-    delta = np.zeros(n_samples + 1)
+    delta = None
     group: list = []
-    size = 0
-    for i, p in enumerate(paths):
+    size = n_carriers = 0
+    for p in paths:
+        if delta is None:
+            T = p.horizon
+            n_samples = _sample_count(T, dt)
+            if n_samples < 1:
+                raise ValueError("horizon shorter than one sample interval")
+            delta = np.zeros(n_samples + 1)
+        elif p.horizon != T:
+            raise ValueError("mismatched horizons")
+        n_carriers += 1
         group.append(p.pulse_bounds())
         size += 2 * p.pulse_count
-        if size >= _SUPERPOSE_GROUP or i == len(paths) - 1:
-            # a group's rising (+1) and falling (-1) sample indices
-            for times, step in zip(zip(*group), (1.0, -1.0)):
-                k = np.ceil(np.concatenate(times) / dt).astype(np.int64)
-                np.clip(k, 0, n_samples, out=k)
-                np.add.at(delta, k, step)
+        if size >= _SUPERPOSE_GROUP:
+            _add_bounds(delta, group, dt)
             group, size = [], 0
+    if delta is None:
+        raise ValueError("need at least one carrier path")
+    if group:
+        _add_bounds(delta, group, dt)
     values = delta[:n_samples]
     np.cumsum(values, out=values)
     values *= amplitude
     return SampledSignal(
         values=values,
         dt=dt,
-        n_carriers=len(paths),
+        n_carriers=n_carriers,
         amplitude=amplitude,
         horizon=T,
     )

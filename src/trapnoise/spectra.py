@@ -59,8 +59,15 @@ in long double, each rounded once (a twiddle from ``exp`` of a float64
 phase made the smallest ordinates twice as noisy as numpy's rfft).  Each
 pass runs in fixed blocks, which ``min(workers, 2)`` threads share
 (scipy releases the GIL); N1 and the blocks depend on L alone, so no
-value depends on the thread count.  ``periodogram_fft`` transforms a
-copy unless told it may overwrite the signal.  An odd L takes one rfft.
+value depends on the thread count.  The unpack's blocks hold N1/256
+rows, so its temporaries stay near 1/64 of the signal, and the spectrum
+is allocated only for the unpack: the transform needs about half a
+signal beyond the buffer it transforms.  Then the spectrum moves into
+the second half of that buffer and the grid k/(L dt) is written into
+its first half, block by block, so ``freqs`` and ``values`` are views
+of the one buffer.  ``periodogram_fft`` transforms a copy unless told
+it may overwrite the signal; in overwrite mode the spectrum and its
+grid take over the signal's buffer.  An odd L takes one rfft.
 
 Accuracy, on integer random walks with three seeds per length, as the
 largest error over the spectrum in units of the mean ordinate: against
@@ -89,6 +96,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,9 +118,16 @@ _TWO_PI = 2.0 * np.pi
 _PI_LONG = np.arccos(np.longdouble(-1))
 _EVENT_CHUNK = 1 << 16  # fixed so results do not depend on scheduling
 # columns per block of the four-step FFT's column pass, and rows per block
-# of its row pass and of the unpack, fixed likewise
+# of its row pass, fixed likewise
 _COLUMN_BLOCK = 32
 _ROW_BLOCK = 16
+# the unpack takes N1 / _UNPACK_SHARE rows per block (at least one), so
+# its few block-sized temporaries stay near 1/64 of the signal at every
+# length; its values do not depend on the block
+_UNPACK_SHARE = 256
+# frequencies per block of the sampled grid, written without a temporary
+# as long as the grid
+_GRID_BLOCK = 1 << 16
 # Binned path: P Taylor terms on a grid oversampled 8x over the highest
 # mode, so the series is off by at most (pi/8)^10/10! = 2.4e-11 per event.
 _TAYLOR_TERMS = 10
@@ -368,9 +383,6 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     cols = n // rows
     half = rows // 2
     z = x.view(np.complex128).reshape(rows, cols)
-    # the big array is allocated here, so no thread arena holds it
-    values = np.empty(n)
-    grid = values.reshape(cols, rows)
     # the unpack makes 2 X_k, so its powers are scaled by a quarter
     quarter = scale / 4
     k1 = np.arange(rows)
@@ -382,6 +394,7 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     # -i W_L^k = row_twiddle[k1] col_twiddle[k2] for k = k1 + N1 k2
     row_twiddle = -1j * _unit_roots(k1, len(x))[:, None]
     col_twiddle = _unit_roots(np.arange(cols) * rows, len(x))
+    unpack_step = max(1, rows // _UNPACK_SHARE)
 
     def column_ffts(starts):
         buf = np.empty((rows, _COLUMN_BLOCK), dtype=complex)
@@ -404,18 +417,19 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     def doubled(zk, zm, twiddle):
         """2 X_k = 2 E_k + 2 W O_k and 2 conj X_{N-k} = 2 E_k - 2 W O_k,
         for the rows ``zk``, the rows ``zm`` that hold conj Z_{N-k} at the
-        same places, and ``twiddle`` = -i W."""
+        same places, and ``twiddle`` = -i W; ``zm`` and ``twiddle`` are
+        fresh arrays, overwritten with W O_k and the second result."""
         plus = zk + zm
-        odd = zk - zm
+        odd = np.subtract(zk, zm, out=zm)
         odd *= twiddle
-        minus = plus - odd
+        minus = np.subtract(plus, odd, out=twiddle)
         plus += odd
         return plus, minus
 
     def unpack_rows(starts):
         # row k1 of the spectrum pairs with row N1 - k1, reversed
         for a in starts:
-            b = min(a + _ROW_BLOCK, half + 1)
+            b = min(a + unpack_step, half + 1)
             plus, minus = doubled(
                 z[a:b],
                 z[rows - a : rows - b : -1, ::-1].conj(),
@@ -428,19 +442,23 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
             c = min(b, (rows + 1) // 2)
             grid[::-1, rows - c : rows - a] = _power(minus[: c - a], quarter)[::-1].T
 
-    passes = [
-        (column_ffts, range(0, cols, _COLUMN_BLOCK)),
-        (row_ffts, range(0, rows, _ROW_BLOCK)),
-        (unpack_rows, range(1, half + 1, _ROW_BLOCK)),
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for fn, blocks in passes:
+    with ThreadPoolExecutor(max_workers=2) if workers > 1 else nullcontext() as pool:
+
+        def run_pass(fn, blocks):
+            if pool is None:
+                fn(blocks)
+            else:
                 cut = len(blocks) // 2
                 list(pool.map(fn, (blocks[:cut], blocks[cut:])))
-    else:
-        for fn, blocks in passes:
-            fn(blocks)
+
+        run_pass(column_ffts, range(0, cols, _COLUMN_BLOCK))
+        del table, coarse, fine  # the column twiddles are used up
+        run_pass(row_ffts, range(0, rows, _ROW_BLOCK))
+        # the spectrum is allocated only now, beside the transformed z,
+        # and on this thread, so no thread arena holds it
+        values = np.empty(n)
+        grid = values.reshape(cols, rows)
+        run_pass(unpack_rows, range(1, half + 1, unpack_step))
     # row 0 pairs with itself: Z_{N - N1 k2} = Z[0, -k2 mod N2]
     plus, minus = doubled(z[0], np.roll(z[0, ::-1], 1).conj(), -1j * col_twiddle)
     grid[:-1, rows - 1] = _power(plus[1:], quarter)
@@ -467,25 +485,37 @@ def periodogram_fft(
     An even length L goes through the in-place four-step FFT on
     ``min(workers, 2)`` threads (the values do not depend on it), of a
     copy of the signal unless ``overwrite`` allows it to use the signal's
-    own memory, which it then leaves holding no samples; an odd length
-    goes through a single rfft and leaves the signal as it was.
+    own memory.  Either way the spectrum and its grid take over the
+    transformed buffer: ``freqs`` is a view of its first half and
+    ``values`` of its second, so with ``overwrite`` the signal's values
+    hold the grid and the spectrum, not samples.  An odd length goes
+    through a single rfft and leaves the signal as it was.
     """
     x = np.asarray(signal.values, dtype=float)
     if x.size < 2:
         raise ValueError("signal too short")
     length = x.size
     scale = 2.0 * signal.dt / length
+    n = length // 2
     if length % 2 == 0:
         x = np.array(x, order="C", copy=None if overwrite else True)
-        values = _four_step_periodogram(x, scale, workers)
+        spectrum = _four_step_periodogram(x, scale, workers)
+        # the transform is done with x: the spectrum moves into its second
+        # half and the grid is written into its first
+        freqs, values = x[:n], x[n:]
+        values[...] = spectrum
+        del spectrum
     else:
         spectrum = np.fft.rfft(x)
         values = np.abs(spectrum[1:])
         del spectrum
         np.square(values, out=values)
         values *= scale
-    freqs = np.arange(1, len(values) + 1, dtype=np.float64)
-    freqs /= length * signal.dt
+        freqs = np.empty(n)
+    for i in range(0, n, _GRID_BLOCK):
+        block = freqs[i : i + _GRID_BLOCK]
+        block[...] = np.arange(i + 1, i + 1 + len(block), dtype=np.float64)
+        block /= length * signal.dt
     return SpectrumEstimate(
         freqs=freqs,
         values=values,

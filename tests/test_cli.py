@@ -411,6 +411,25 @@ class TestRunner:
         assert thread_pools == []
         assert pooled.spectrum.values.tobytes() == serial.spectrum.values.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sampled_realization_peaks_near_one_and_a_half_signals(self, workers):
+        import tracemalloc
+
+        import scipy.fft  # noqa: F401  (the transform imports it lazily)
+
+        cfg = preset("fig6", scale=64).runs[0][1]  # 1000 carriers, L = 2^20
+        signal_bytes = 8 * (1 << 20)
+        tracemalloc.start()
+        try:
+            res = run_spectrum_config(cfg, estimator="sampled_fft", workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.spectrum.values) == 1 << 19
+        # the signal, then the spectrum beside it; the carrier paths are
+        # simulated a group at a time and the grid goes into the signal
+        assert peak <= 1.6 * signal_bytes
+
     def test_event_export_holds_one_realization(self, tmp_path):
         import tracemalloc
 

@@ -241,6 +241,19 @@ class TestDeterminism:
         b = simulate_realization(cfg, 5)
         assert all(np.array_equal(x.durations, y.durations) for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("step", [1, 2, 3, 5])
+    def test_carrier_ranges_concatenate_to_the_realization(self, step):
+        cfg = make_config(n_carriers=5)
+        whole = simulate_realization(cfg, 2)
+        pieces = [
+            path
+            for lo in range(0, 5, step)
+            for path in simulate_realization(cfg, 2, range(lo, min(lo + step, 5)))
+        ]
+        assert len(pieces) == len(whole)
+        for got, want in zip(pieces, whole):
+            assert got.durations.tobytes() == want.durations.tobytes()
+
     def test_streams_differ_by_index(self):
         cfg = make_config()
         p0 = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
@@ -293,6 +306,28 @@ class TestSuperpose:
         p2 = CarrierPath(durations=np.array([1.0, 2.0]), horizon=3.0)
         with pytest.raises(ValueError):
             superpose([p1, p2], 1.0, 0.1)
+
+    def test_mismatch_mid_stream_rejected(self):
+        cfg = make_config(n_carriers=3, horizon=50.0)
+        late = CarrierPath(durations=np.array([1.0, 2.0]), horizon=3.0)
+        stream = iter(simulate_realization(cfg, 0) + [late])
+        with pytest.raises(ValueError, match="mismatched horizons"):
+            superpose(stream, 1.0, 0.1)
+
+    @pytest.mark.parametrize("empty", [[], (), iter([])])
+    def test_no_paths_rejected(self, empty):
+        with pytest.raises(ValueError, match="need at least one carrier path"):
+            superpose(empty, 1.0, 0.1)
+
+    def test_generator_gives_the_list_bytes(self, monkeypatch):
+        # a small group, so the stream crosses several add-in groups
+        monkeypatch.setattr(simulate, "_SUPERPOSE_GROUP", 64)
+        cfg = make_config(n_carriers=7, horizon=300.0)
+        paths = simulate_realization(cfg, 1)
+        want = superpose(paths, 1.5, 0.1)
+        got = superpose((p for p in paths), 1.5, 0.1)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.n_carriers == want.n_carriers == 7
 
     def test_all_trapped_gives_zero_signal(self):
         paths = [CarrierPath(durations=np.array([5.0]), horizon=5.0) for _ in range(3)]

@@ -22,7 +22,7 @@ from trapnoise import (
 from trapnoise import spectra
 from trapnoise.simulate import _CSV_BLOCK
 from trapnoise.spectra import (
-    _EVENT_CHUNK, _OVERSAMPLE, _TWO_PI, _binned_grid, write_spectrum_csv,
+    _EVENT_CHUNK, _GRID_BLOCK, _OVERSAMPLE, _TWO_PI, _binned_grid, write_spectrum_csv,
 )
 
 
@@ -463,17 +463,33 @@ class TestFourStepPeriodogram:
     def test_overwriting_transform_allocates_little_beyond_the_spectrum(self):
         import tracemalloc
 
+        import scipy.fft  # noqa: F401  (the transform imports it lazily)
+
         length = 1 << 20
         sig = _sampled(_walk(length))
         tracemalloc.start()
         try:
-            est = periodogram_fft(sig, overwrite=True)
+            periodogram_fft(sig, overwrite=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the spectrum alone is half a signal; the frequency grid is made
-        # after the transform
-        assert peak - est.freqs.nbytes <= 0.75 * sig.values.nbytes
+        # the spectrum alone is half a signal; it and the frequency grid
+        # then move into the signal's memory
+        assert peak <= 0.6 * sig.values.nbytes
+
+    # N = L/2 across several blocks of the grid, and past the last one
+    @pytest.mark.parametrize("length", [2, 1000, 2 * (3 * _GRID_BLOCK + 5)])
+    def test_spectrum_and_grid_take_over_the_signal(self, length):
+        dt = 3e-3
+        values = _walk(length, seed=6)
+        want = periodogram_fft(_sampled(values.copy(), dt))
+        sig = _sampled(values, dt)
+        est = periodogram_fft(sig, overwrite=True)
+        assert np.shares_memory(est.freqs, sig.values)
+        assert np.shares_memory(est.values, sig.values)
+        grid = np.arange(1, length // 2 + 1) / (length * dt)
+        assert est.freqs.tobytes() == grid.tobytes()
+        assert est.values.tobytes() == want.values.tobytes()
 
     @pytest.mark.parametrize("length", [1000, 1001])
     def test_default_leaves_the_signal_as_it_was(self, length):

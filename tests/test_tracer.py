@@ -34,6 +34,9 @@ def tracer_module():
             "runner.tasks": 2,
         }),
         ("fig6", 1024, False, {
+            # counted on the carrier groups the runner streams into superpose
+            "simulate.pulses": 7470,
+            "simulate.gaps": 7482,
             "simulate.samples": 65536,
             "spectra.fft_len": 65536,
             "runner.tasks": 1,
