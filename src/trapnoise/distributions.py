@@ -169,15 +169,18 @@ def sample_detrap_time(model: RateModel, rng: np.random.Generator, size=None):
     return tau
 
 
-def escape_times(gamma: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
-    """Detrapping times given the rates: unit exponentials over ``gamma``.
+def escape_times(
+    gamma: np.ndarray, exponentials: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Detrapping times given the rates: unit exponentials over ``gamma``,
+    written into ``out`` when it is given.
 
     A zero rate gives ``inf`` (the carrier never escapes).
     """
-    with np.errstate(divide="ignore"):
-        return np.where(
-            gamma > 0.0, exponentials / np.where(gamma > 0.0, gamma, 1.0), np.inf
-        )
+    if out is None:
+        out = np.empty(np.broadcast(gamma, exponentials).shape)
+    out[...] = np.inf
+    return np.divide(exponentials, gamma, out=out, where=gamma > 0.0)
 
 
 def _bounds(model: RateModel) -> tuple[float, float]:

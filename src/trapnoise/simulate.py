@@ -78,8 +78,9 @@ _CSV_BLOCK = 1 << 14
 # counting makes no temporary as large as the signal
 _HIST_BLOCK = 1 << 16
 # ``superpose`` adds the pulse bounds of whole carriers with one np.add.at
-# call per group of at least this many, so many short paths take few calls
-_SUPERPOSE_GROUP = 1 << 16
+# call per group of at least this many, so many short paths take few calls,
+# and the group's paths and index arrays beside the signal stay small
+_SUPERPOSE_GROUP = 1 << 14
 
 
 def _sample_count(horizon: float, dt: float) -> int:
@@ -189,9 +190,11 @@ class SampledSignal:
 
     ``values[k]`` is the current at time ``k * dt``: the pulse height
     times the number of carriers free at that instant.  An even-length
-    signal passed to ``periodogram_fft(..., overwrite=True)`` gives its
-    memory to the spectrum: ``values`` then holds the frequency grid and
-    the periodogram, not samples, and keeps its length.
+    signal passed to ``periodogram_fft(..., overwrite=True)`` is
+    transformed in its own memory, with no spectrum-sized array beside
+    it, and gives that memory to the spectrum: ``values`` then holds the
+    frequency grid and the periodogram, not samples, and keeps its
+    length.
     """
 
     values: np.ndarray
@@ -234,13 +237,13 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     while total < T:
         n = max(16, int(1.1 * (T - total) / guess) + 1)
         block = np.empty(2 * n)
-        gamma = np.asarray(sample_rate(config.rates, rng, n), dtype=float)
-        block[0::2] = escape_times(gamma, rng.standard_exponential(n))
+        gamma = sample_rate(config.rates, rng, n)
+        escape_times(gamma, rng.standard_exponential(n), out=block[0::2])
         block[1::2] = rng.exponential(theta_scale, n)
         blocks.append(block)
         block_total = block[0::2].sum() + block[1::2].sum()
         total = total + block_total if np.isfinite(block_total) else np.inf
-    interleaved = np.concatenate(blocks)
+    interleaved = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     del blocks, block, gamma  # the loop variables hold the last block's draw
 
     prefix = interleaved.astype(np.longdouble)

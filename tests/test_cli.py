@@ -430,6 +430,24 @@ class TestRunner:
         # simulated a group at a time and the grid goes into the signal
         assert peak <= 1.6 * signal_bytes
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sampled_realization_holds_one_signal(self, workers):
+        import tracemalloc
+
+        import scipy.fft  # noqa: F401  (the transform imports it lazily)
+
+        cfg = preset("fig6", scale=64).runs[0][1]  # 1000 carriers, L = 2^20
+        signal_bytes = 8 * (1 << 20)
+        tracemalloc.start()
+        try:
+            run_spectrum_config(cfg, estimator="sampled_fft", workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the signal, beside it a group of carrier paths while they are
+        # added in, then small blocks of the transform in its memory
+        assert peak <= 1.15 * signal_bytes
+
     def test_event_export_holds_one_realization(self, tmp_path):
         import tracemalloc
 

@@ -477,6 +477,23 @@ class TestFourStepPeriodogram:
         # then move into the signal's memory
         assert peak <= 0.6 * sig.values.nbytes
 
+    def test_overwriting_transform_holds_one_signal(self):
+        import tracemalloc
+
+        import scipy.fft  # noqa: F401  (the transform imports it lazily)
+
+        length = 1 << 20
+        sig = _sampled(_walk(length))
+        tracemalloc.start()
+        try:
+            periodogram_fft(sig, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the powers are staged in the signal's first half and moved into
+        # its second: beyond the signal only twiddle tables and blocks
+        assert peak <= 0.1 * sig.values.nbytes
+
     # N = L/2 across several blocks of the grid, and past the last one
     @pytest.mark.parametrize("length", [2, 1000, 2 * (3 * _GRID_BLOCK + 5)])
     def test_spectrum_and_grid_take_over_the_signal(self, length):
@@ -507,6 +524,38 @@ class TestFourStepPeriodogram:
         assert np.max(np.abs(est.values - want)) <= 1e-9 * want.mean()
 
 
+class TestStagedUnpack:
+    """Every layout of the staged unpack, by the rows N1 of the matrix."""
+
+    @pytest.mark.parametrize(
+        "length, rows",
+        [
+            (30030, 105),  # odd: the last pair's row straddles both halves
+            (30, 3),
+            (2 * 65537, 1),  # N prime: row 0 alone
+            (1 << 16, 128),  # even: a self-paired middle row
+            (72, 6),
+            (8, 2),
+            (2, 1),
+            (4, 1),
+            (6, 1),
+        ],
+    )
+    def test_layout_gives_the_same_bytes_every_way(self, length, rows):
+        assert spectra._rows(length // 2) == rows
+        values = _walk(length, seed=length)
+        copied = periodogram_fft(_sampled(values), workers=1)
+        for workers in (1, 2):
+            sig = _sampled(values.copy())
+            for est in (
+                periodogram_fft(sig, workers=workers),
+                periodogram_fft(sig, workers=workers, overwrite=True),
+            ):
+                assert est.values.tobytes() == copied.values.tobytes()
+        want = _one_rfft(values)
+        assert np.max(np.abs(copied.values - want)) <= 1e-9 * want.mean()
+
+
 class TestSpectrumEstimate:
     @pytest.mark.parametrize(
         "freqs, message",
@@ -528,14 +577,6 @@ class TestSpectrumEstimate:
                 freqs=freqs, values=np.ones(len(freqs)), n_averaged=1,
                 estimator="event_exact",
             )
-
-    def test_log_frequencies_taken_once(self):
-        freqs = np.geomspace(0.01, 1.0, 12)
-        est = SpectrumEstimate(
-            freqs=freqs, values=np.ones(12), n_averaged=1, estimator="event_exact"
-        )
-        assert est.log_freqs is est.log_freqs
-        assert est.log_freqs.tobytes() == np.log10(est.freqs).tobytes()
 
 
 class TestAveraging:
@@ -614,6 +655,21 @@ def logbin_by_digitize(est, bins_per_decade):
     return freqs, np.array([est.values[m].mean() for m in masks])
 
 
+def logbin_one_shot(est, bins_per_decade):
+    """Log binning from the log10 of the whole grid, searched once."""
+    logf = np.log10(est.freqs)
+    j0 = int(np.floor(logf[0] * bins_per_decade))
+    j1 = int(np.ceil(logf[-1] * bins_per_decade)) + 1
+    edges = np.arange(j0, j1 + 1) / bins_per_decade
+    cuts = np.searchsorted(logf, edges, side="left")
+    runs = np.unique(np.concatenate(([0], cuts, [len(logf)])))
+    spans = list(zip(runs[:-1], runs[1:]))
+    freqs = np.array([10.0 ** logf[a:b].mean() for a, b in spans])
+    values = np.array([est.values[a:b].mean() for a, b in spans])
+    inside = cuts[cuts < len(logf)]
+    return freqs, values, np.count_nonzero(inside[1:] == inside[:-1])
+
+
 class TestLogbin:
     def test_identity_when_one_point_per_bin(self):
         freqs = 10.0 ** (np.arange(-3, 4) + 0.31)
@@ -686,6 +742,51 @@ class TestLogbin:
         assert binned.values[0] == 1.0
         assert binned.freqs.tobytes() == want_f.tobytes()
         assert binned.values.tobytes() == want_s.tobytes()
+
+    @pytest.mark.parametrize("bins_per_decade", [4, 40])
+    @pytest.mark.parametrize("grid", ["fft", "event"])
+    def test_same_bytes_as_one_search_of_the_whole_grid(self, grid, bins_per_decade):
+        if grid == "fft":
+            # L dt = 1/16, so the 2^16 frequencies are 16 k exactly: 10^4
+            # lies on an edge, and no point between 16 and 32
+            est = periodogram_fft(_sampled(_walk(1 << 17, seed=8), 2.0**-21))
+            want = 16.0 * np.arange(1, (1 << 16) + 1)
+            assert est.freqs.tobytes() == want.tobytes()
+        else:
+            # k / 1e4 for k = 10, 100, ... lies on the edges 10^-3, 10^-2, ...
+            freqs = natural_frequencies(1e4, 1e2, points_per_decade=3)
+            rng = np.random.default_rng(bins_per_decade)
+            est = SpectrumEstimate(
+                freqs=freqs, values=rng.exponential(1.0, len(freqs)), n_averaged=1,
+                estimator="event_exact",
+            )
+        logf = np.log10(est.freqs) * bins_per_decade
+        assert np.any(logf == np.rint(logf))  # points on edges
+        want_f, want_s, empty_bins = logbin_one_shot(est, bins_per_decade)
+        assert empty_bins > 0  # runs of edges with no point between them
+        binned = logbin_spectrum(est, bins_per_decade)
+        assert binned.freqs.tobytes() == want_f.tobytes()
+        assert binned.values.tobytes() == want_s.tobytes()
+
+    @pytest.mark.parametrize("bins_per_decade, share", [(4, 0.4), (40, 0.1)])
+    def test_allocates_no_grid_sized_array(self, bins_per_decade, share):
+        import tracemalloc
+
+        # the grid of a 2^21-sample signal at fig6's dt = 1e-4, whose
+        # largest bin at 4 per decade holds 36.75% of the points
+        n = 1 << 20
+        freqs = np.arange(1, n + 1) / (2 * n * 1e-4)
+        est = SpectrumEstimate(
+            freqs=freqs, values=np.ones(n), n_averaged=1, estimator="sampled_fft"
+        )
+        tracemalloc.start()
+        try:
+            logbin_spectrum(est, bins_per_decade)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the largest temporary is the log10 of the largest bin
+        assert peak <= share * freqs.nbytes
 
     def test_pure_flicker_slope_preserved(self):
         freqs = np.geomspace(1e-2, 1e2, 900)
