@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +56,7 @@ from .simulate import (
 )
 from .spectra import (
     SpectrumEstimate,
+    _first_at_or_above,
     average_spectra,
     logbin_spectrum,
     periodogram_fft,
@@ -185,6 +187,23 @@ def run_spectrum_config(
     )
 
 
+def _onset_bins(est: SpectrumEstimate, top: float) -> SpectrumEstimate:
+    """The 4-per-decade log bins of ``est`` that ``plateau_onset`` reads
+    for a window up to ``top``: the bins of the points below the first
+    edge 10^(j/4) above ``top``.  They are the whole grid's bins below
+    that edge, point for point, and the bin that holds ``top`` is whole,
+    but the grid above the edge is never binned."""
+    edge = (math.floor(4 * math.log10(top)) + 1) / 4
+    cut = int(_first_at_or_above(est.freqs, np.array([edge]))[0])
+    head = SpectrumEstimate(
+        freqs=est.freqs[:cut],
+        values=est.values[:cut],
+        n_averaged=est.n_averaged,
+        estimator=est.estimator,
+    )
+    return logbin_spectrum(head, 4)
+
+
 def _analyze_run(spec, label, config, result, p_fit) -> dict:
     """Report entry of one run; ``p_fit`` is the mean free fraction of
     the occupancy histogram, None when no histogram was requested."""
@@ -208,7 +227,7 @@ def _analyze_run(spec, label, config, result, p_fit) -> dict:
             "by_regime": _analysis.cutoff_by_regime(config),
         }
         try:
-            onset = _analysis.plateau_onset(logbin_spectrum(est, 4), (lo, hi))
+            onset = _analysis.plateau_onset(_onset_bins(est, hi), (lo, hi))
         except ValueError:
             onset = float("nan")
         info["cutoff"]["measured_onset"] = onset

@@ -11,15 +11,20 @@ Durations are the stored record; segment end times come from one
 extended-precision prefix sum, so phase errors stay negligible even for
 ~1e8 events.  ``simulate_carrier`` keeps the times of the prefix sum it
 already takes to find the horizon, and a path built directly sums its
-durations on first use; either sum runs in place on one longdouble copy.
+durations on first use, in place on one longdouble copy.
 ``CarrierPath.events`` is the one place that reads the pulse events off
 those times: the pulse starts and ends, alternating, which the
 event-exact transform walks in chunks and ``pulse_bounds`` splits.
-A carrier's draws go straight into one interleaved float64 buffer, and
-the segment that crosses the horizon is clipped in place, so a path
-peaks at about 35 bytes per kept segment (the float64 durations, their
-longdouble prefix sum and its float64 cast, 32 bytes per drawn segment,
-with about 1.1 drawn per kept) and keeps 16 (durations and end times).
+A carrier's draws go straight into one interleaved float64 buffer.  Its
+longdouble prefix sum runs in blocks of ``_PREFIX_BLOCK`` segments, each
+block's cumsum starting from the last sum of the block before, so the
+additions are those of one cumsum over the path; each block's float64
+cast goes straight into the end times, up to the block that reaches the
+horizon.  The segment that crosses the horizon is clipped in place, and
+a path longer than one block is trimmed in place too, so a path peaks at
+about 20 bytes per kept segment (the float64 durations and end times, 16
+bytes per drawn segment, with about 1.1 drawn per kept, and one block of
+the longdouble sum) and keeps 16.
 
 ``superpose`` builds the sampled signal in one float64 array: the
 pulses' rising (+1) and falling (-1) sample indices added in with
@@ -81,6 +86,10 @@ _HIST_BLOCK = 1 << 16
 # call per group of at least this many, so many short paths take few calls,
 # and the group's paths and index arrays beside the signal stay small
 _SUPERPOSE_GROUP = 1 << 14
+# segments per block of a carrier's longdouble prefix sum; a path longer
+# than one block is trimmed in place, a shorter one copied (in place,
+# the many short paths of a sampled run left more heap behind)
+_PREFIX_BLOCK = 1 << 16
 
 
 def _sample_count(horizon: float, dt: float) -> int:
@@ -246,19 +255,38 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     interleaved = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     del blocks, block, gamma  # the loop variables hold the last block's draw
 
-    prefix = interleaved.astype(np.longdouble)
-    np.cumsum(prefix, out=prefix)
-    ends = prefix.astype(np.float64)
-    cut = int(np.searchsorted(ends, T, side="left"))
+    # the longdouble prefix sum in blocks: row 0 of the block buffer holds
+    # the last sum of the block before (0 at first), so one cumsum per
+    # block makes the same sequential additions as one over the path; its
+    # float64 cast goes into the ends until the block that reaches T
+    ends = np.empty_like(interleaved)
+    prefix = np.zeros(min(_PREFIX_BLOCK, len(interleaved)) + 1, dtype=np.longdouble)
+    for start in range(0, len(interleaved), _PREFIX_BLOCK):
+        durations = interleaved[start : start + _PREFIX_BLOCK]
+        stop = start + len(durations)
+        part = prefix[: len(durations) + 1]
+        part[1:] = durations
+        np.cumsum(part, out=part)
+        ends[start:stop] = part[1:]
+        if ends[stop - 1] >= T:  # the float64 end, as the search reads it
+            break
+        prefix[0] = part[-1]
+    cut = start + int(np.searchsorted(ends[start:stop], T))
     if cut < len(interleaved):
         # clip the segment that crosses the horizon (positive, as its start
         # is below T) and end it as the path's own prefix sum would
         interleaved[cut] = T - (ends[cut - 1] if cut else 0.0)
-        ends[cut] = (prefix[cut - 1] if cut else 0.0) + interleaved[cut]
+        ends[cut] = part[cut - start] + interleaved[cut]
         cut += 1
-    del prefix  # free the extended-precision sum before the copies
-    path = CarrierPath(durations=interleaved[:cut].copy(), horizon=T)
-    path._set_times(ends[:cut].copy())
+    del prefix, part, durations  # durations is a view of interleaved
+    if cut > _PREFIX_BLOCK:
+        # no view of either buffer is left, so both shrink in place
+        interleaved.resize(cut, refcheck=False)
+        ends.resize(cut, refcheck=False)
+    else:
+        interleaved, ends = interleaved[:cut].copy(), ends[:cut].copy()
+    path = CarrierPath(durations=interleaved, horizon=T)
+    path._set_times(ends)
     return path
 
 

@@ -39,7 +39,15 @@ events split into pulse starts and ends, frequencies inside.  ``workers``
 threads share it: its frequencies are split evenly between them (numpy
 releases the GIL in the cast, trig and sum loops).  Every frequency adds
 the float64 sums of the same chunks in the same order, paths in order,
-so the result does not depend on the thread count.  The binned series
+so the result does not depend on the thread count.  Each call, so each
+thread, allocates one workspace of three ``_EVENT_CHUNK`` float64 rows:
+the half-chunk's starts or ends, copied contiguous once for every
+frequency; the float64 phase; and its floor, whose row, once the floor
+is subtracted, holds the float32 phases and trig values as two views.
+Every per-frequency step writes into it through ``out=``, so the direct
+sum makes no temporary per frequency, and its peak (3.1 rows with the
+sum's cast buffer) depends on neither the frequency count nor the path
+length.  The binned series
 runs first, on the calling thread: run beside the direct sum, its grids
 would raise the peak memory by about as much as they hold.
 
@@ -175,8 +183,12 @@ class SpectrumEstimate:
             raise ValueError(
                 "frequencies must be positive and finite (zero bin excluded)"
             )
-        if not np.all(f[1:] > f[:-1]):
-            raise ValueError("frequencies must be strictly increasing")
+        # in blocks, each against its predecessor's last point, so the
+        # check holds no temporary as long as the grid
+        for i in range(0, len(f) - 1, _GRID_BLOCK):
+            block = f[i : i + _GRID_BLOCK + 1]
+            if not np.all(block[1:] > block[:-1]):
+                raise ValueError("frequencies must be strictly increasing")
 
 
 def natural_frequencies(
@@ -268,8 +280,19 @@ def _direct_sums(events: list, freqs: np.ndarray, trig_dtype) -> np.ndarray:
     """sum over events of w e^{-2 pi i f t} by the direct sum, with
     w = +1 at pulse starts and -1 at pulse ends: phases reduced modulo one
     cycle in float64, then per frequency the float64 cos and sin sums of
-    each path's chunks added in chunk order, the paths in order."""
+    each path's chunks added in chunk order, the paths in order.  Every
+    step writes into one workspace of three rows: the half-chunk's edges,
+    the phase, and its floor, whose row then holds the ``trig_dtype``
+    phases and trig values (two float32 halves, or for float64 trig the
+    row itself beside the phase)."""
     total = np.zeros(len(freqs), dtype=complex)
+    work = np.empty((3, _EVENT_CHUNK))
+    edges_row, x_row, low_row = work
+    if np.dtype(trig_dtype) == np.float64:
+        ph_row, trig_row = x_row, low_row
+    else:
+        halves = low_row.view(trig_dtype)
+        ph_row, trig_row = halves[:_EVENT_CHUNK], halves[_EVENT_CHUNK:]
     for times in events:
         # sums of cos and of sin over the starts (row 0) and ends (row 1)
         c = np.zeros((2, len(freqs)))
@@ -277,14 +300,19 @@ def _direct_sums(events: list, freqs: np.ndarray, trig_dtype) -> np.ndarray:
         for i in range(0, len(times), 2 * _EVENT_CHUNK):
             chunk = times[i : i + 2 * _EVENT_CHUNK]
             for half in range(2):
-                edges = chunk[half::2]
+                half_chunk = chunk[half::2]
+                n = len(half_chunk)
+                edges, x, low = edges_row[:n], x_row[:n], low_row[:n]
+                ph, trig = ph_row[:n], trig_row[:n]
+                np.copyto(edges, half_chunk)
                 for j, f in enumerate(freqs):
-                    x = f * edges
-                    x -= np.floor(x)
-                    x *= _TWO_PI
-                    ph = x.astype(trig_dtype, copy=False)
-                    c[half, j] += np.cos(ph).sum(dtype=np.float64)
-                    s[half, j] += np.sin(ph).sum(dtype=np.float64)
+                    np.multiply(f, edges, out=x)
+                    np.floor(x, out=low)
+                    np.subtract(x, low, out=x)
+                    # a float64 product, rounded into the trig dtype
+                    np.multiply(x, _TWO_PI, out=ph, casting="same_kind")
+                    c[half, j] += np.cos(ph, out=trig).sum(dtype=np.float64)
+                    s[half, j] += np.sin(ph, out=trig).sum(dtype=np.float64)
         # sum of e^{-i w t} is (sum cos) - i (sum sin)
         total += (c[0] - c[1]) - 1j * (s[0] - s[1])
     return total

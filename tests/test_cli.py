@@ -15,6 +15,7 @@ from trapnoise import (
     spec_from_dict,
     spec_to_dict,
 )
+from trapnoise.analysis import plateau_onset
 from trapnoise.cli import main
 from trapnoise.distributions import free_probability
 from trapnoise.presets import FIG2_COMPONENT_RATES, DEFAULT_SEED
@@ -23,6 +24,7 @@ from trapnoise.runner import run, run_spectrum_config
 from trapnoise.simulate import (
     binomial_pmf, occupancy_counts, simulate_realization, superpose,
 )
+from trapnoise.spectra import SpectrumEstimate, logbin_spectrum
 
 
 class TestPresets:
@@ -485,6 +487,67 @@ class TestRunner:
             run(preset("fig2"), tmp_path / "out", workers=workers)
         assert not (tmp_path / "out").exists()
         assert thread_pools == []
+
+
+class TestOnsetBins:
+    """The plateau onset reads the 4-per-decade bins of only the points
+    below the first bin edge above the window top."""
+
+    @staticmethod
+    def onset(est, window):
+        try:
+            return plateau_onset(est, window)
+        except ValueError as exc:
+            return str(exc)
+
+    # 10 Hz is a grid point on a bin edge; 0.004 Hz lies below the grid
+    # and 1e4 Hz above it
+    @pytest.mark.parametrize("top", [10.0, 15.9, 10**1.25, 0.004, 1e4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_onset_as_the_whole_grid_binning(self, top, seed):
+        rng = np.random.default_rng(seed)
+        freqs = np.arange(1, 20001) / 100.0
+        # a flicker line that flattens below 1 Hz, with periodogram scatter
+        values = rng.exponential(size=len(freqs)) / np.maximum(freqs, 1.0)
+        est = SpectrumEstimate(freqs, values, 1, "sampled_fft")
+        whole = logbin_spectrum(est, 4)
+        try:
+            head = runner._onset_bins(est, top)
+        except ValueError:  # no point below the edge
+            assert top < freqs[0]
+        else:
+            # the first bins of the whole binning, byte for byte, and
+            # every bin at or below the top among them
+            k = len(head.freqs)
+            assert head.freqs.tobytes() == whole.freqs[:k].tobytes()
+            assert head.values.tobytes() == whole.values[:k].tobytes()
+            assert np.all(whole.freqs[k:] > top)
+            window = (top / 300, top)
+            # the same float, NaN, or error message
+            assert repr(self.onset(head, window)) == repr(self.onset(whole, window))
+
+    def test_analysis_of_a_sampled_estimate_bins_little(self):
+        import tracemalloc
+
+        spec = preset("fig6", scale=64)
+        label, cfg = spec.runs[0]
+        n = 1 << 20  # a 2^21-sample signal's grid up to 5000 Hz
+        freqs = np.arange(1, n + 1) / (2 * n * cfg.sample_dt)
+        est = SpectrumEstimate(freqs, 1.0 / freqs, 1, "sampled_fft")
+        result = runner.RunResult(
+            spectrum=est, nu_bar=1.0, mean_current=1.0, pulse_count=1, hist=None
+        )
+        runner._analyze_run(spec, label, cfg, result, None)  # lazy imports
+        tracemalloc.start()
+        try:
+            info = runner._analyze_run(spec, label, cfg, result, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "measured_onset" in info["cutoff"]
+        # the points below 10^(5/4) Hz, not the largest bin of the grid
+        # (36.75% of it)
+        assert peak <= 0.01 * freqs.nbytes
 
 
 def _amplitude_spec(gamma_min, gamma_max, n_carriers, horizon, sample_dt):

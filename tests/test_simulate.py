@@ -135,7 +135,8 @@ class TestSimulateCarrier:
 
 def simulate_carrier_three_buffers(config, rng):
     """Reference: the sampler that kept separate gap and pulse buffers,
-    interleaved them afterwards and clipped the horizon segment in copies."""
+    interleaved them afterwards, took one longdouble cumsum of the whole
+    path and clipped the horizon segment in copies."""
     T = config.horizon
     theta_scale = config.trapping.mean_time
     guess = _cycle_time_guess(config.rates, config.trapping, T)
@@ -232,6 +233,74 @@ class TestOneBufferSampler:
         assert 3e5 < len(path.durations) < 5e5
         # the prefix stage: 32 bytes per drawn segment, ~1.1 drawn per kept
         assert peak / len(path.durations) <= 40.0
+
+    def test_peak_memory_with_a_blocked_prefix(self):
+        cfg = make_config(rates=UniformRates(1e-3, 1e3), horizon=2e5)
+        rng = carrier_stream(1, 0, 0)
+        tracemalloc.start()
+        try:
+            path = simulate_carrier(cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path.durations) > 4 * simulate._PREFIX_BLOCK
+        # the durations and their float64 ends, 16 bytes per drawn segment,
+        # beside one block of the longdouble sum; 35 with a whole-path sum
+        assert peak / len(path.durations) <= 28.0
+
+
+class TestBlockedPrefix:
+    """``simulate_carrier`` takes the longdouble prefix sum in blocks with
+    the last sum carried, with the bytes of the whole-path cumsum."""
+
+    @staticmethod
+    def draws(monkeypatch):
+        sizes = []
+
+        def recording_sample_rate(model, rng, n):
+            sizes.append(n)
+            return sample_rate(model, rng, n)
+
+        monkeypatch.setattr(simulate, "sample_rate", recording_sample_rate)
+        return sizes
+
+    @staticmethod
+    def same_bytes(cfg, seed):
+        path = simulate_carrier(cfg, carrier_stream(seed, 0, 0))
+        kept, times = simulate_carrier_three_buffers(cfg, carrier_stream(seed, 0, 0))
+        assert path.durations.tobytes() == kept.tobytes()
+        assert path.segment_times().tobytes() == times.tobytes()
+        assert path.durations.flags.owndata and path.segment_times().flags.owndata
+        return path
+
+    def test_crossed_in_the_first_segment(self):
+        path = self.same_bytes(make_config(horizon=0.01), 1)
+        assert len(path.durations) == 1
+
+    def test_crossed_at_a_block_first_segment(self, monkeypatch):
+        cfg = make_config()
+        kept, _ = simulate_carrier_three_buffers(cfg, carrier_stream(0, 0, 0))
+        # blocks that end just below the crossing segment, so the clip
+        # takes the carried sum of the block before
+        monkeypatch.setattr(simulate, "_PREFIX_BLOCK", (len(kept) - 1) // 3)
+        assert (len(kept) - 1) % 3 == 0
+        self.same_bytes(cfg, 0)
+
+    def test_crossed_in_a_later_draw_block(self, monkeypatch):
+        sizes = self.draws(monkeypatch)
+        cfg = make_config(rates=UniformRates(0.0, 10.0), horizon=1e5)
+        path = self.same_bytes(cfg, 0)
+        # the crossing segment lies past the first of several draws, in a
+        # path that spans more than one block
+        assert len(sizes) > 1
+        assert len(path.durations) - 1 >= 2 * sizes[0]
+        assert len(path.durations) > simulate._PREFIX_BLOCK
+
+    def test_crossed_on_a_path_shorter_than_a_block(self, monkeypatch):
+        sizes = self.draws(monkeypatch)
+        path = self.same_bytes(make_config(), 0)
+        assert len(sizes) == 1
+        assert 1 < len(path.durations) < simulate._PREFIX_BLOCK
 
 
 class TestDeterminism:

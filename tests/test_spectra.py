@@ -325,6 +325,32 @@ class TestDirectSumOrder:
             assert est.values.tobytes() == reference.values.tobytes()
 
 
+class TestDirectSumWorkspace:
+    """The direct sum allocates one workspace per call, whatever the
+    frequency count and the path length."""
+
+    @pytest.mark.parametrize(
+        "n_freqs, n_chunks, trig_dtype",
+        [(4, 1, np.float32), (64, 1, np.float32), (4, 5, np.float32),
+         (64, 5, np.float32), (64, 5, np.float64)],
+    )
+    def test_peak_is_one_workspace(self, n_freqs, n_chunks, trig_dtype):
+        import tracemalloc
+
+        T = 1e6
+        d = np.random.default_rng(5).exponential(size=n_chunks * 2 * _EVENT_CHUNK)
+        events = [CarrierPath(d * (T / d.sum()), horizon=T).events]
+        freqs = (7 * np.arange(n_freqs) + 2.37) / T
+        tracemalloc.start()
+        try:
+            spectra._direct_sums(events, freqs, trig_dtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three _EVENT_CHUNK rows of float64 and the per-frequency sums
+        assert peak <= 3.25 * _EVENT_CHUNK * 8
+
+
 class TestFftEstimator:
     def test_constant_signal_energy_in_dropped_bin(self):
         sig = SampledSignal(
@@ -577,6 +603,34 @@ class TestSpectrumEstimate:
                 freqs=freqs, values=np.ones(len(freqs)), n_averaged=1,
                 estimator="event_exact",
             )
+
+
+    @pytest.mark.parametrize("at", [_GRID_BLOCK - 1, _GRID_BLOCK, _GRID_BLOCK + 1])
+    def test_repeat_at_a_block_boundary_rejected(self, at):
+        freqs = np.arange(1.0, 2 * _GRID_BLOCK + 3)
+        freqs[at] = freqs[at - 1]
+        with pytest.raises(ValueError, match="increasing"):
+            SpectrumEstimate(
+                freqs=freqs, values=np.ones(len(freqs)), n_averaged=1,
+                estimator="sampled_fft",
+            )
+
+    def test_grid_check_allocates_no_grid_sized_array(self):
+        import tracemalloc
+
+        n = 1 << 20
+        freqs = np.arange(1, n + 1) / (2 * n * 1e-4)
+        values = np.ones(n)
+        tracemalloc.start()
+        try:
+            SpectrumEstimate(
+                freqs=freqs, values=values, n_averaged=1, estimator="sampled_fft"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's comparison at a time
+        assert peak <= 0.01 * freqs.nbytes
 
 
 class TestAveraging:
