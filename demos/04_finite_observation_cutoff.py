@@ -11,19 +11,18 @@ floating rate floor to each run, and it moves down 100x when T moves up
 import numpy as np
 
 import trapnoise as tn
-from trapnoise.analysis import fitted_floor_rate
+from trapnoise.analysis import cutoff_by_regime, fitted_floor_rate
 
 gamma_max, trapping_rate = 1e3, 1.0
 
 for horizon in (1e4, 1e6):
-    predicted = tn.effective_cutoff(
+    predicted = cutoff_by_regime(
         tn.SimConfig(
             rates=tn.UniformRates(0.0, gamma_max),
             trapping=tn.PoissonTrapping(trapping_rate),
             horizon=horizon, seed=0,
-        ),
-        regime="long_trapping",
-    ).gamma_min_eff
+        )
+    )["long_trapping"]
     floors = []
     for seed in range(10):
         cfg = tn.SimConfig(
@@ -56,8 +55,6 @@ cfg = tn.SimConfig(
     trapping=tn.PoissonTrapping(trapping_rate),
     horizon=1e6, seed=0,
 )
-from trapnoise.analysis import cutoff_by_regime
-
 for regime, value in cutoff_by_regime(cfg).items():
     shown = "n/a (needs gamma_min > 0)" if value is None else f"{value:.3e}"
     print(f"  {regime:16s} {shown}")

@@ -34,7 +34,7 @@ cfg = tn.SimConfig(
     horizon=2**20 * 1e-4, n_carriers=1000, n_realizations=1,
     sample_dt=1e-4, seed=99,
 )
-res = run_spectrum_config(cfg, estimator="sampled_fft", workers=1)
+res = run_spectrum_config(cfg, workers=1)  # sampled: no freqs, sample_dt set
 pmf = res.hist / res.hist.sum()
 p_fit = float(np.arange(len(pmf)) @ pmf) / cfg.n_carriers
 print(f"\nN = 1000 carriers over horizon {cfg.horizon:.1f}:")

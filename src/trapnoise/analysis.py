@@ -130,34 +130,30 @@ def _cutoff_one(config: SimConfig, regime: str) -> float:
         return (1.0 + b * theta + np.log(b * T)) / T
     if regime == "long_trapping":
         return b * theta / T
-    if regime == "multi_experiment":
-        return (R + b * theta) / (R * T)
-    raise ValueError(f"unknown regime {regime!r}")
+    return (R + b * theta) / (R * T)  # multi_experiment
 
 
-def effective_cutoff(config: SimConfig, regime: str = "auto") -> CutoffPrediction:
+def effective_cutoff(config: SimConfig) -> CutoffPrediction:
     """Effective low-rate floor of a finite run.
 
-    ``regime="auto"`` picks the ergodic exact form when
-    ``gamma_min * horizon >= 1``, otherwise the nonergodic substitution
-    (``gamma_min -> 1/T``), with the multi-experiment form when several
-    realizations are averaged.  Every regime can also be requested
-    explicitly.
+    The ergodic exact form when ``gamma_min * horizon >= 1``, otherwise
+    the nonergodic substitution (``gamma_min -> 1/T``), with the
+    multi-experiment form when several realizations are averaged.
+    :func:`cutoff_by_regime` gives the floor of every regime.
     """
-    chosen = regime
-    if regime == "auto":
-        if config.rates.gamma_min * config.horizon >= 1.0:
-            chosen = "ergodic_exact"
-        elif config.n_realizations > 1:
-            chosen = "multi_experiment"
-        else:
-            chosen = "nonergodic"
-    value = _cutoff_one(config, chosen)
-    return CutoffPrediction(gamma_min_eff=float(value), regime=chosen)
+    if config.rates.gamma_min * config.horizon >= 1.0:
+        regime = "ergodic_exact"
+    elif config.n_realizations > 1:
+        regime = "multi_experiment"
+    else:
+        regime = "nonergodic"
+    value = _cutoff_one(config, regime)
+    return CutoffPrediction(gamma_min_eff=float(value), regime=regime)
 
 
 def cutoff_by_regime(config: SimConfig) -> dict:
-    """All applicable regime predictions (for reports)."""
+    """The floor of every regime by name, None where the regime does not
+    exist (``broad_range`` and ``ergodic_exact`` need gamma_min > 0)."""
     out = {}
     for regime in _REGIMES:
         try:
@@ -177,6 +173,8 @@ def hooge_alpha_predicted(trapping_rate: float, gamma_max: float) -> float:
 
 def hooge_alpha_exact(pulse_rate: float, mean_pulse: float, gamma_max: float) -> float:
     """Unapproximated form ``1 / (nu <pulse>^2 gamma_max)``."""
+    if not pulse_rate > 0.0:
+        raise ValueError("pulse rate must be positive")
     return 1.0 / (pulse_rate * mean_pulse**2 * gamma_max)
 
 

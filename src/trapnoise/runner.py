@@ -48,7 +48,7 @@ from . import analysis as _analysis
 from .analytic import one_over_f_window
 from .distributions import NonergodicError, UniformRates, detrap_pdf, free_probability
 from .presets import (
-    _ESTIMATORS, FIG2_COMPONENT_RATES, FIG2_RATE_BOUNDS, ExperimentSpec, spec_to_dict,
+    FIG2_COMPONENT_RATES, FIG2_RATE_BOUNDS, ExperimentSpec, spec_to_dict,
 )
 from .simulate import (
     SimConfig, _write_rows, binomial_pmf, occupancy_counts, simulate_realization,
@@ -92,10 +92,10 @@ class RunResult:
     hist: Optional[np.ndarray]  # occupancy counts summed over realizations
 
 
-def _one_realization(config, estimator, freqs, threads, realization) -> RealizationResult:
+def _one_realization(config, freqs, threads, realization) -> RealizationResult:
     counts = {"pulse_count": 0, "free_time": 0}
     hist = None
-    if estimator == "sampled_fft":
+    if freqs is None:
 
         def paths():
             # carrier groups simulated as superpose reads them, tallied in
@@ -138,22 +138,16 @@ def _worker_count(workers: Optional[int]) -> int:
 
 def run_spectrum_config(
     config: SimConfig,
-    estimator: str = "event_exact",
     freqs: Optional[np.ndarray] = None,
     workers: Optional[int] = None,
 ) -> RunResult:
-    """Simulate all realizations of one config and average their spectra,
-    on ``freqs`` (event_exact) or on the sampling's FFT grid (sampled_fft)."""
-    if estimator not in _ESTIMATORS:
+    """Simulate all realizations of one config and average their spectra:
+    event-exactly on ``freqs`` when they are given, otherwise by the
+    sampled FFT on its own grid k/(L dt), which needs ``sample_dt``."""
+    if freqs is None and config.sample_dt is None:
         raise ValueError(
-            f"unknown estimator {estimator!r}; choose from {_ESTIMATORS}"
+            "give freqs (event_exact) or set sample_dt in the config (sampled_fft)"
         )
-    if estimator == "sampled_fft" and config.sample_dt is None:
-        raise ValueError("sampled_fft estimator needs sample_dt in the config")
-    if estimator == "event_exact" and freqs is None:
-        raise ValueError("event_exact estimator needs freqs")
-    if estimator == "sampled_fft" and freqs is not None:
-        raise ValueError("sampled_fft estimator takes no freqs: its grid is k/(L dt)")
 
     n_workers = _worker_count(workers)
     R = config.n_realizations
@@ -161,7 +155,7 @@ def run_spectrum_config(
     # within its transform
     pooled = n_workers > 1 and R > 1
     task = functools.partial(
-        _one_realization, config, estimator, freqs, 1 if pooled else n_workers
+        _one_realization, config, freqs, 1 if pooled else n_workers
     )
     if pooled:
         chunk = max(1, R // (4 * n_workers))
@@ -195,6 +189,8 @@ def _onset_bins(est: SpectrumEstimate, top: float) -> SpectrumEstimate:
     but the grid above the edge is never binned."""
     edge = (math.floor(4 * math.log10(top)) + 1) / 4
     cut = int(_first_at_or_above(est.freqs, np.array([edge]))[0])
+    if cut == 0:  # the window lies below the grid
+        raise ValueError("empty fit window")
     head = SpectrumEstimate(
         freqs=est.freqs[:cut],
         values=est.values[:cut],
@@ -228,19 +224,26 @@ def _analyze_run(spec, label, config, result, p_fit) -> dict:
         }
         try:
             onset = _analysis.plateau_onset(_onset_bins(est, hi), (lo, hi))
-        except ValueError:
-            onset = float("nan")
-        info["cutoff"]["measured_onset"] = onset
+            skipped = "no departure below the window"
+        except ValueError as exc:
+            onset, skipped = math.nan, str(exc)
+        if math.isnan(onset):  # null in the report, with the reason beside it
+            info["cutoff"].update(measured_onset=None, onset_skipped=skipped)
+        else:
+            info["cutoff"]["measured_onset"] = onset
 
     if "hooge" in spec.analyses:
         hooge = {
             "predicted": _analysis.hooge_alpha_predicted(
                 config.trapping.rate, gamma_max
             ),
-            "exact": _analysis.hooge_alpha_exact(
-                result.nu_bar, config.trapping.mean_time, gamma_max
-            ),
         }
+        try:
+            hooge["exact"] = _analysis.hooge_alpha_exact(
+                result.nu_bar, config.trapping.mean_time, gamma_max
+            )
+        except ValueError as exc:  # a run without pulses
+            hooge.update(exact=None, exact_skipped=str(exc))
         try:
             fitted = _analysis.hooge_alpha_fitted(
                 est, result.mean_current, config.n_carriers, (lo, hi)
@@ -265,6 +268,13 @@ def _analyze_run(spec, label, config, result, p_fit) -> dict:
         info["amplitude"] = {"p_fit": p_fit, "p_analytic": p_analytic}
 
     return info
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    """Strict JSON (a NaN or infinity raises), indented, newline-ended."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _plot_script(spec: ExperimentSpec, csv_names: list[str], report_name: str) -> str:
@@ -387,12 +397,8 @@ def run(
         csv_names = []  # the spectra, which the plot script reads
         written = []  # every data file, in the order written
         for label, config in spec.runs:
-            freqs = None
-            if spec.estimator == "event_exact":
-                freqs = spec.event_grid(config)
-            result = run_spectrum_config(
-                config, estimator=spec.estimator, freqs=freqs, workers=workers
-            )
+            freqs = spec.event_grid(config) if spec.estimator == "event_exact" else None
+            result = run_spectrum_config(config, freqs=freqs, workers=workers)
             est = result.spectrum
             if spec.bins_per_decade is not None:
                 est = logbin_spectrum(est, spec.bins_per_decade)
@@ -420,9 +426,7 @@ def run(
                 written += _export_events(config, stem, outdir)
 
     report_name = f"{spec.name}_report.json"
-    with open(outdir / report_name, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / report_name, report)
 
     plot_name = f"{spec.name}_plot.py"
     with open(outdir / plot_name, "w") as fh:
@@ -436,9 +440,7 @@ def run(
         "wall_time_s": time.perf_counter() - t_start,
         "artifacts": written + [report_name, plot_name],
     }
-    with open(outdir / meta_name, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_json(outdir / meta_name, meta)
 
     for name in written:
         artifacts[name] = str(outdir / name)

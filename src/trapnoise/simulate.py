@@ -155,10 +155,6 @@ class CarrierPath:
         return len(self.durations) // 2
 
     @property
-    def gap_durations(self) -> np.ndarray:
-        return self.durations[0::2]
-
-    @property
     def pulse_durations(self) -> np.ndarray:
         return self.durations[1::2]
 

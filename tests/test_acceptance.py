@@ -148,7 +148,7 @@ def test_criterion_5_multi_carrier():
         horizon=2**26 * 1e-4 / scale,
         n_carriers=1000, n_realizations=1, sample_dt=1e-4, seed=99,
     )
-    res = run_spectrum_config(cfg, estimator="sampled_fft", workers=1)
+    res = run_spectrum_config(cfg, workers=1)
 
     est = tn.logbin_spectrum(res.spectrum, 4)
     reference = tn.psd_multi_carrier(

@@ -97,19 +97,17 @@ class TestExpectedMinRate:
 class TestEffectiveCutoff:
     def test_long_trapping_frozen(self):
         cfg = make_config(horizon=1e6)
-        pred = effective_cutoff(cfg, regime="long_trapping")
-        assert pred.gamma_min_eff == pytest.approx(1e-3)
-        assert pred.regime == "long_trapping"
+        assert cutoff_by_regime(cfg)["long_trapping"] == pytest.approx(1e-3)
 
     def test_doubling_horizon_halves_long_trapping(self):
-        a = effective_cutoff(make_config(horizon=1e6), regime="long_trapping")
-        b = effective_cutoff(make_config(horizon=2e6), regime="long_trapping")
-        assert a.gamma_min_eff == pytest.approx(2.0 * b.gamma_min_eff)
+        a = cutoff_by_regime(make_config(horizon=1e6))["long_trapping"]
+        b = cutoff_by_regime(make_config(horizon=2e6))["long_trapping"]
+        assert a == pytest.approx(2.0 * b)
 
     def test_many_experiments_reach_observation_floor(self):
         cfg = make_config(n_realizations=10**9, horizon=1e6)
-        pred = effective_cutoff(cfg, regime="multi_experiment")
-        assert 1.0 <= pred.gamma_min_eff * cfg.horizon < 1.001
+        floor = cutoff_by_regime(cfg)["multi_experiment"]
+        assert 1.0 <= floor * cfg.horizon < 1.001
 
     def test_auto_regime_selection(self):
         ergodic = make_config(rates=UniformRates(1e-3, 1e3), horizon=1e6)
@@ -122,14 +120,12 @@ class TestEffectiveCutoff:
     def test_monotone_in_horizon_and_realizations(self):
         for regime in ("nonergodic", "multi_experiment", "long_trapping"):
             vals = [
-                effective_cutoff(make_config(horizon=T), regime=regime).gamma_min_eff
+                cutoff_by_regime(make_config(horizon=T))[regime]
                 for T in np.geomspace(1e3, 1e9, 13)
             ]
             assert all(x >= y for x, y in zip(vals, vals[1:]))
         vals = [
-            effective_cutoff(
-                make_config(n_realizations=r), regime="multi_experiment"
-            ).gamma_min_eff
+            cutoff_by_regime(make_config(n_realizations=r))["multi_experiment"]
             for r in (1, 2, 8, 64, 1024)
         ]
         assert all(x >= y for x, y in zip(vals, vals[1:]))
@@ -147,13 +143,22 @@ class TestEffectiveCutoff:
         tau = detrap_mean(cfg.rates)
         cycle = 1.0 + tau
         want = (10.0 - 1e-2) * cycle / (cycle + 1e4) + 1e-2
-        got = effective_cutoff(cfg, regime="ergodic_exact").gamma_min_eff
+        got = cutoff_by_regime(cfg)["ergodic_exact"]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_by_regime_report(self):
         table = cutoff_by_regime(make_config())
         assert table["ergodic_exact"] is None  # gamma_min = 0
         assert table["long_trapping"] == pytest.approx(1e-3)
+
+    def test_auto_choice_is_its_regime_floor(self):
+        for cfg in (
+            make_config(rates=UniformRates(1e-3, 1e3), horizon=1e6),
+            make_config(horizon=1e4),
+            make_config(horizon=1e4, n_realizations=100),
+        ):
+            pred = effective_cutoff(cfg)
+            assert cutoff_by_regime(cfg)[pred.regime] == pred.gamma_min_eff
 
 
 class TestHoogePredicted:
@@ -166,6 +171,11 @@ class TestHoogePredicted:
         nu = 1.0 / (1.0 + detrap_mean(UniformRates(1e-4, 1e4)))
         full = hooge_alpha_exact(nu, 1.0, 1e4)
         assert abs(full / 1e-4 - 1.0) < 0.005
+
+    @pytest.mark.parametrize("pulse_rate", [0.0, -1.0, float("nan")])
+    def test_exact_form_rejects_a_run_without_pulses(self, pulse_rate):
+        with pytest.raises(ValueError, match="pulse rate"):
+            hooge_alpha_exact(pulse_rate, 1.0, 1e4)
 
 
 class TestHoogeFitted:

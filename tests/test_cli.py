@@ -1,4 +1,5 @@
 """Presets, runner artifacts, CLI subcommands, determinism."""
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -290,19 +291,12 @@ class TestRunner:
             for info in runs:
                 cutoff = info["cutoff"]
                 floor_f = cutoff["auto_gamma_min_eff"] / (2.0 * np.pi)
-                ratios.append(cutoff["measured_onset"] / floor_f)
+                onset = cutoff["measured_onset"]  # null when not measured
+                ratios.append(np.nan if onset is None else onset / floor_f)
         ratios = np.asarray(ratios)
         assert np.isfinite(ratios).sum() >= 12
         geo = np.exp(np.nanmean(np.log(ratios)))
         assert 1.0 / 3.0 < geo < 3.0
-
-    def test_unknown_estimator_rejected(self):
-        cfg = SimConfig(
-            rates=UniformRates(1e-2, 10.0), trapping=PoissonTrapping(1.0),
-            horizon=100.0,
-        )
-        with pytest.raises(ValueError, match="estimator"):
-            run_spectrum_config(cfg, estimator="bogus", workers=1)
 
     def test_event_exact_needs_freqs(self):
         cfg = SimConfig(
@@ -312,16 +306,27 @@ class TestRunner:
         with pytest.raises(ValueError, match="freqs"):
             run_spectrum_config(cfg, workers=1)
 
-    def test_sampled_fft_rejects_freqs(self):
-        # the FFT grid is k/(L dt), so a grid passed in would be ignored
+    def test_neither_freqs_nor_sample_dt_names_both(self):
         cfg = SimConfig(
             rates=UniformRates(1e-2, 10.0), trapping=PoissonTrapping(1.0),
-            horizon=100.0, sample_dt=1e-2,
+            horizon=100.0,
         )
-        with pytest.raises(ValueError, match="freqs"):
-            run_spectrum_config(
-                cfg, estimator="sampled_fft", freqs=np.array([0.1]), workers=1
-            )
+        with pytest.raises(ValueError, match="freqs.*sample_dt"):
+            run_spectrum_config(cfg, workers=1)
+
+    def test_a_grid_with_sample_dt_runs_event_exact(self):
+        # the grid decides the estimator; sample_dt does not touch the paths
+        cfg = SimConfig(
+            rates=UniformRates(1e-2, 10.0), trapping=PoissonTrapping(1.0),
+            horizon=100.0, n_realizations=2, seed=6,
+        )
+        freqs = np.geomspace(0.01, 1.0, 9)
+        plain = run_spectrum_config(cfg, freqs=freqs, workers=1).spectrum
+        sampled = dataclasses.replace(cfg, sample_dt=1e-2)
+        both = run_spectrum_config(sampled, freqs=freqs, workers=1).spectrum
+        assert both.estimator == "event_exact"
+        assert both.freqs.tobytes() == plain.freqs.tobytes()
+        assert both.values.tobytes() == plain.values.tobytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         spec = preset("fig3", scale=200.0, seed=5)  # 5e3 horizon, R=1... scale
@@ -386,9 +391,9 @@ class TestRunner:
             rates=UniformRates(1e-2, 1e2), trapping=PoissonTrapping(1.0),
             horizon=100.0, n_carriers=20, sample_dt=1e-2, seed=4,
         )
-        serial = run_spectrum_config(cfg, estimator="sampled_fft", workers=1)
+        serial = run_spectrum_config(cfg, workers=1)
         assert thread_pools == []
-        threaded = run_spectrum_config(cfg, estimator="sampled_fft", workers=2)
+        threaded = run_spectrum_config(cfg, workers=2)
         assert thread_pools == [2]
         assert threaded.spectrum.values.tobytes() == serial.spectrum.values.tobytes()
 
@@ -399,7 +404,7 @@ class TestRunner:
         )
         paths = simulate_realization(cfg, 0)
         want = occupancy_counts(superpose(paths, cfg.amplitude, cfg.sample_dt))
-        res = run_spectrum_config(cfg, estimator="sampled_fft", workers=1)
+        res = run_spectrum_config(cfg, workers=1)
         assert res.hist.tobytes() == want.tobytes()
 
     def test_pooled_sampled_run_starts_no_thread_pool(self, thread_pools):
@@ -407,8 +412,8 @@ class TestRunner:
             rates=UniformRates(1e-2, 1e2), trapping=PoissonTrapping(1.0),
             horizon=100.0, n_carriers=20, n_realizations=2, sample_dt=1e-2, seed=4,
         )
-        serial = run_spectrum_config(cfg, estimator="sampled_fft", workers=1)
-        pooled = run_spectrum_config(cfg, estimator="sampled_fft", workers=2)
+        serial = run_spectrum_config(cfg, workers=1)
+        pooled = run_spectrum_config(cfg, workers=2)
         # the workers run the halves one after the other, with the same bytes
         assert thread_pools == []
         assert pooled.spectrum.values.tobytes() == serial.spectrum.values.tobytes()
@@ -423,7 +428,7 @@ class TestRunner:
         signal_bytes = 8 * (1 << 20)
         tracemalloc.start()
         try:
-            res = run_spectrum_config(cfg, estimator="sampled_fft", workers=workers)
+            res = run_spectrum_config(cfg, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,7 +447,7 @@ class TestRunner:
         signal_bytes = 8 * (1 << 20)
         tracemalloc.start()
         try:
-            run_spectrum_config(cfg, estimator="sampled_fft", workers=workers)
+            run_spectrum_config(cfg, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -565,6 +570,53 @@ def _amplitude_spec(gamma_min, gamma_max, n_carriers, horizon, sample_dt):
         "estimator": "sampled_fft",
         "analyses": ["amplitude_pmf"],
     })
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, where NaN and Infinity are errors."""
+
+    def reject(token):
+        raise AssertionError(f"non-finite value {token} in the JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictReports:
+    def test_unmeasurable_onset_is_null_with_its_reason(self, tmp_path):
+        # at scale 64 the flicker window lies below the grid
+        artifacts = run(preset("fig6", scale=64.0), tmp_path, workers=1)
+        report = _strict_json(Path(artifacts["report"]).read_text())
+        _strict_json(Path(artifacts["meta"]).read_text())
+        cutoff = report["runs"][0]["cutoff"]
+        assert cutoff["measured_onset"] is None
+        assert cutoff["onset_skipped"] == "empty fit window"
+
+    def test_run_without_pulses_finishes_its_analyses(self, tmp_path, capsys):
+        cfg_path = tmp_path / "zero.json"
+        cfg_path.write_text(json.dumps({
+            "name": "zero",
+            "runs": [{
+                "rates": {"kind": "uniform", "gamma_min": 0.0, "gamma_max": 1.0},
+                "trapping_rate": 1.0, "horizon": 1.0, "seed": 4,
+            }],
+            "analyses": ["cutoff", "hooge"],
+        }))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "zero_meta.json", "zero_plot.py", "zero_report.json",
+            "zero_spectrum.csv",
+        ]
+        info = _strict_json((out / "zero_report.json").read_text())["runs"][0]
+        assert info["pulse_count"] == 0
+        # the flicker window is inverted (3.18 to 0.016 Hz), its top below the grid
+        assert info["cutoff"]["measured_onset"] is None
+        assert info["cutoff"]["onset_skipped"] == "empty fit window"
+        assert info["hooge"]["exact"] is None
+        assert info["hooge"]["exact_skipped"] == "pulse rate must be positive"
+        assert info["hooge"]["fit_skipped"] == "mean current must be positive"
 
 
 class TestArtifactBookkeeping:

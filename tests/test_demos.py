@@ -2,10 +2,12 @@
 
 Each ``demos/*.py`` is parsed, not run: every name imported from
 ``trapnoise`` (or a submodule) and every attribute taken from the
-imported package or module must exist.
+imported package or module must exist, and every keyword passed to a
+trapnoise callable must be one its signature accepts.
 """
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,37 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _callee(func: ast.expr, modules: dict, names: dict):
+    """The trapnoise object a call's ``func`` names, or None."""
+    if isinstance(func, ast.Name):
+        return names.get(func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        module = modules.get(func.value.id)
+        return getattr(module, func.attr, None) if module else None
+    return None
+
+
+def _bad_keywords(call: ast.Call, modules: dict, names: dict) -> list[str]:
+    """``f(kw=)`` for each keyword of ``call`` that the trapnoise callable
+    it names does not accept; nothing for a callable taking ``**kwargs``."""
+    target = _callee(call.func, modules, names)
+    if target is None:
+        return []
+    params = inspect.signature(target).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return []
+    accepted = {p.name for p in params if p.kind is not p.POSITIONAL_ONLY}
+    return [
+        f"{ast.unparse(call.func)}({kw.arg}=)"
+        for kw in call.keywords
+        if kw.arg is not None and kw.arg not in accepted
+    ]
+
+
 def _missing_names(source: str) -> list[str]:
     tree = ast.parse(source)
     modules = {}  # local alias -> imported trapnoise module
+    names = {}  # local name -> object imported from a trapnoise module
     missing = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -30,13 +60,15 @@ def _missing_names(source: str) -> list[str]:
             if node.module.split(".")[0] != "trapnoise":
                 continue
             module = importlib.import_module(node.module)
-            missing += [
-                f"{node.module}.{alias.name}"
-                for alias in node.names
-                if not hasattr(module, alias.name)
-            ]
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    names[alias.asname or alias.name] = getattr(module, alias.name)
+                else:
+                    missing.append(f"{node.module}.{alias.name}")
     for node in ast.walk(tree):
-        if (
+        if isinstance(node, ast.Call):
+            missing += _bad_keywords(node, modules, names)
+        elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id in modules
@@ -59,10 +91,16 @@ def test_checker_flags_a_missing_name():
     source = (
         "import trapnoise as tn\n"
         "from trapnoise.spectra import no_such_estimator\n"
+        "from trapnoise.runner import run_spectrum_config\n"
         "tn.no_such_function()\n"
+        "tn.effective_cutoff(cfg, regime='auto')\n"
+        "run_spectrum_config(cfg, estimator='sampled_fft', workers=1)\n"
+        "tn.run(spec, 'out', workers=1, events_csv=True)\n"
     )
     assert _missing_names(source) == [
         "trapnoise.spectra.no_such_estimator",
+        "tn.effective_cutoff(regime=)",
+        "run_spectrum_config(estimator=)",
         "tn.no_such_function",
     ]
 

@@ -126,7 +126,7 @@ class TestSimulateCarrier:
         gaps = []
         for r in range(80):
             path = simulate_carrier(cfg, carrier_stream(cfg.seed, r, 0))
-            gaps.append(path.gap_durations[:-1])  # drop possibly clipped tail
+            gaps.append(path.durations[0::2][:-1])  # drop possibly clipped tail
         gaps = np.concatenate(gaps)
         assert len(gaps) > 1e5
         res = stats.kstest(gaps, lambda t: detrap_cdf(t, cfg.rates))
