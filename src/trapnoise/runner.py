@@ -216,6 +216,11 @@ def _analyze_run(spec, label, config, result, p_fit) -> dict:
     auto = _analysis.effective_cutoff(config)
     lo, hi = one_over_f_window(auto.gamma_min_eff, gamma_max)
 
+    def check_window():
+        # a floor above the window's top leaves nothing to measure on
+        if not lo < hi:
+            raise ValueError("inverted fit window")
+
     if "cutoff" in spec.analyses:
         info["cutoff"] = {
             "auto_regime": auto.regime,
@@ -223,6 +228,7 @@ def _analyze_run(spec, label, config, result, p_fit) -> dict:
             "by_regime": _analysis.cutoff_by_regime(config),
         }
         try:
+            check_window()
             onset = _analysis.plateau_onset(_onset_bins(est, hi), (lo, hi))
             skipped = "no departure below the window"
         except ValueError as exc:
@@ -245,11 +251,13 @@ def _analyze_run(spec, label, config, result, p_fit) -> dict:
         except ValueError as exc:  # a run without pulses
             hooge.update(exact=None, exact_skipped=str(exc))
         try:
+            check_window()
             fitted = _analysis.hooge_alpha_fitted(
                 est, result.mean_current, config.n_carriers, (lo, hi)
             )
         except ValueError as exc:
-            # no free time, or a floor above f_max leaves no point to fit
+            # an inverted window, no free time, or a floor above f_max
+            # leaves no point to fit
             hooge["fit_window"] = [lo, hi]
             hooge["fit_skipped"] = str(exc)
         else:

@@ -7,11 +7,10 @@ durations are iid from the uniform-rate mixture; pulse durations are iid
 exponential with the trapping rate.  Paths are truncated at the horizon
 ``T`` and the clipped final segment keeps its clipped duration.
 
-Durations are the stored record; segment end times come from one
-extended-precision prefix sum, so phase errors stay negligible even for
-~1e8 events.  ``simulate_carrier`` keeps the times of the prefix sum it
-already takes to find the horizon, and a path built directly sums its
-durations on first use, in place on one longdouble copy.
+A path records its durations and their segment end times, the float64
+rounding of one extended-precision prefix sum, so phase errors stay
+negligible even for ~1e8 events.  ``simulate_carrier`` keeps the ends
+of the prefix sum it already takes to find the horizon.
 ``CarrierPath.events`` is the one place that reads the pulse events off
 those times: the pulse starts and ends, alternating, which the
 event-exact transform walks in chunks and ``pulse_bounds`` splits.
@@ -47,7 +46,7 @@ bit-identical for a given config regardless of how work is distributed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -140,48 +139,31 @@ class CarrierPath:
 
     Paths always start trapped: ``durations[0]`` is a gap and segments
     alternate strictly, so even indices are gaps and odd indices pulses.
-    A path that starts free has a zero-length first gap.  ``durations``
-    must not change once :meth:`segment_times` has been called.
+    A path that starts free has a zero-length first gap.  ``ends`` holds
+    the segment end times, the float64 rounding of the longdouble prefix
+    sum of ``durations``, and is read-only once the path is built.
     """
 
     durations: np.ndarray
     horizon: float
-    _times: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    ends: np.ndarray
+
+    def __post_init__(self):
+        self.ends.flags.writeable = False
 
     @property
     def pulse_count(self) -> int:
         return len(self.durations) // 2
 
     @property
-    def pulse_durations(self) -> np.ndarray:
-        return self.durations[1::2]
-
-    @property
     def free_time(self) -> float:
-        return float(self.pulse_durations.sum())
-
-    def segment_times(self) -> np.ndarray:
-        """Cumulative segment end times (extended-precision prefix sum).
-
-        Computed once per path and returned read-only.
-        """
-        if self._times is None:
-            prefix = self.durations.astype(np.longdouble)
-            np.cumsum(prefix, out=prefix)
-            self._set_times(prefix.astype(np.float64))
-        return self._times
-
-    def _set_times(self, times: np.ndarray) -> None:
-        times.flags.writeable = False
-        self._times = times
+        return float(self.durations[1::2].sum())
 
     @property
     def events(self) -> np.ndarray:
         """Pulse starts and ends, alternating (read-only): the segment end
         times up to the last pulse's end."""
-        return self.segment_times()[: 2 * self.pulse_count]
+        return self.ends[: 2 * self.pulse_count]
 
     def pulse_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(start, end) times of every pulse segment."""
@@ -281,9 +263,7 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
         ends.resize(cut, refcheck=False)
     else:
         interleaved, ends = interleaved[:cut].copy(), ends[:cut].copy()
-    path = CarrierPath(durations=interleaved, horizon=T)
-    path._set_times(ends)
-    return path
+    return CarrierPath(durations=interleaved, horizon=T, ends=ends)
 
 
 def simulate_realization(

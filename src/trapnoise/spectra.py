@@ -176,19 +176,22 @@ class SpectrumEstimate:
     estimator: str
 
     def __post_init__(self):
-        f = self.freqs
-        # increasing from a positive first to a finite last point: one pass,
-        # and NaN fails every comparison
-        if not (len(f) and f[0] > 0.0 and f[-1] < np.inf):
-            raise ValueError(
-                "frequencies must be positive and finite (zero bin excluded)"
-            )
-        # in blocks, each against its predecessor's last point, so the
-        # check holds no temporary as long as the grid
-        for i in range(0, len(f) - 1, _GRID_BLOCK):
-            block = f[i : i + _GRID_BLOCK + 1]
-            if not np.all(block[1:] > block[:-1]):
-                raise ValueError("frequencies must be strictly increasing")
+        _check_grid(self.freqs)
+
+
+def _check_grid(f: np.ndarray) -> None:
+    """Raise ValueError unless ``f`` increases strictly from a positive
+    first to a finite last point (NaN fails every comparison)."""
+    if not (len(f) and f[0] > 0.0 and f[-1] < np.inf):
+        raise ValueError(
+            "frequencies must be positive and finite (zero bin excluded)"
+        )
+    # in blocks, each against its predecessor's last point, so the
+    # check holds no temporary as long as the grid
+    for i in range(0, len(f) - 1, _GRID_BLOCK):
+        block = f[i : i + _GRID_BLOCK + 1]
+        if not np.all(block[1:] > block[:-1]):
+            raise ValueError("frequencies must be strictly increasing")
 
 
 def natural_frequencies(
@@ -335,10 +338,13 @@ def periodogram_superposed_events(
     through the binned series; every other frequency through the direct
     sum, with trig in ``trig_dtype``, split evenly over
     ``min(workers, frequencies)`` threads (the values do not depend on it).
+    A grid that is not positive, finite and strictly increasing is
+    rejected before any sum runs.
     """
     freqs = np.asarray(freqs, dtype=float)
-    if np.any(freqs <= 0.0):
-        raise ValueError("frequencies must be positive")
+    _check_grid(freqs)
+    if not paths:
+        raise ValueError("need at least one carrier path")
     T = paths[0].horizon
     if any(p.horizon != T for p in paths):
         raise ValueError("mismatched horizons")

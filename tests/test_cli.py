@@ -613,10 +613,12 @@ class TestStrictReports:
         assert info["pulse_count"] == 0
         # the flicker window is inverted (3.18 to 0.016 Hz), its top below the grid
         assert info["cutoff"]["measured_onset"] is None
-        assert info["cutoff"]["onset_skipped"] == "empty fit window"
+        assert info["cutoff"]["onset_skipped"] == "inverted fit window"
         assert info["hooge"]["exact"] is None
         assert info["hooge"]["exact_skipped"] == "pulse rate must be positive"
-        assert info["hooge"]["fit_skipped"] == "mean current must be positive"
+        assert info["hooge"]["fit_skipped"] == "inverted fit window"
+        f_lo, f_hi = info["hooge"]["fit_window"]
+        assert f_lo > f_hi
 
 
 class TestArtifactBookkeeping:

@@ -28,6 +28,8 @@ from trapnoise.simulate import (
     write_event_csv, write_signal_csv,
 )
 
+from conftest import make_path
+
 
 def make_config(**kw):
     base = dict(
@@ -45,8 +47,7 @@ class TestSimulateCarrier:
         cfg = make_config()
         path = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
         assert np.all(path.durations > 0.0)
-        ends = path.segment_times()
-        assert ends[-1] <= path.horizon * (1.0 + 1e-12)
+        assert path.ends[-1] <= path.horizon * (1.0 + 1e-12)
         # even indices are gaps, odd ones pulses
         kinds = ["pulse" if i % 2 else "gap" for i in range(len(path.durations))]
         assert path.pulse_count == kinds.count("pulse")
@@ -58,13 +59,13 @@ class TestSimulateCarrier:
     def test_events_are_the_pulse_segment_ends(self, gamma_min, horizon):
         # pulse starts and ends alternate in the segment end times
         cfg = make_config(rates=UniformRates(gamma_min, 1e3), horizon=horizon)
-        built = CarrierPath(np.random.default_rng(2).exponential(size=7), horizon=1e6)
+        built = make_path(np.random.default_rng(2).exponential(size=7), horizon=1e6)
         paths = simulate_realization(cfg, 0) + [
             built,
-            CarrierPath(np.array([horizon]), horizon=horizon),  # no pulse
+            make_path(np.array([horizon]), horizon=horizon),  # no pulse
         ]
         for path in paths:
-            want = path.segment_times()[: 2 * path.pulse_count]
+            want = path.ends[: 2 * path.pulse_count]
             assert path.events.tobytes() == want.tobytes()
             assert len(path.events) == 2 * path.pulse_count
             assert not path.events.flags.writeable
@@ -82,10 +83,8 @@ class TestSimulateCarrier:
         for seed in range(6):
             path = simulate_carrier(cfg, carrier_stream(seed, 0, 0))
             want = np.cumsum(path.durations, dtype=np.longdouble).astype(np.float64)
-            assert path.segment_times().tobytes() == want.tobytes()
-            built = CarrierPath(durations=path.durations.copy(), horizon=horizon)
-            assert built.segment_times().tobytes() == want.tobytes()
-            assert not path.segment_times().flags.writeable
+            assert path.ends.tobytes() == want.tobytes()
+            assert not path.ends.flags.writeable
             starts, ends = path.pulse_bounds()
             assert np.array_equal(starts, want[0 : 2 * path.pulse_count : 2])
             assert np.array_equal(ends, want[1 : 2 * path.pulse_count : 2])
@@ -102,7 +101,7 @@ class TestSimulateCarrier:
     def test_mean_pulse_duration(self):
         cfg = make_config(trapping=PoissonTrapping(4.0), horizon=1e4)
         path = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
-        pulses = path.pulse_durations[:-1]  # final segment may be clipped
+        pulses = path.durations[1::2][:-1]  # final segment may be clipped
         se = pulses.std() / np.sqrt(len(pulses))
         assert abs(pulses.mean() - 0.25) < 3.0 * se
 
@@ -214,7 +213,7 @@ class TestOneBufferSampler:
                             cfg, carrier_stream(seed, 0, 0)
                         )
                         assert path.durations.tobytes() == kept.tobytes()
-                        assert path.segment_times().tobytes() == times.tobytes()
+                        assert path.ends.tobytes() == times.tobytes()
                         lengths.append(len(kept))
         # the grid covers a path cut in its first segment and a draw that
         # needed more than one block
@@ -269,8 +268,8 @@ class TestBlockedPrefix:
         path = simulate_carrier(cfg, carrier_stream(seed, 0, 0))
         kept, times = simulate_carrier_three_buffers(cfg, carrier_stream(seed, 0, 0))
         assert path.durations.tobytes() == kept.tobytes()
-        assert path.segment_times().tobytes() == times.tobytes()
-        assert path.durations.flags.owndata and path.segment_times().flags.owndata
+        assert path.ends.tobytes() == times.tobytes()
+        assert path.durations.flags.owndata and path.ends.flags.owndata
         return path
 
     def test_crossed_in_the_first_segment(self):
@@ -332,14 +331,25 @@ class TestDeterminism:
         assert not np.array_equal(p0.durations, p2.durations)
 
 
+class TestCarrierPath:
+    def test_ends_are_required(self):
+        with pytest.raises(TypeError):
+            CarrierPath(durations=np.array([1.0]), horizon=1.0)
+
+    def test_ends_are_read_only(self):
+        path = make_path([0.5, 0.5], horizon=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            path.ends[0] = 0.0
+
+
 class TestEmpiricalNu:
     def test_all_gap_path(self):
-        path = CarrierPath(durations=np.array([50.0]), horizon=50.0)
+        path = make_path(np.array([50.0]), horizon=50.0)
         assert empirical_nu(path) == 0.0
 
     def test_arithmetic(self):
         durations = np.tile([9.0, 1.0], 1000).astype(float)
-        path = CarrierPath(durations=durations, horizon=1e4)
+        path = make_path(durations, horizon=1e4)
         assert empirical_nu(path) == pytest.approx(0.1)
 
     def test_ergodic_convergence(self):
@@ -371,14 +381,14 @@ class TestSuperpose:
         assert np.array_equal(sig.values, 2.0 * free.astype(float))
 
     def test_mismatched_horizons_rejected(self):
-        p1 = CarrierPath(durations=np.array([1.0, 1.0]), horizon=2.0)
-        p2 = CarrierPath(durations=np.array([1.0, 2.0]), horizon=3.0)
+        p1 = make_path(np.array([1.0, 1.0]), horizon=2.0)
+        p2 = make_path(np.array([1.0, 2.0]), horizon=3.0)
         with pytest.raises(ValueError):
             superpose([p1, p2], 1.0, 0.1)
 
     def test_mismatch_mid_stream_rejected(self):
         cfg = make_config(n_carriers=3, horizon=50.0)
-        late = CarrierPath(durations=np.array([1.0, 2.0]), horizon=3.0)
+        late = make_path(np.array([1.0, 2.0]), horizon=3.0)
         stream = iter(simulate_realization(cfg, 0) + [late])
         with pytest.raises(ValueError, match="mismatched horizons"):
             superpose(stream, 1.0, 0.1)
@@ -399,7 +409,7 @@ class TestSuperpose:
         assert got.n_carriers == want.n_carriers == 7
 
     def test_all_trapped_gives_zero_signal(self):
-        paths = [CarrierPath(durations=np.array([5.0]), horizon=5.0) for _ in range(3)]
+        paths = [make_path(np.array([5.0]), horizon=5.0) for _ in range(3)]
         sig = superpose(paths, 1.0, 0.5)
         assert np.all(sig.values == 0.0)
 
@@ -450,9 +460,9 @@ class TestAgainstFormulas:
         # n = floor(10.05 / 0.1) = 100 samples; the last pulse of each path
         # ends at the horizon, at k = ceil(100.5) = 101 before clipping
         paths = [
-            CarrierPath(durations=np.array([0.0, 2.0, 3.0, 5.05]), horizon=10.05),
-            CarrierPath(durations=np.array([9.99, 0.06]), horizon=10.05),
-            CarrierPath(durations=np.array([0.26, 9.79]), horizon=10.05),
+            make_path(np.array([0.0, 2.0, 3.0, 5.05]), horizon=10.05),
+            make_path(np.array([9.99, 0.06]), horizon=10.05),
+            make_path(np.array([0.26, 9.79]), horizon=10.05),
         ]
         sig = superpose(paths, 1.5, 0.1)
         want = superpose_formula(paths, 1.5, 0.1)
@@ -490,8 +500,8 @@ class TestExports:
         # odd and even lengths, one long enough to span several blocks
         rng = np.random.default_rng(5)
         realized = [
-            [CarrierPath(rng.exponential(size=n), horizon=1e6) for n in (40001, 0)],
-            [CarrierPath(rng.exponential(size=n), horizon=1e6) for n in (1, 6)],
+            [make_path(rng.exponential(size=n), horizon=1e6) for n in (40001, 0)],
+            [make_path(rng.exponential(size=n), horizon=1e6) for n in (1, 6)],
         ]
         buf = io.StringIO()
         write_event_csv(buf, realized)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from trapnoise import (
-    CarrierPath,
     PoissonTrapping,
     SampledSignal,
     SimConfig,
@@ -25,10 +24,12 @@ from trapnoise.spectra import (
     _EVENT_CHUNK, _GRID_BLOCK, _OVERSAMPLE, _TWO_PI, _binned_grid, write_spectrum_csv,
 )
 
+from conftest import make_path
+
 
 def single_pulse_path(duration, horizon):
     # a zero-length first gap: the pulse starts at t = 0
-    return CarrierPath(durations=np.array([0.0, duration]), horizon=horizon)
+    return make_path(np.array([0.0, duration]), horizon=horizon)
 
 
 class TestNaturalFrequencies:
@@ -67,7 +68,7 @@ class TestEventExact:
         assert np.allclose(est.values, want, rtol=1e-9)
 
     def test_zero_signal(self):
-        path = CarrierPath(durations=np.array([8.0]), horizon=8.0)
+        path = make_path(np.array([8.0]), horizon=8.0)
         est = periodogram_superposed_events([path], 1.0, np.array([0.5, 2.0]))
         assert np.all(est.values == 0.0)
 
@@ -87,6 +88,10 @@ class TestEventExact:
             periodogram_superposed_events(
                 [single_pulse_path(1.0, 4.0)], 1.0, np.array([0.0, 1.0])
             )
+
+    def test_no_paths_rejected(self):
+        with pytest.raises(ValueError, match="need at least one carrier path"):
+            periodogram_superposed_events([], 1.0, np.array([0.5, 2.0]))
 
     def test_superposed_equals_sampled_superposition(self):
         # coherent sum over carriers equals the spectrum of the summed
@@ -290,9 +295,9 @@ class TestDirectSumOrder:
         long = rng.exponential(size=2 * (2 * _EVENT_CHUNK + 5) + 1)
         short = rng.exponential(size=7)
         return [
-            CarrierPath(long * (self.T / long.sum()), horizon=self.T),
-            CarrierPath(short * (self.T / short.sum()), horizon=self.T),
-            CarrierPath(np.array([self.T]), horizon=self.T),  # no pulse
+            make_path(long * (self.T / long.sum()), horizon=self.T),
+            make_path(short * (self.T / short.sum()), horizon=self.T),
+            make_path(np.array([self.T]), horizon=self.T),  # no pulse
         ]
 
     def freqs(self):
@@ -339,7 +344,7 @@ class TestDirectSumWorkspace:
 
         T = 1e6
         d = np.random.default_rng(5).exponential(size=n_chunks * 2 * _EVENT_CHUNK)
-        events = [CarrierPath(d * (T / d.sum()), horizon=T).events]
+        events = [make_path(d * (T / d.sum()), horizon=T).events]
         freqs = (7 * np.arange(n_freqs) + 2.37) / T
         tracemalloc.start()
         try:
@@ -596,13 +601,21 @@ class TestSpectrumEstimate:
             ([], "positive"),
         ],
     )
-    def test_bad_grid_rejected(self, freqs, message):
+    def test_bad_grid_rejected(self, monkeypatch, freqs, message):
+        # the event-exact transform rejects the grid before any sum runs
+        def no_sums(*args):
+            raise AssertionError("a sum ran on a bad grid")
+
+        monkeypatch.setattr(spectra, "_binned_sums", no_sums)
+        monkeypatch.setattr(spectra, "_direct_sums", no_sums)
         freqs = np.array(freqs, dtype=float)
         with pytest.raises(ValueError, match=message):
             SpectrumEstimate(
                 freqs=freqs, values=np.ones(len(freqs)), n_averaged=1,
                 estimator="event_exact",
             )
+        with pytest.raises(ValueError, match=message):
+            periodogram_superposed_events([single_pulse_path(1.0, 4.0)], 1.0, freqs)
 
 
     @pytest.mark.parametrize("at", [_GRID_BLOCK - 1, _GRID_BLOCK, _GRID_BLOCK + 1])
