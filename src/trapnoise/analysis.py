@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import NonergodicError, detrap_mean
+from .distributions import NonergodicError, _require_positive, detrap_mean
 from .simulate import SimConfig
 from .spectra import SpectrumEstimate
 
@@ -82,7 +82,7 @@ class HoogeEstimate:
 @dataclass(frozen=True)
 class MaterialParams:
     """Physical sample parameters tying pulse height and trapping rate to
-    measurable quantities."""
+    measurable quantities; every field must be finite and positive."""
 
     charge: float
     drift_speed: float
@@ -94,9 +94,7 @@ class MaterialParams:
     capture_cross_section: float
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(**self.__dict__)
 
 
 def expected_min_rate(gamma_min: float, gamma_max: float, pulse_count: int) -> float:
@@ -164,10 +162,10 @@ def cutoff_by_regime(config: SimConfig) -> dict:
 
 
 def hooge_alpha_predicted(trapping_rate: float, gamma_max: float) -> float:
-    """alpha = trapping_rate / gamma_max; assumes pulses much longer than
-    gaps (compare :func:`hooge_alpha_exact` where they are not)."""
-    if trapping_rate <= 0.0 or gamma_max <= 0.0:
-        raise ValueError("rates must be positive")
+    """alpha = trapping_rate / gamma_max, both finite and positive; assumes
+    pulses much longer than gaps (compare :func:`hooge_alpha_exact` where
+    they are not)."""
+    _require_positive(trapping_rate=trapping_rate, gamma_max=gamma_max)
     return trapping_rate / gamma_max
 
 

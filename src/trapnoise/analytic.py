@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .distributions import _require_positive
+
 __all__ = [
     "chi_exponential",
     "chi_uniform_rate",
@@ -38,10 +40,9 @@ _FLICKER_MARGIN = 10.0
 
 
 def chi_exponential(f, rate: float):
-    """Characteristic function of an exponential duration with the given rate:
-    ``rate / (rate - 2 pi i f)``."""
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
+    """Characteristic function of an exponential duration with the given
+    finite and positive rate: ``rate / (rate - 2 pi i f)``."""
+    _require_positive(rate=rate)
     f = np.asarray(f, dtype=float)
     out = rate / (rate - _TWO_PI * 1j * f)
     return out if out.shape else complex(out)
@@ -77,11 +78,11 @@ def chi_uniform_rate_approx(f, gamma_max: float):
 
         chi(f) ~= 1 - (2 pi f / gamma_max) * [pi/2 + i log(2 pi f / gamma_max)]
 
-    valid for gamma_min << 2 pi f << gamma_max.  The imaginary part is
-    positive throughout 2 pi f < gamma_max, matching the exact form.
+    valid for gamma_min << 2 pi f << gamma_max, with gamma_max finite and
+    positive.  The imaginary part is positive throughout 2 pi f < gamma_max,
+    matching the exact form.
     """
-    if gamma_max <= 0.0:
-        raise ValueError("gamma_max must be positive")
+    _require_positive(gamma_max=gamma_max)
     f_arr = np.asarray(f, dtype=float)
     x = _TWO_PI * f_arr / gamma_max
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,7 +113,7 @@ def psd_general_pulse(f, amplitude, pulse_rate, chi_pulse, chi_gap):
         (frequency too close to 0: the expression is indeterminate).
     """
     f_arr = np.asarray(f, dtype=float)
-    if np.any(f_arr <= 0.0):
+    if not np.all(f_arr > 0.0):
         raise ValueError("frequencies must be positive")
     cp = np.asarray(chi_pulse(f_arr), dtype=complex)
     cg = np.asarray(chi_gap(f_arr), dtype=complex)
@@ -133,7 +134,7 @@ def psd_poisson_pulse(f, amplitude, pulse_rate, trapping_rate, chi_gap):
     exponential pulse characteristic function.
     """
     f_arr = np.asarray(f, dtype=float)
-    if np.any(f_arr <= 0.0):
+    if not np.all(f_arr > 0.0):
         raise ValueError("frequencies must be positive")
     g = float(trapping_rate)
     cg = np.asarray(chi_gap(f_arr), dtype=complex)
@@ -165,7 +166,7 @@ def psd_full_expression(f, amplitude, pulse_rate, trapping_rate, gamma_max):
     pi/2 and the log term.
     """
     f_arr = np.asarray(f, dtype=float)
-    if np.any(f_arr <= 0.0):
+    if not np.all(f_arr > 0.0):
         raise ValueError("frequencies must be positive")
     g = float(trapping_rate)
     bracket = gamma_max / g - np.log(_TWO_PI * f_arr / gamma_max)

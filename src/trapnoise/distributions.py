@@ -43,6 +43,14 @@ class NonergodicError(ValueError):
     """Raised when a moment is requested that only exists for gamma_min > 0."""
 
 
+def _require_positive(**values) -> None:
+    """Reject the first value that is not finite and positive, by name;
+    NaN fails the test too."""
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class UniformRates:
     """Detrapping rates distributed uniformly on [gamma_min, gamma_max].
@@ -65,8 +73,7 @@ class UniformRates:
                 f"need 0 <= gamma_min <= gamma_max, got "
                 f"[{self.gamma_min}, {self.gamma_max}]"
             )
-        if self.gamma_max <= 0.0:
-            raise ValueError("gamma_max must be positive")
+        _require_positive(gamma_max=self.gamma_max)
 
 
 @dataclass(frozen=True)
@@ -96,14 +103,7 @@ class ArrheniusRates:
     energy_max: float
 
     def __post_init__(self):
-        if not 0.0 < self.prefactor < np.inf:
-            raise ValueError(
-                f"prefactor must be finite and positive, got {self.prefactor}"
-            )
-        if not 0.0 < self.thermal_energy < np.inf:
-            raise ValueError(
-                f"thermal_energy must be finite and positive, got {self.thermal_energy}"
-            )
+        _require_positive(prefactor=self.prefactor, thermal_energy=self.thermal_energy)
         if not (0.0 <= self.energy_min <= self.energy_max):
             raise ValueError("need 0 <= energy_min <= energy_max")
 
@@ -130,8 +130,7 @@ class PoissonTrapping:
     rate: float
 
     def __post_init__(self):
-        if not (self.rate > 0.0 and np.isfinite(self.rate)):
-            raise ValueError("trapping rate must be finite and positive")
+        _require_positive(trapping_rate=self.rate)
 
     @property
     def mean_time(self) -> float:
@@ -202,10 +201,10 @@ def detrap_pdf(tau, model: RateModel):
     Raises
     ------
     ValueError
-        If any ``tau`` is negative.
+        If any ``tau`` is negative or NaN.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr < 0.0):
+    if not np.all(tau_arr >= 0.0):
         raise ValueError("tau must be nonnegative")
     a, b = _bounds(model)
     if a == b:
@@ -234,7 +233,7 @@ def detrap_cdf(tau, model: RateModel):
     evaluated through ``expm1`` so it is stable down to tau = 0.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr < 0.0):
+    if not np.all(tau_arr >= 0.0):
         raise ValueError("tau must be nonnegative")
     a, b = _bounds(model)
     if a == b:

@@ -22,7 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import ArrheniusRates, PoissonTrapping, RateModel, UniformRates
+from .distributions import (
+    ArrheniusRates, PoissonTrapping, RateModel, UniformRates, _require_positive,
+)
 from .simulate import SimConfig
 from .spectra import natural_frequencies
 
@@ -137,10 +139,8 @@ class ExperimentSpec:
         if "amplitude_pmf" in self.analyses and self.estimator != "sampled_fft":
             raise ValueError("analysis amplitude_pmf needs the sampled_fft estimator")
         # scale is only recorded in the outputs, so None does no harm there
-        for name in ("f_min", "f_max", "scale"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        bounds = {name: getattr(self, name) for name in ("f_min", "f_max", "scale")}
+        _require_positive(**{k: v for k, v in bounds.items() if v is not None})
         if None not in (self.f_min, self.f_max) and self.f_min >= self.f_max:
             raise ValueError(f"f_min {self.f_min} must be below f_max {self.f_max}")
         if not self.points_per_decade >= 1:
@@ -181,8 +181,7 @@ def preset(
     """
     if figure not in _PRESETS:
         raise ValueError(f"unknown preset {figure!r}; choose from {PRESET_NAMES}")
-    if not 0.0 < scale < np.inf:
-        raise ValueError(f"scale must be finite and positive, got {scale}")
+    _require_positive(scale=scale)
     entry = _PRESETS[figure]
     runs = [
         {**run, "horizon": run["horizon"] / scale, "seed": seed,

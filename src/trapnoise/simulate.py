@@ -55,6 +55,7 @@ from .distributions import (
     NonergodicError,
     PoissonTrapping,
     RateModel,
+    _require_positive,
     detrap_mean,
     escape_times,
     sample_rate,
@@ -110,10 +111,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("horizon", "amplitude"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        _require_positive(horizon=self.horizon, amplitude=self.amplitude)
         for name in ("n_carriers", "n_realizations"):
             count = getattr(self, name)
             if not isinstance(count, (int, np.integer)) or count < 1:
@@ -122,10 +120,7 @@ class SimConfig:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.sample_dt is None:
             return
-        if not 0.0 < self.sample_dt < np.inf:
-            raise ValueError(
-                f"sample_dt must be finite and positive, got {self.sample_dt}"
-            )
+        _require_positive(sample_dt=self.sample_dt)
         if _sample_count(self.horizon, self.sample_dt) < 2:
             raise ValueError(
                 f"sample_dt {self.sample_dt} leaves fewer than 2 samples "
@@ -228,8 +223,7 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
         escape_times(gamma, rng.standard_exponential(n), out=block[0::2])
         block[1::2] = rng.exponential(theta_scale, n)
         blocks.append(block)
-        block_total = block[0::2].sum() + block[1::2].sum()
-        total = total + block_total if np.isfinite(block_total) else np.inf
+        total += block[0::2].sum() + block[1::2].sum()
     interleaved = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     del blocks, block, gamma  # the loop variables hold the last block's draw
 

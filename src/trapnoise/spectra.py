@@ -117,6 +117,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .distributions import _require_positive
 from .simulate import CarrierPath, SampledSignal, _write_rows
 
 __all__ = [
@@ -200,11 +201,13 @@ def natural_frequencies(
     f_min: float | None = None,
     points_per_decade: int = 40,
 ) -> np.ndarray:
-    """Log-spaced selection from the natural grid k/horizon, k >= 1.
+    """Log-spaced selection from the natural grid k/horizon, k >= 1;
+    ``horizon`` and ``f_max`` must be finite and positive.
 
     Snapping to natural frequencies keeps the signal mean confined to the
     excluded zero bin of the finite-time periodogram.
     """
+    _require_positive(horizon=horizon, f_max=f_max)
     if f_min is None:
         f_min = 1.0 / horizon
     if not (0.0 < f_min < f_max):

@@ -165,6 +165,11 @@ class TestHoogePredicted:
     def test_direct_ratios(self):
         assert hooge_alpha_predicted(1.0, 1e4) == pytest.approx(1e-4)
         assert hooge_alpha_predicted(1.0, 1e3) == pytest.approx(1e-3)
+        # a ratio of two finite positive rates, or nothing
+        with pytest.raises(ValueError, match="trapping_rate"):
+            hooge_alpha_predicted(np.nan, 1e4)
+        with pytest.raises(ValueError, match="gamma_max"):
+            hooge_alpha_predicted(1.0, np.inf)
 
     def test_full_form_close_to_ratio(self):
         # reference parameters: rates on [1e-4, 1e4], unit trapping rate
@@ -288,6 +293,10 @@ class TestMaterialRelations:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             self._material(length=0.0)
+        with pytest.raises(ValueError, match="trap_density"):
+            self._material(trap_density=np.nan)
+        with pytest.raises(ValueError, match="carrier_density"):
+            self._material(carrier_density=np.inf)
 
 
 class TestFitting:

@@ -70,6 +70,10 @@ class TestChiExponential:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             chi_exponential(1.0, 0.0)
+        with pytest.raises(ValueError, match="rate"):
+            chi_exponential(1.0, np.nan)
+        with pytest.raises(ValueError, match="gamma_max"):
+            chi_uniform_rate_approx(1.0, np.nan)
 
 
 class TestChiUniformRate:
@@ -181,6 +185,14 @@ class TestPsdGeneralPulse:
                 0.0, 1.0, 0.5,
                 partial(chi_exponential, rate=1.0), partial(chi_exponential, rate=3.0),
             )
+        chi = partial(chi_exponential, rate=3.0)
+        for psd in (
+            lambda f: psd_general_pulse(f, 1.0, 0.5, chi, chi),
+            lambda f: psd_poisson_pulse(f, 1.0, 0.5, 1.0, chi),
+            lambda f: psd_full_expression(f, 1.0, 0.5, 1.0, 1e4),
+        ):
+            with pytest.raises(ValueError, match="frequencies"):
+                psd(np.array([1.0, np.nan]))
 
 
 class TestPsdPoissonPulse:

@@ -179,6 +179,9 @@ class TestDetrapPdf:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             detrap_pdf(-0.5, UniformRates(1.0, 2.0))
+        for law in (detrap_pdf, detrap_cdf):
+            with pytest.raises(ValueError, match="tau"):
+                law(np.nan, UniformRates(1.0, 2.0))
 
 
 class TestDetrapCdf:

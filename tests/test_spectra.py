@@ -45,6 +45,10 @@ class TestNaturalFrequencies:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             natural_frequencies(1e4, 1e-9)
+        with pytest.raises(ValueError, match="horizon"):
+            natural_frequencies(np.nan, 1.0, f_min=1e-3)
+        with pytest.raises(ValueError, match="f_max"):
+            natural_frequencies(1e4, np.inf)
 
 
 class TestEventExact:
