@@ -35,7 +35,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=None,
         help="processes over realizations, or, in a run of one realization, "
         "threads over the event-exact frequencies or two threads over the "
-        "sampled FFT (default: CPU count; results do not depend on it)",
+        "sampled FFT (default: the CPUs this process may run on; results "
+        "do not depend on it)",
     )
 
 

@@ -11,7 +11,10 @@ are alive beside it; the pulse count and free time are tallied in
 carrier order, the same sums as over the whole list.  It counts its
 occupancy histogram before the transform, which then keeps the spectrum
 and its grid in the signal's memory.  An event-exact realization
-simulates all its carriers at once.
+simulates all its carriers at once.  The event export simulates each
+realization again in the same groups, writing each group into the event
+CSV as it is made, and for a sampled run adds realization 0's groups
+into the signal it writes.
 
 Artifacts per experiment ``name``:
 
@@ -128,8 +131,12 @@ def _tally(counts: dict, paths) -> None:
 
 
 def _worker_count(workers: Optional[int]) -> int:
-    """``workers``, or the CPU count when it is None; below 1 is an error."""
+    """``workers``, or when it is None the number of CPUs this process may
+    run on (its affinity mask where the platform has one, else the CPU
+    count); below 1 is an error."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1 or None, got {workers}")
@@ -341,19 +348,30 @@ def _export_events(config: SimConfig, stem: str, outdir: Path) -> list[str]:
 
     ev_name = f"{stem}_events.csv"
     names = [ev_name]
-    # one realization's paths at a time, written and dropped
     with open(outdir / ev_name, "w") as fh:
+
+        def paths(r):
+            # carrier groups written as they are simulated; each group is
+            # dropped before the next is simulated, once its consumer (the
+            # signal, for realization 0) has read it
+            for lo in range(0, config.n_carriers, _CARRIER_GROUP):
+                carriers = range(lo, min(lo + _CARRIER_GROUP, config.n_carriers))
+                group = simulate_realization(config, r, carriers)
+                write_event_csv(fh, [group], start=r, carrier_start=lo)
+                yield from group
+                del group
+
         for r in range(config.n_realizations):
-            paths = simulate_realization(config, r)
-            write_event_csv(fh, [paths], start=r)
             if r == 0 and config.sample_dt is not None:
-                signal = superpose(paths, config.amplitude, config.sample_dt)
+                signal = superpose(paths(r), config.amplitude, config.sample_dt)
                 sig_name = f"{stem}_signal.csv"
                 with open(outdir / sig_name, "w") as sig_fh:
                     write_signal_csv(sig_fh, signal, config.seed)
                 del signal
                 names.append(sig_name)
-            del paths
+            else:
+                for _ in paths(r):  # written as it goes
+                    pass
     return names
 
 
@@ -429,6 +447,9 @@ def run(
                 written.append(pmf_name)
                 artifacts["amplitude_pmf"] = str(outdir / pmf_name)
             report["runs"].append(_analyze_run(spec, label, config, result, p_fit))
+            # written and analysed; a sampled spectrum holds a signal's
+            # memory, so it goes before the export makes a signal of its own
+            del result, est
 
             if events_csv:
                 written += _export_events(config, stem, outdir)

@@ -374,19 +374,23 @@ def _write_rows(fileobj, *pieces) -> None:
 
 
 def write_event_csv(
-    fileobj, realizations: Sequence[Sequence[CarrierPath]], start: int = 0
+    fileobj,
+    realizations: Sequence[Sequence[CarrierPath]],
+    start: int = 0,
+    carrier_start: int = 0,
 ) -> None:
     """One row per segment: realization, carrier, kind, duration.
 
-    Rows carry realization index ``start + i``, and the header is written
-    when ``start`` is 0, so realizations can be written one call at a
-    time.  Each gap and pulse pair is one two-line row of
+    Rows carry realization index ``start + i`` and carrier index
+    ``carrier_start + j``, and the header is written when both are 0, so
+    realizations, or groups of one realization's carriers, can be written
+    one call at a time.  Each gap and pulse pair is one two-line row of
     :func:`_write_rows`.
     """
-    if start == 0:
+    if start == 0 and carrier_start == 0:
         fileobj.write("realization,carrier,kind,duration\n")
     for r, paths in enumerate(realizations, start):
-        for c, path in enumerate(paths):
+        for c, path in enumerate(paths, carrier_start):
             gap, d, n = f"{r},{c},gap,", path.durations, 2 * path.pulse_count
             _write_rows(fileobj, gap, d[0:n:2], f"\n{r},{c},pulse,", d[1:n:2], "\n")
             _write_rows(fileobj, gap, d[n:], "\n")  # the closing gap, if any

@@ -21,7 +21,9 @@ two paths per frequency:
 * Natural frequencies k/T up to a cut k_cut use a binned series: every
   event goes to the nearest of M >= 8 k_cut grid points (M a power of
   two), its offset from that point enters through a 10-term Taylor
-  series, and each term costs one bincount and one rfft.  The truncation
+  series, and each term costs one bincount; the terms' rffts go in one
+  call per block of terms, as many as fit in a ``_GRID_BLOCK``-point
+  transform (all ten up to M = 2^12, one from M = 2^16).  The truncation
   error is at most (pi/8)^10/10! = 2.4e-11 per event; against the
   float64 direct sum the measured relative error is below 2e-11 on the
   test-suite grids.  A cost model picks k_cut from the event count and
@@ -154,10 +156,15 @@ _TAYLOR_TERMS = 10
 _OVERSAMPLE = 8
 # f counts as the natural frequency k/T when f*T is within rounding of k.
 _NATURAL_RTOL = 1e-14
-# Cost model in ns, measured on a 2-core 2.1 GHz x86_64 VM with numpy 2.4
-# at 2e4-4e5 events: the direct sum per event and frequency (5.2-9.1), the
-# binned path per event and Taylor term (5.8-8.0), and its FFT per M log2(M)
-# and term (1.1-1.5 at M >= 8192).
+# Cost model in ns, first measured on a 2-core 2.1 GHz x86_64 VM with
+# numpy 2.4 at 2e4-4e5 events: the direct sum per event and frequency
+# (5.2-9.1), the binned path per event and Taylor term (5.8-8.0), and its
+# FFT per M log2(M) and term (1.1-1.5 at M >= 8192).  The kernels have
+# since become faster; measured again on that VM (best of five calls,
+# three rounds): the direct sum 4.1-6.0, the binned path 3.8-5.5, and the
+# blocked FFT 0.5-1.6 at M = 2^10 to 2^18.  The constants stay as they
+# are: they decide which frequencies are binned, so new values would
+# change the bytes of every event-exact spectrum whose cut moves.
 _DIRECT_NS = 7.5
 _BINNED_NS = 7.0
 _FFT_NS = 1.2
@@ -226,22 +233,26 @@ def _binned_grid(ks: np.ndarray, n_events: int) -> int:
     when the direct sum is cheaper for every M.
 
     The binned path covers every mode k <= M / _OVERSAMPLE.  M runs over
-    powers of two and the one with the largest modelled saving wins.
-    The P grids hold at most two values per event, no more memory than
-    a longdouble copy of the event times.
+    the powers of two from _OVERSAMPLE below 2 * _OVERSAMPLE * max(ks),
+    and the first with the largest positive modelled saving wins; every
+    candidate's saving is evaluated at once.  The P grids hold at most
+    two values per event (P M <= 2 n_events), no more memory than a
+    longdouble copy of the event times.
     """
-    best, best_gain = 0, 0.0
-    grid = _OVERSAMPLE
+    # the memory cap in Python integers, so the candidates stay below
+    # n_events / 5 and no product of them overflows int64
+    cap = 2 * n_events // _TAYLOR_TERMS
+    grids = _OVERSAMPLE << np.arange((cap // _OVERSAMPLE).bit_length(), dtype=np.int64)
     top = ks.max(initial=0) * _OVERSAMPLE
-    while grid < 2 * top and _TAYLOR_TERMS * grid <= 2 * n_events:
-        covered = np.count_nonzero(ks <= grid // _OVERSAMPLE)
-        gain = _DIRECT_NS * n_events * covered - _TAYLOR_TERMS * (
-            _BINNED_NS * n_events + _FFT_NS * grid * np.log2(grid)
-        )
-        if gain > best_gain:
-            best, best_gain = grid, gain
-        grid *= 2
-    return best
+    grids = grids[grids < 2 * top]
+    if not len(grids):
+        return 0
+    covered = np.searchsorted(np.sort(ks), grids // _OVERSAMPLE, side="right")
+    gain = _DIRECT_NS * n_events * covered - _TAYLOR_TERMS * (
+        _BINNED_NS * n_events + _FFT_NS * grids * np.log2(grids)
+    )
+    best = int(np.argmax(gain))  # the first maximum
+    return int(grids[best]) if gain[best] > 0.0 else 0
 
 
 def _binned_sums(events: list, ks: np.ndarray, grid: int, horizon: float) -> np.ndarray:
@@ -273,8 +284,14 @@ def _binned_sums(events: list, ks: np.ndarray, grid: int, horizon: float) -> np.
                 h = np.bincount(m, v)
                 H[p, lo : lo + len(h)] += h
                 v *= d
+    del sign, s, m, d, v, h  # the last chunk's temporaries
     H[:, 0] += H[:, grid]  # t = T is a whole period
-    spectra = [np.fft.rfft(h[:grid])[ks] for h in H]
+    # one rfft call per block of terms, each row the bytes of its own
+    # rfft, so a block's output stays near one _GRID_BLOCK-point transform
+    rows = max(1, _GRID_BLOCK // grid)
+    spectra = np.empty((_TAYLOR_TERMS, len(ks)), dtype=complex)
+    for p in range(0, _TAYLOR_TERMS, rows):
+        spectra[p : p + rows] = np.fft.rfft(H[p : p + rows, :grid], axis=1)[:, ks]
     z = (-2j * np.pi / grid) * ks
     total = spectra[-1]
     for p in range(_TAYLOR_TERMS - 2, -1, -1):
@@ -362,19 +379,21 @@ def periodogram_superposed_events(
             ks = modes[binned].astype(np.intp)
             total[binned] = _binned_sums(events, ks, grid, T)
         direct = np.flatnonzero(~binned)
-        threads = min(workers, len(direct))
-        parts = np.array_split(direct, max(threads, 1))
+        # an all-binned grid skips the direct pass and its workspace
+        if len(direct):
+            threads = min(workers, len(direct))
+            parts = np.array_split(direct, max(threads, 1))
 
-        def part_sums(part):
-            return _direct_sums(events, freqs[part], trig_dtype)
+            def part_sums(part):
+                return _direct_sums(events, freqs[part], trig_dtype)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                sums = list(pool.map(part_sums, parts))
-        else:
-            sums = map(part_sums, parts)
-        for part, part_total in zip(parts, sums):
-            total[part] = part_total
+            if threads > 1:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    sums = list(pool.map(part_sums, parts))
+            else:
+                sums = map(part_sums, parts)
+            for part, part_total in zip(parts, sums):
+                total[part] = part_total
         total /= 1j * _TWO_PI * freqs
     values = (2.0 * amplitude**2 / T) * np.abs(total) ** 2
     return SpectrumEstimate(

@@ -472,6 +472,89 @@ class TestRunner:
 
         assert export_peak(6) <= 1.5 * export_peak(1)
 
+    def test_sampled_event_export_streams_carrier_groups(self, tmp_path):
+        import io
+
+        from trapnoise.simulate import write_event_csv, write_signal_csv
+
+        cfg = SimConfig(
+            rates=UniformRates(1.0, 10.0), trapping=PoissonTrapping(1.0),
+            horizon=20.0, n_carriers=2 * runner._CARRIER_GROUP + 3,
+            n_realizations=2, sample_dt=0.05, seed=4,
+        )
+        assert runner._export_events(cfg, "g", tmp_path) == [
+            "g_events.csv", "g_signal.csv",
+        ]
+        # the bytes of whole realizations, written and superposed at once
+        realized = [simulate_realization(cfg, r) for r in range(2)]
+        events = io.StringIO()
+        write_event_csv(events, realized)
+        signal = io.StringIO()
+        write_signal_csv(
+            signal, superpose(realized[0], cfg.amplitude, cfg.sample_dt), cfg.seed
+        )
+        assert (tmp_path / "g_events.csv").read_text() == events.getvalue()
+        assert (tmp_path / "g_signal.csv").read_text() == signal.getvalue()
+
+    def test_sampled_event_export_holds_one_group_beside_the_signal(self, tmp_path):
+        import tracemalloc
+
+        def export_peak(n_carriers):
+            # a 100k-sample signal (0.8 MB) and about 1600 segments per path,
+            # so a group of paths holds about 1.6 MB
+            cfg = SimConfig(
+                rates=UniformRates(1.0, 10.0), trapping=PoissonTrapping(1.0),
+                horizon=1e3, n_carriers=n_carriers, sample_dt=1e-2, seed=4,
+            )
+            tracemalloc.start()
+            try:
+                runner._export_events(cfg, f"c{n_carriers}", tmp_path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # eight groups of carriers peak about as high as one (the first
+        # call's one-time allocations are left out)
+        group = runner._CARRIER_GROUP
+        export_peak(group)
+        one = export_peak(group)
+        assert export_peak(8 * group) <= 1.5 * one
+
+    def test_sampled_run_with_event_export_holds_one_signal(self, tmp_path):
+        import tracemalloc
+
+        import scipy.fft  # noqa: F401  (the transform imports it lazily)
+        import scipy.stats  # noqa: F401  (the pmf imports it lazily)
+
+        spec = preset("fig6", scale=64)  # 1000 carriers, L = 2^20
+        signal_bytes = 8 * (1 << 20)
+        tracemalloc.start()
+        try:
+            run(spec, tmp_path, workers=1, events_csv=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the spectrum pass's signal is dropped before the export makes its
+        # own, beside which only a group of carrier paths is alive
+        assert peak <= 1.2 * signal_bytes
+
+    def test_default_workers_count_the_cpus_this_process_may_use(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7}, raising=False)
+        assert runner._worker_count(None) == 2
+        assert runner._worker_count(5) == 5
+
+    def test_default_workers_without_an_affinity_mask(self, monkeypatch):
+        import os
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert runner._worker_count(None) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert runner._worker_count(None) == 1
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(
         self, monkeypatch, thread_pools, tmp_path, workers

@@ -522,6 +522,12 @@ class TestExports:
         for r, paths in enumerate(realized):
             write_event_csv(parts, [paths], start=r)
         assert parts.getvalue() == whole.getvalue()
+        # and a realization's carriers a group at a time
+        groups = io.StringIO()
+        for r, paths in enumerate(realized):
+            for lo in (0, 2):
+                write_event_csv(groups, [paths[lo : lo + 2]], start=r, carrier_start=lo)
+        assert groups.getvalue() == whole.getvalue()
 
     def test_signal_csv_layout(self):
         sig = SampledSignal(

@@ -207,6 +207,156 @@ class TestHybridKernel:
         assert np.allclose(est.values, _direct_float64(paths, freqs), rtol=1e-9)
 
 
+def binned_sums_by_term(events, ks, grid, horizon):
+    """Reference: the binned series with one rfft per Taylor term, each
+    term's modes gathered into a list."""
+    terms = spectra._TAYLOR_TERMS
+    H = np.zeros((terms, grid + 1))
+    sign = np.ones(min(_EVENT_CHUNK, max(len(e) for e in events)))
+    sign[1::2] = -1.0
+    scale = grid / horizon
+    for times in events:
+        for i in range(0, len(times), _EVENT_CHUNK):
+            s = times[i : i + _EVENT_CHUNK] * scale
+            m = np.rint(s)
+            d = s - m
+            m = m.astype(np.intp)
+            lo = m[0]
+            m -= lo
+            v = sign[: len(s)].copy()
+            for p in range(terms):
+                h = np.bincount(m, v)
+                H[p, lo : lo + len(h)] += h
+                v *= d
+    H[:, 0] += H[:, grid]
+    by_term = [np.fft.rfft(h[:grid])[ks] for h in H]
+    z = (-2j * np.pi / grid) * ks
+    total = by_term[-1]
+    for p in range(terms - 2, -1, -1):
+        total = by_term[p] + (z / (p + 1)) * total
+    return total
+
+
+def binned_grid_by_scan(ks, n_events):
+    """Reference: the cost model's grids M = 8, 16, ... scanned one at a
+    time under the memory cap, the first with the largest positive saving
+    kept (0 when none saves)."""
+    best, best_gain = 0, 0.0
+    grid = _OVERSAMPLE
+    top = ks.max(initial=0) * _OVERSAMPLE
+    while grid < 2 * top and spectra._TAYLOR_TERMS * grid <= 2 * n_events:
+        covered = np.count_nonzero(ks <= grid // _OVERSAMPLE)
+        gain = spectra._DIRECT_NS * n_events * covered - spectra._TAYLOR_TERMS * (
+            spectra._BINNED_NS * n_events + spectra._FFT_NS * grid * np.log2(grid)
+        )
+        if gain > best_gain:
+            best, best_gain = grid, gain
+        grid *= 2
+    return best
+
+
+class TestBinnedSeries:
+    """The binned series' term FFTs in blocks and its grid choice in one
+    pass keep the bytes of one rfft per term and of the scan."""
+
+    @staticmethod
+    def events(n, seed, T=1e3):
+        d = np.random.default_rng(seed).exponential(size=n)
+        return [make_path(d * (T / d.sum()), horizon=T).events]
+
+    @pytest.mark.parametrize("grid", [1 << e for e in range(3, 21)])
+    def test_blocked_term_ffts_keep_the_bytes(self, grid):
+        events = self.events(4000, grid)
+        # modes up to the binned cut M / 8, the lowest and the highest among them
+        ks = np.unique(np.geomspace(1, grid // _OVERSAMPLE, 40).astype(np.intp))
+        got = spectra._binned_sums(events, ks, grid, 1e3)
+        want = binned_sums_by_term(events, ks, grid, 1e3)
+        assert got.tobytes() == want.tobytes()
+
+    def test_blocked_term_ffts_peak_no_higher(self):
+        import tracemalloc
+
+        grid = 1 << 16
+        # enough events for the cost model to pick this grid (P M <= 2 n)
+        events = self.events(1 << 19, 3)
+        ks = np.arange(1, grid // _OVERSAMPLE + 1, 27)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(events, ks, grid, 1e3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(spectra._binned_sums) <= peak(binned_sums_by_term)
+
+    def test_grid_choice_matches_the_scan(self):
+        rng = np.random.default_rng(20)
+        cases = [
+            (np.array([]), 10**6),  # no natural mode
+            (np.array([3.0, 8.0]), 0),  # no event
+            (np.arange(1.0, 101.0), 20_000),  # cutoff_average-like
+            # the cap 10 M <= 2 n_events, at and one event below M = 4096
+            (np.arange(1.0, 1001.0), 20_480),
+            (np.arange(1.0, 1001.0), 20_479),
+            (np.array([1e18]), 2**62),  # candidates far beyond int32
+        ]
+        for _ in range(3000):
+            top = 10 ** rng.uniform(0, 6)
+            ks = np.unique(rng.integers(1, top, size=rng.integers(0, 60), endpoint=True))
+            cases.append((ks.astype(np.float64), int(10 ** rng.uniform(0, 8))))
+        chosen = capped = 0
+        for ks, n_events in cases:
+            want = binned_grid_by_scan(ks, n_events)
+            assert _binned_grid(ks, n_events) == want, (ks, n_events)
+            chosen += want > 0
+            capped += 0 < want and 2 * want * spectra._TAYLOR_TERMS > 2 * n_events
+        # both outcomes occur, and the cap binds in some of them
+        assert 500 < chosen < len(cases) - 500
+        assert capped > 50
+
+    def test_grid_choice_takes_the_first_of_tied_savings(self, monkeypatch):
+        # with no FFT cost, every grid that covers the same modes saves the
+        # same; low modes 1..a and one mode beyond the cap make such ties
+        # at the largest saving, and the smallest of the tied grids wins
+        monkeypatch.setattr(spectra, "_FFT_NS", 0.0)
+        rng = np.random.default_rng(21)
+        ties = 0
+        for _ in range(300):
+            a = int(rng.integers(10, 200))
+            ks = np.append(np.arange(1.0, a + 1), rng.uniform(1e6, 1e7))
+            n_events = int(rng.integers(5, 500)) * 8 * a
+            want = binned_grid_by_scan(ks, n_events)
+            assert _binned_grid(ks, n_events) == want
+            # the next grid is a candidate and covers the same modes
+            ties += bool(want) and 10 * want <= n_events and (
+                np.count_nonzero(ks <= want // 4) == np.count_nonzero(ks <= want // 8)
+            )
+        assert ties > 100
+        ks = np.append(np.arange(1.0, 11.0), 1e6)
+        # M = 128 to 1024 all cover k = 1..10 under the cap M <= 2000
+        assert _binned_grid(ks, 10**4) == 128
+
+    def test_all_binned_grid_skips_the_direct_sum(self, monkeypatch, thread_pools):
+        cfg = SimConfig(
+            rates=UniformRates(0.0, 1e3), trapping=PoissonTrapping(1.0),
+            horizon=1e4, seed=5,
+        )
+        paths = simulate_realization(cfg, 0)
+        freqs = natural_frequencies(cfg.horizon, 1e-2, points_per_decade=16)
+        assert freqs[-1] * cfg.horizon <= _binned_cut(paths, freqs)
+
+        def no_direct(*args):
+            raise AssertionError("the direct sum ran on an all-binned grid")
+
+        monkeypatch.setattr(spectra, "_direct_sums", no_direct)
+        est = periodogram_superposed_events(paths, 1.0, freqs, workers=2)
+        assert thread_pools == []
+        want = _direct_float64(paths, freqs)
+        assert np.max(np.abs(est.values / want - 1.0)) < TestHybridKernel.GATE
+
+
 class TestThreadedTransform:
     """The direct sum's frequencies split over threads: the same bytes
     for any thread count."""
