@@ -144,6 +144,9 @@ def sample_rate(model: RateModel, rng: np.random.Generator, size=None):
     on the truncated exponential; exact, no rejection) and mapped through
     the activated-rate law.  The result is uniform on
     ``[model.gamma_min, model.gamma_max]`` for either parametrization.
+    ``UniformRates`` are ``low + (high - low) * u`` over ``rng.random``,
+    the bytes of ``rng.uniform(low, high, size)`` at a lower cost per
+    draw.
     """
     if isinstance(model, ArrheniusRates):
         kt = model.thermal_energy
@@ -152,7 +155,11 @@ def sample_rate(model: RateModel, rng: np.random.Generator, size=None):
         u = rng.random(size)
         energy = -kt * np.log(lo - u * (lo - hi))
         return model.prefactor * np.exp(-energy / kt)
-    return rng.uniform(model.gamma_min, model.gamma_max, size)
+    # in place, so a block of rates allocates one array, as rng.uniform does
+    u = rng.random(size)
+    u *= model.gamma_max - model.gamma_min
+    u += model.gamma_min
+    return u
 
 
 def sample_detrap_time(model: RateModel, rng: np.random.Generator, size=None):

@@ -25,6 +25,18 @@ about 20 bytes per kept segment (the float64 durations and end times, 16
 bytes per drawn segment, with about 1.1 drawn per kept, and one block of
 the longdouble sum) and keeps 16.
 
+``simulate_realization`` makes many short paths a group at a time.
+Each carrier's first draw block goes, on its own stream and in the
+order ``simulate_carrier`` draws it, into a row of buffers shared by a
+group of carriers with at most ``_GROUP_SEGMENTS`` first-block segments
+in all; the escape times, the interleave, the block totals, the
+row-wise longdouble prefix sum, the horizon cut and the clip then run
+once for the whole group.  A carrier whose first block ends short of
+the horizon carries on from that block and its stream as
+``simulate_carrier`` would, so nothing is drawn twice and every path
+has ``simulate_carrier``'s bytes.  A lone carrier, or a first block of
+more than ``_GROUP_SEGMENTS`` segments, takes ``simulate_carrier`` itself.
+
 ``superpose`` builds the sampled signal in one float64 array: the
 pulses' rising (+1) and falling (-1) sample indices added in with
 ``np.add.at``, a group of carriers at a time, then its prefix sum, then
@@ -90,6 +102,11 @@ _SUPERPOSE_GROUP = 1 << 14
 # than one block is trimmed in place, a shorter one copied (in place,
 # the many short paths of a sampled run left more heap behind)
 _PREFIX_BLOCK = 1 << 16
+# the most first-block segments of one carrier group in
+# ``simulate_realization``: its buffers hold about 33 bytes per segment at
+# once (1 MB), whatever the carriers' path length; twice as many gained no
+# speed and raised the peak RSS of fig6 at scale 16 by 0.4-2.6 MB
+_GROUP_SEGMENTS = 1 << 15
 
 
 def _sample_count(horizon: float, dt: float) -> int:
@@ -201,6 +218,11 @@ def _cycle_time_guess(rates: RateModel, trapping: PoissonTrapping, horizon: floa
     return trapping.mean_time + tau
 
 
+def _block_pairs(remaining: float, guess: float) -> int:
+    """Gap/pulse pairs of the next draw block, for ``remaining`` time to go."""
+    return max(16, int(1.1 * remaining / guess) + 1)
+
+
 def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath:
     """Generate one carrier path, starting trapped, truncated at the horizon.
 
@@ -210,14 +232,21 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     stream state.  A zero-rate gap comes out infinite and is clipped at
     the horizon, closing the path with a terminal gap.
     """
+    return _carry_on(config, rng, [], 0.0)
+
+
+def _carry_on(
+    config: SimConfig, rng: np.random.Generator, blocks: list, total: float
+) -> CarrierPath:
+    """The path whose draw blocks so far are ``blocks``, of float64 total
+    ``total``: draw blocks from ``rng`` until the total reaches the
+    horizon, then cut the path there."""
     T = config.horizon
     theta_scale = config.trapping.mean_time
     guess = _cycle_time_guess(config.rates, config.trapping, T)
 
-    blocks: list[np.ndarray] = []
-    total = 0.0
     while total < T:
-        n = max(16, int(1.1 * (T - total) / guess) + 1)
+        n = _block_pairs(T - total, guess)
         block = np.empty(2 * n)
         gamma = sample_rate(config.rates, rng, n)
         escape_times(gamma, rng.standard_exponential(n), out=block[0::2])
@@ -260,17 +289,83 @@ def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath
     return CarrierPath(durations=interleaved, horizon=T, ends=ends)
 
 
+def _simulate_group(
+    config: SimConfig, realization: int, carriers: range, n: int
+) -> list[CarrierPath]:
+    """The paths of ``carriers``, whose first draw blocks (``n`` pairs
+    each) are drawn one carrier at a time into the rows of shared buffers
+    and cut in whole-array operations, with ``simulate_carrier``'s bytes.
+
+    Each row's draws are those ``simulate_carrier`` makes, in its order
+    (``exponential(theta, n)`` is ``theta`` times the unit exponentials,
+    product for product).  The row sums along the last axis and the
+    row-wise longdouble cumsum make the same additions as the sums and
+    cumsum over one path, and the count of ends below T is the search of
+    a sorted row.  A carrier whose first block ends short of T carries on
+    from that block and its own stream, through ``_carry_on``.
+    """
+    T = config.horizon
+    rngs = [carrier_stream(config.seed, realization, c) for c in carriers]
+    rates, gaps, pulses = np.empty((3, len(rngs), n))
+    for rng, rate, gap, pulse in zip(rngs, rates, gaps, pulses):
+        rate[:] = sample_rate(config.rates, rng, n)
+        rng.standard_exponential(out=gap)
+        rng.standard_exponential(out=pulse)
+    block = np.empty((len(rngs), 2 * n))
+    escape_times(rates, gaps, out=block[:, 0::2])
+    np.multiply(pulses, config.trapping.mean_time, out=block[:, 1::2])
+    del rates, gaps, pulses
+    totals = block[:, 0::2].sum(axis=1) + block[:, 1::2].sum(axis=1)
+
+    prefix = np.zeros((len(rngs), 2 * n + 1), dtype=np.longdouble)
+    prefix[:, 1:] = block
+    np.cumsum(prefix, axis=1, out=prefix)
+    ends = prefix[:, 1:].astype(np.float64)
+    cuts = np.count_nonzero(ends < T, axis=1)
+    # clip each crossing segment of a path that ends in this block
+    rows = np.flatnonzero((totals >= T) & (cuts < 2 * n))
+    cut = cuts[rows]
+    block[rows, cut] = T - np.where(cut > 0, ends[rows, cut - 1], 0.0)
+    ends[rows, cut] = prefix[rows, cut] + block[rows, cut]
+    cuts[rows] += 1
+    del prefix
+
+    return [
+        _carry_on(config, rng, [block[i]], totals[i])
+        if totals[i] < T
+        else CarrierPath(
+            durations=block[i, : cuts[i]].copy(), horizon=T, ends=ends[i, : cuts[i]].copy()
+        )
+        for i, rng in enumerate(rngs)
+    ]
+
+
 def simulate_realization(
     config: SimConfig, realization: int, carriers: Optional[range] = None
 ) -> list[CarrierPath]:
     """The paths of the ``carriers`` (default: all) of one realization,
     each on its own sub-stream, so the paths of a range of carriers are
-    those of the whole realization at the same indices."""
+    those of the whole realization at the same indices.
+
+    Several carriers whose first draw block fits in ``_GROUP_SEGMENTS``
+    segments are simulated in groups of at most that many first-block
+    segments (``_simulate_group``); each path has the bytes
+    ``simulate_carrier`` gives it.
+    """
     if carriers is None:
         carriers = range(config.n_carriers)
+    guess = _cycle_time_guess(config.rates, config.trapping, config.horizon)
+    n = _block_pairs(config.horizon, guess)
+    if len(carriers) == 1 or 2 * n > _GROUP_SEGMENTS:
+        return [
+            simulate_carrier(config, carrier_stream(config.seed, realization, c))
+            for c in carriers
+        ]
+    per_group = _GROUP_SEGMENTS // (2 * n)
     return [
-        simulate_carrier(config, carrier_stream(config.seed, realization, c))
-        for c in carriers
+        path
+        for lo in range(0, len(carriers), per_group)
+        for path in _simulate_group(config, realization, carriers[lo : lo + per_group], n)
     ]
 
 

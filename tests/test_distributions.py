@@ -78,6 +78,15 @@ class TestSampleRate:
         g = sample_rate(UniformRates(0.0, 1e3), rng, size=10_000)
         assert np.all((g >= 0.0) & (g <= 1e3))
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1e3), (1e-4, 1e4), (0.3, 7.7)])
+    @pytest.mark.parametrize("size", [None, 1, 50_000])
+    def test_uniform_has_the_bytes_of_rng_uniform(self, bounds, size):
+        for seed in range(5):
+            got = sample_rate(UniformRates(*bounds), np.random.default_rng(seed), size)
+            want = np.random.default_rng(seed).uniform(*bounds, size)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_arrhenius_degenerate_support(self):
         rng = np.random.default_rng(1)
         m = ArrheniusRates(2.0, 1.5, 3.0, 3.0)

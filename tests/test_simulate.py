@@ -23,6 +23,7 @@ from trapnoise import (
 )
 from trapnoise import simulate
 from trapnoise.distributions import escape_times, sample_rate
+from trapnoise.presets import preset
 from trapnoise.simulate import (
     _CSV_BLOCK, _HIST_BLOCK, _cycle_time_guess, _write_rows, occupancy_counts,
     write_event_csv, write_signal_csv,
@@ -329,6 +330,57 @@ class TestDeterminism:
         p2 = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 1))
         assert not np.array_equal(p0.durations, p1.durations)
         assert not np.array_equal(p0.durations, p2.durations)
+
+
+class TestCarrierGroups:
+    """``simulate_realization`` draws the first blocks of a group of
+    carriers into shared rows and cuts them in whole-array operations;
+    every path keeps the bytes ``simulate_carrier`` gives it."""
+
+    @staticmethod
+    def same_as_carriers(cfg, realization, carriers, monkeypatch):
+        """Assert the paths and the rate draws of ``carriers`` are those of
+        one ``simulate_carrier`` call each; return the draws past the
+        first blocks."""
+        sizes = TestBlockedPrefix.draws(monkeypatch)
+        paths = simulate_realization(cfg, realization, carriers)
+        grouped = sizes[:]
+        sizes.clear()
+        assert len(paths) == len(carriers)
+        for c, path in zip(carriers, paths):
+            want = simulate_carrier(cfg, carrier_stream(cfg.seed, realization, c))
+            assert path.durations.tobytes() == want.durations.tobytes()
+            assert path.ends.tobytes() == want.ends.tobytes()
+        # every block drawn once, through sample_rate, none twice
+        assert sorted(grouped) == sorted(sizes)
+        return len(sizes) - len(carriers)
+
+    def test_fig6_preset(self, monkeypatch):
+        cfg = preset("fig6", scale=64).runs[0][1]
+        guess = _cycle_time_guess(cfg.rates, cfg.trapping, cfg.horizon)
+        n = simulate._block_pairs(cfg.horizon, guess)
+        assert cfg.n_carriers > simulate._GROUP_SEGMENTS // (2 * n)  # several groups
+        self.same_as_carriers(cfg, 0, range(cfg.n_carriers), monkeypatch)
+
+    def test_first_blocks_that_end_short_of_the_horizon(self, monkeypatch):
+        cfg = make_config(rates=UniformRates(0.0, 10.0), horizon=30.0, n_carriers=300)
+        assert self.same_as_carriers(cfg, 1, range(300), monkeypatch) > 0
+
+    def test_arrhenius_rates(self, monkeypatch):
+        cfg = make_config(
+            rates=ArrheniusRates(10.0, 0.1, 0.0, 0.5), trapping=PoissonTrapping(2.0),
+            horizon=50.0, n_carriers=200,
+        )
+        self.same_as_carriers(cfg, 2, range(200), monkeypatch)
+
+    def test_positive_rate_floor(self, monkeypatch):
+        cfg = make_config(horizon=300.0, n_carriers=150)
+        assert cfg.rates.gamma_min > 0.0
+        self.same_as_carriers(cfg, 0, range(150), monkeypatch)
+
+    def test_carrier_sub_range(self, monkeypatch):
+        cfg = make_config(horizon=100.0, n_carriers=400)
+        self.same_as_carriers(cfg, 3, range(37, 301), monkeypatch)
 
 
 class TestCarrierPath:

@@ -36,6 +36,7 @@ def tracer_module():
         ("fig6", 1024, False, {
             # counted on the carrier groups the runner streams into superpose
             "simulate.pulses": 7470,
+            "distributions.rates_drawn": 16048,
             "simulate.gaps": 7482,
             "simulate.samples": 65536,
             "spectra.fft_len": 65536,
