@@ -51,6 +51,16 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_integer(minimum: int, **values) -> None:
+    """Reject the first value that is not an integer of at least
+    ``minimum``, by name; a bool (JSON ``true``) and a float fail, however
+    whole, and numpy integers pass."""
+    for name, value in values.items():
+        integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integral and value >= minimum):
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UniformRates:
     """Detrapping rates distributed uniformly on [gamma_min, gamma_max].

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .distributions import (
-    ArrheniusRates, PoissonTrapping, RateModel, UniformRates, _require_positive,
+    ArrheniusRates, PoissonTrapping, RateModel, UniformRates, _require_integer,
+    _require_positive,
 )
 from .simulate import SimConfig
 from .spectra import natural_frequencies
@@ -143,12 +144,9 @@ class ExperimentSpec:
         _require_positive(**{k: v for k, v in bounds.items() if v is not None})
         if None not in (self.f_min, self.f_max) and self.f_min >= self.f_max:
             raise ValueError(f"f_min {self.f_min} must be below f_max {self.f_max}")
-        if not self.points_per_decade >= 1:
-            raise ValueError(
-                f"points_per_decade must be >= 1, got {self.points_per_decade}"
-            )
-        if self.bins_per_decade is not None and not self.bins_per_decade >= 1:
-            raise ValueError(f"bins_per_decade must be >= 1, got {self.bins_per_decade}")
+        _require_integer(1, points_per_decade=self.points_per_decade)
+        if self.bins_per_decade is not None:
+            _require_integer(1, bins_per_decade=self.bins_per_decade)
         if self.estimator == "event_exact":
             for label, config in self.runs:
                 try:

@@ -5,16 +5,16 @@ A run of several realizations fans them out to a pool of ``workers``
 processes; a run of one realization computes it in this process, and its
 event-exact transform splits its frequencies over ``workers`` threads,
 its sampled periodogram the blocks of its in-place FFT over two.  A
-sampled realization simulates its carriers ``_CARRIER_GROUP`` at a time
-while ``superpose`` adds them into the signal, so only a group's paths
-are alive beside it; the pulse count and free time are tallied in
-carrier order, the same sums as over the whole list.  It counts its
-occupancy histogram before the transform, which then keeps the spectrum
-and its grid in the signal's memory.  An event-exact realization
-simulates all its carriers at once.  The event export simulates each
-realization again in the same groups, writing each group into the event
-CSV as it is made, and for a sampled run adds realization 0's groups
-into the signal it writes.
+sampled realization simulates its carriers one group at a time, in the
+groups of ``simulate._carrier_groups``, while ``superpose`` adds them
+into the signal, so only a group's paths are alive beside it; the pulse
+count and free time are tallied in carrier order, the same sums as over
+the whole list.  It counts its occupancy histogram before the transform,
+which then keeps the spectrum and its grid in the signal's memory.  An
+event-exact realization simulates all its carriers at once.  The event
+export simulates each realization again in the same groups, writing each
+group into the event CSV as it is made, and for a sampled run adds
+realization 0's groups into the signal it writes.
 
 Artifacts per experiment ``name``:
 
@@ -54,8 +54,8 @@ from .presets import (
     FIG2_COMPONENT_RATES, FIG2_RATE_BOUNDS, ExperimentSpec, spec_to_dict,
 )
 from .simulate import (
-    SimConfig, _write_rows, binomial_pmf, occupancy_counts, simulate_realization,
-    superpose,
+    SimConfig, _carrier_groups, _write_rows, binomial_pmf, occupancy_counts,
+    simulate_realization, superpose,
 )
 from .spectra import (
     SpectrumEstimate,
@@ -68,11 +68,6 @@ from .spectra import (
 )
 
 __all__ = ["run", "run_spectrum_config", "RunResult"]
-
-# carriers per group that a sampled realization simulates and superposes
-# before it simulates the next, so only one group's paths are alive
-_CARRIER_GROUP = 64
-
 
 @dataclass
 class RealizationResult:
@@ -103,8 +98,7 @@ def _one_realization(config, freqs, threads, realization) -> RealizationResult:
         def paths():
             # carrier groups simulated as superpose reads them, tallied in
             # carrier order; each group is dropped once it is added in
-            for lo in range(0, config.n_carriers, _CARRIER_GROUP):
-                carriers = range(lo, min(lo + _CARRIER_GROUP, config.n_carriers))
+            for carriers in _carrier_groups(config, range(config.n_carriers)):
                 group = simulate_realization(config, realization, carriers)
                 _tally(counts, group)
                 yield from group
@@ -354,10 +348,9 @@ def _export_events(config: SimConfig, stem: str, outdir: Path) -> list[str]:
             # carrier groups written as they are simulated; each group is
             # dropped before the next is simulated, once its consumer (the
             # signal, for realization 0) has read it
-            for lo in range(0, config.n_carriers, _CARRIER_GROUP):
-                carriers = range(lo, min(lo + _CARRIER_GROUP, config.n_carriers))
+            for carriers in _carrier_groups(config, range(config.n_carriers)):
                 group = simulate_realization(config, r, carriers)
-                write_event_csv(fh, [group], start=r, carrier_start=lo)
+                write_event_csv(fh, [group], start=r, carrier_start=carriers.start)
                 yield from group
                 del group
 

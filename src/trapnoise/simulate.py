@@ -9,33 +9,25 @@ exponential with the trapping rate.  Paths are truncated at the horizon
 
 A path records its durations and their segment end times, the float64
 rounding of one extended-precision prefix sum, so phase errors stay
-negligible even for ~1e8 events.  ``simulate_carrier`` keeps the ends
-of the prefix sum it already takes to find the horizon.
-``CarrierPath.events`` is the one place that reads the pulse events off
-those times: the pulse starts and ends, alternating, which the
-event-exact transform walks in chunks and ``pulse_bounds`` splits.
-A carrier's draws go straight into one interleaved float64 buffer.  Its
-longdouble prefix sum runs in blocks of ``_PREFIX_BLOCK`` segments, each
-block's cumsum starting from the last sum of the block before, so the
-additions are those of one cumsum over the path; each block's float64
-cast goes straight into the end times, up to the block that reaches the
-horizon.  The segment that crosses the horizon is clipped in place, and
-a path longer than one block is trimmed in place too, so a path peaks at
-about 20 bytes per kept segment (the float64 durations and end times, 16
-bytes per drawn segment, with about 1.1 drawn per kept, and one block of
-the longdouble sum) and keeps 16.
+negligible even for ~1e8 events.  ``CarrierPath.events`` is the one
+place that reads the pulse events off those times: the pulse starts and
+ends, alternating, which the event-exact transform walks in chunks and
+``pulse_bounds`` splits.
 
-``simulate_realization`` makes many short paths a group at a time.
-Each carrier's first draw block goes, on its own stream and in the
-order ``simulate_carrier`` draws it, into a row of buffers shared by a
-group of carriers with at most ``_GROUP_SEGMENTS`` first-block segments
-in all; the escape times, the interleave, the block totals, the
-row-wise longdouble prefix sum, the horizon cut and the clip then run
-once for the whole group.  A carrier whose first block ends short of
-the horizon carries on from that block and its stream as
-``simulate_carrier`` would, so nothing is drawn twice and every path
-has ``simulate_carrier``'s bytes.  A lone carrier, or a first block of
-more than ``_GROUP_SEGMENTS`` segments, takes ``simulate_carrier`` itself.
+One builder makes every path, a lone carrier's as a group of one.  Its
+draw rule (``_draw``) fills one interleaved row per carrier, each from
+the carrier's own stream, and also draws the later blocks of a carrier
+whose first block ends short of the horizon.  Its cut rule (``_cut``)
+takes the row-wise longdouble prefix sum in column blocks of
+``_PREFIX_BLOCK`` segments, each starting from the last sum of the block
+before, so the additions are those of one cumsum over the path, and
+casts it straight into the end times.  It clips each row's segment that
+crosses the horizon and copies each path out, or trims a lone path
+longer than one block in place, so such a path peaks at about 20 bytes
+per kept segment (the float64 durations and end times, 16 bytes per
+drawn segment, with about 1.1 drawn per kept, and one block of the
+longdouble sum) and keeps 16.  One rule, ``_carrier_groups``, sizes the
+groups that ``simulate_realization`` and the runner iterate.
 
 ``superpose`` builds the sampled signal in one float64 array: the
 pulses' rising (+1) and falling (-1) sample indices added in with
@@ -67,6 +59,7 @@ from .distributions import (
     NonergodicError,
     PoissonTrapping,
     RateModel,
+    _require_integer,
     _require_positive,
     detrap_mean,
     escape_times,
@@ -98,15 +91,19 @@ _HIST_BLOCK = 1 << 16
 # call per group of at least this many, so many short paths take few calls,
 # and the group's paths and index arrays beside the signal stay small
 _SUPERPOSE_GROUP = 1 << 14
-# segments per block of a carrier's longdouble prefix sum; a path longer
-# than one block is trimmed in place, a shorter one copied (in place,
+# segments per column block of the longdouble prefix sum; a lone path
+# longer than one block is trimmed in place, any other copied (in place,
 # the many short paths of a sampled run left more heap behind)
 _PREFIX_BLOCK = 1 << 16
-# the most first-block segments of one carrier group in
-# ``simulate_realization``: its buffers hold about 33 bytes per segment at
-# once (1 MB), whatever the carriers' path length; twice as many gained no
-# speed and raised the peak RSS of fig6 at scale 16 by 0.4-2.6 MB
+# the most first-block segments of one carrier group: its buffers hold
+# about 33 bytes per segment at once (1 MB), whatever the carriers' path
+# length; twice as many gained no speed and raised the peak RSS of fig6 at
+# scale 16 by 0.4-2.6 MB
 _GROUP_SEGMENTS = 1 << 15
+# the most carriers of one group, so the paths a sampled realization holds
+# beside its signal stay few: at fig6 scale 64, groups of 142 carriers
+# raised its traced peak from 1.13 to 1.21 signal sizes
+_GROUP_CARRIERS = 64
 
 
 def _sample_count(horizon: float, dt: float) -> int:
@@ -129,12 +126,10 @@ class SimConfig:
 
     def __post_init__(self):
         _require_positive(horizon=self.horizon, amplitude=self.amplitude)
-        for name in ("n_carriers", "n_realizations"):
-            count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _require_integer(
+            1, n_carriers=self.n_carriers, n_realizations=self.n_realizations
+        )
+        _require_integer(0, seed=self.seed)
         if self.sample_dt is None:
             return
         _require_positive(sample_dt=self.sample_dt)
@@ -224,120 +219,124 @@ def _block_pairs(remaining: float, guess: float) -> int:
 
 
 def simulate_carrier(config: SimConfig, rng: np.random.Generator) -> CarrierPath:
-    """Generate one carrier path, starting trapped, truncated at the horizon.
+    """Generate one carrier path, starting trapped, truncated at the horizon:
+    the path of a group of one stream."""
+    return _simulate_carriers(config, [rng])[0]
 
-    Gap and pulse durations are drawn in blocks (rates, then gap
-    exponentials, then pulse exponentials), each straight into its
-    interleaved slots, so the draw sequence is a pure function of the
-    stream state.  A zero-rate gap comes out infinite and is clipped at
-    the horizon, closing the path with a terminal gap.
+
+def _carrier_groups(config: SimConfig, carriers: range) -> list[range]:
+    """``carriers`` in the groups that are simulated together: at most
+    ``_GROUP_CARRIERS`` carriers and ``_GROUP_SEGMENTS`` first-block
+    segments each, but at least one carrier."""
+    guess = _cycle_time_guess(config.rates, config.trapping, config.horizon)
+    pairs = _block_pairs(config.horizon, guess)
+    size = max(1, min(_GROUP_CARRIERS, _GROUP_SEGMENTS // (2 * pairs)))
+    return [carriers[lo : lo + size] for lo in range(0, len(carriers), size)]
+
+
+def _draw(config: SimConfig, rngs: list, n: int) -> np.ndarray:
+    """A draw block of ``n`` gap/pulse pairs per stream of ``rngs``, one
+    interleaved row each.
+
+    Every stream draws its rates (through ``sample_rate``), then its gap
+    exponentials, then its pulse exponentials, so a row is a pure
+    function of its stream's state.  The rates and the unit exponentials
+    wait in contiguous scratch rows, which the escape-time division reads
+    fastest, and the rates' rows are freed before the pulses are drawn;
+    ``exponential(theta, n)`` is ``theta`` times the unit exponentials,
+    product for product.  A zero rate gives an infinite gap.
     """
-    return _carry_on(config, rng, [], 0.0)
-
-
-def _carry_on(
-    config: SimConfig, rng: np.random.Generator, blocks: list, total: float
-) -> CarrierPath:
-    """The path whose draw blocks so far are ``blocks``, of float64 total
-    ``total``: draw blocks from ``rng`` until the total reaches the
-    horizon, then cut the path there."""
-    T = config.horizon
-    theta_scale = config.trapping.mean_time
-    guess = _cycle_time_guess(config.rates, config.trapping, T)
-
-    while total < T:
-        n = _block_pairs(T - total, guess)
-        block = np.empty(2 * n)
-        gamma = sample_rate(config.rates, rng, n)
-        escape_times(gamma, rng.standard_exponential(n), out=block[0::2])
-        block[1::2] = rng.exponential(theta_scale, n)
-        blocks.append(block)
-        total += block[0::2].sum() + block[1::2].sum()
-    interleaved = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    del blocks, block, gamma  # the loop variables hold the last block's draw
-
-    # the longdouble prefix sum in blocks: row 0 of the block buffer holds
-    # the last sum of the block before (0 at first), so one cumsum per
-    # block makes the same sequential additions as one over the path; its
-    # float64 cast goes into the ends until the block that reaches T
-    ends = np.empty_like(interleaved)
-    prefix = np.zeros(min(_PREFIX_BLOCK, len(interleaved)) + 1, dtype=np.longdouble)
-    for start in range(0, len(interleaved), _PREFIX_BLOCK):
-        durations = interleaved[start : start + _PREFIX_BLOCK]
-        stop = start + len(durations)
-        part = prefix[: len(durations) + 1]
-        part[1:] = durations
-        np.cumsum(part, out=part)
-        ends[start:stop] = part[1:]
-        if ends[stop - 1] >= T:  # the float64 end, as the search reads it
-            break
-        prefix[0] = part[-1]
-    cut = start + int(np.searchsorted(ends[start:stop], T))
-    if cut < len(interleaved):
-        # clip the segment that crosses the horizon (positive, as its start
-        # is below T) and end it as the path's own prefix sum would
-        interleaved[cut] = T - (ends[cut - 1] if cut else 0.0)
-        ends[cut] = part[cut - start] + interleaved[cut]
-        cut += 1
-    del prefix, part, durations  # durations is a view of interleaved
-    if cut > _PREFIX_BLOCK:
-        # no view of either buffer is left, so both shrink in place
-        interleaved.resize(cut, refcheck=False)
-        ends.resize(cut, refcheck=False)
-    else:
-        interleaved, ends = interleaved[:cut].copy(), ends[:cut].copy()
-    return CarrierPath(durations=interleaved, horizon=T, ends=ends)
-
-
-def _simulate_group(
-    config: SimConfig, realization: int, carriers: range, n: int
-) -> list[CarrierPath]:
-    """The paths of ``carriers``, whose first draw blocks (``n`` pairs
-    each) are drawn one carrier at a time into the rows of shared buffers
-    and cut in whole-array operations, with ``simulate_carrier``'s bytes.
-
-    Each row's draws are those ``simulate_carrier`` makes, in its order
-    (``exponential(theta, n)`` is ``theta`` times the unit exponentials,
-    product for product).  The row sums along the last axis and the
-    row-wise longdouble cumsum make the same additions as the sums and
-    cumsum over one path, and the count of ends below T is the search of
-    a sorted row.  A carrier whose first block ends short of T carries on
-    from that block and its own stream, through ``_carry_on``.
-    """
-    T = config.horizon
-    rngs = [carrier_stream(config.seed, realization, c) for c in carriers]
-    rates, gaps, pulses = np.empty((3, len(rngs), n))
-    for rng, rate, gap, pulse in zip(rngs, rates, gaps, pulses):
-        rate[:] = sample_rate(config.rates, rng, n)
-        rng.standard_exponential(out=gap)
-        rng.standard_exponential(out=pulse)
     block = np.empty((len(rngs), 2 * n))
-    escape_times(rates, gaps, out=block[:, 0::2])
-    np.multiply(pulses, config.trapping.mean_time, out=block[:, 1::2])
-    del rates, gaps, pulses
-    totals = block[:, 0::2].sum(axis=1) + block[:, 1::2].sum(axis=1)
+    rates = np.empty((len(rngs), n))
+    for rng, rate in zip(rngs, rates):
+        rate[:] = sample_rate(config.rates, rng, n)
+    units = np.empty_like(rates)
+    for rng, unit in zip(rngs, units):
+        rng.standard_exponential(out=unit)
+    escape_times(rates, units, out=block[:, 0::2])
+    del rates
+    for rng, unit in zip(rngs, units):
+        rng.standard_exponential(out=unit)
+    np.multiply(units, config.trapping.mean_time, out=block[:, 1::2])
+    return block
 
-    prefix = np.zeros((len(rngs), 2 * n + 1), dtype=np.longdouble)
-    prefix[:, 1:] = block
-    np.cumsum(prefix, axis=1, out=prefix)
-    ends = prefix[:, 1:].astype(np.float64)
-    cuts = np.count_nonzero(ends < T, axis=1)
-    # clip each crossing segment of a path that ends in this block
-    rows = np.flatnonzero((totals >= T) & (cuts < 2 * n))
-    cut = cuts[rows]
-    block[rows, cut] = T - np.where(cut > 0, ends[rows, cut - 1], 0.0)
-    ends[rows, cut] = prefix[rows, cut] + block[rows, cut]
-    cuts[rows] += 1
-    del prefix
 
+def _cut(block: np.ndarray, rows: np.ndarray, T: float) -> list[CarrierPath]:
+    """The paths of the ``rows`` of a draw block, each cut at the horizon.
+
+    The longdouble prefix sum runs along the rows in column blocks of
+    ``_PREFIX_BLOCK`` segments; column 0 of the sum's buffer holds each
+    row's last sum of the block before (0 at first), so one cumsum per
+    block makes the same sequential additions as one over the row.  Its
+    float64 cast goes into the ends up to the block in which the last of
+    ``rows`` reaches T.  In the block where a row reaches T, the count of
+    its float64 ends below T (the search of a sorted row) finds the
+    crossing segment, which is clipped (positive, as its start is below
+    T) and ended from the longdouble sum before it, as the row's own
+    prefix sum would end it.  A lone row longer than one block is trimmed
+    in place; any other path is copied out.
+    """
+    if not len(rows):
+        return []
+    width = block.shape[1]
+    ends = np.empty_like(block)
+    prefix = np.zeros((len(block), min(_PREFIX_BLOCK, width) + 1), dtype=np.longdouble)
+    cuts = np.full(len(block), width)
+    todo = rows
+    for start in range(0, width, _PREFIX_BLOCK):
+        stop = min(start + _PREFIX_BLOCK, width)
+        part = prefix[:, : stop - start + 1]
+        part[:, 1:] = block[:, start:stop]
+        np.cumsum(part, axis=1, out=part)
+        ends[:, start:stop] = part[:, 1:]
+        reached = ends[todo, stop - 1] >= T  # the float64 ends, as the count reads them
+        i = todo[reached]
+        cut = np.count_nonzero(ends[:, start:stop] < T, axis=1)[i]
+        # the longdouble sums before the crossing segments, whose float64
+        # casts are the ends before them (0 before the first)
+        before = part[i, cut]
+        cut += start
+        block[i, cut] = clipped = T - before.astype(np.float64)
+        ends[i, cut] = before + clipped
+        cuts[i] = cut + 1
+        todo = todo[~reached]
+        if not len(todo):
+            break
+        prefix[:, 0] = part[:, -1]
+    del prefix, part
+    if len(block) == 1 and cuts[0] > _PREFIX_BLOCK:
+        # no view of either buffer is left, so both shrink in place
+        block.resize(cuts[0], refcheck=False)
+        ends.resize(cuts[0], refcheck=False)
+        return [CarrierPath(durations=block, horizon=T, ends=ends)]
     return [
-        _carry_on(config, rng, [block[i]], totals[i])
-        if totals[i] < T
-        else CarrierPath(
+        CarrierPath(
             durations=block[i, : cuts[i]].copy(), horizon=T, ends=ends[i, : cuts[i]].copy()
         )
-        for i, rng in enumerate(rngs)
+        for i in rows
     ]
+
+
+def _simulate_carriers(config: SimConfig, rngs: list) -> list[CarrierPath]:
+    """The path of each stream of ``rngs``.
+
+    The streams' first draw blocks are drawn and cut together.  A row
+    whose float64 total falls short of T carries on alone: it draws
+    blocks from its own stream, each sized for the time left, until the
+    total reaches T, and is then cut as a group of one.
+    """
+    T = config.horizon
+    guess = _cycle_time_guess(config.rates, config.trapping, T)
+    block = _draw(config, rngs, _block_pairs(T, guess))
+    totals = block[:, 0::2].sum(axis=1) + block[:, 1::2].sum(axis=1)
+    paths = _cut(block, np.flatnonzero(totals >= T), T)
+    for i in np.flatnonzero(totals < T):
+        blocks, total = [block[i : i + 1]], totals[i]
+        while total < T:
+            blocks.append(_draw(config, [rngs[i]], _block_pairs(T - total, guess)))
+            total += blocks[-1][0, 0::2].sum() + blocks[-1][0, 1::2].sum()
+        paths.insert(i, _cut(np.concatenate(blocks, axis=1), np.arange(1), T)[0])
+    return paths
 
 
 def simulate_realization(
@@ -345,27 +344,16 @@ def simulate_realization(
 ) -> list[CarrierPath]:
     """The paths of the ``carriers`` (default: all) of one realization,
     each on its own sub-stream, so the paths of a range of carriers are
-    those of the whole realization at the same indices.
-
-    Several carriers whose first draw block fits in ``_GROUP_SEGMENTS``
-    segments are simulated in groups of at most that many first-block
-    segments (``_simulate_group``); each path has the bytes
-    ``simulate_carrier`` gives it.
-    """
+    those of the whole realization at the same indices.  The carriers are
+    simulated in their ``_carrier_groups``."""
     if carriers is None:
         carriers = range(config.n_carriers)
-    guess = _cycle_time_guess(config.rates, config.trapping, config.horizon)
-    n = _block_pairs(config.horizon, guess)
-    if len(carriers) == 1 or 2 * n > _GROUP_SEGMENTS:
-        return [
-            simulate_carrier(config, carrier_stream(config.seed, realization, c))
-            for c in carriers
-        ]
-    per_group = _GROUP_SEGMENTS // (2 * n)
     return [
         path
-        for lo in range(0, len(carriers), per_group)
-        for path in _simulate_group(config, realization, carriers[lo : lo + per_group], n)
+        for group in _carrier_groups(config, carriers)
+        for path in _simulate_carriers(
+            config, [carrier_stream(config.seed, realization, c) for c in group]
+        )
     ]
 
 

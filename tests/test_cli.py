@@ -23,7 +23,8 @@ from trapnoise.presets import FIG2_COMPONENT_RATES, DEFAULT_SEED
 from trapnoise import runner
 from trapnoise.runner import run, run_spectrum_config
 from trapnoise.simulate import (
-    binomial_pmf, occupancy_counts, simulate_realization, superpose,
+    _GROUP_CARRIERS, _carrier_groups, binomial_pmf, occupancy_counts,
+    simulate_realization, superpose,
 )
 from trapnoise.spectra import SpectrumEstimate, logbin_spectrum
 
@@ -131,6 +132,23 @@ class TestPresets:
         d = spec_to_dict(preset(figure, scale=1000.0))
         edit(d)
         with pytest.raises(ValueError, match=field):
+            spec_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_carriers", True),
+            ("n_realizations", True),
+            ("seed", False),
+            ("points_per_decade", True),
+            ("bins_per_decade", 2.5),
+        ],
+    )
+    def test_integer_fields_reject_bools_and_fractions(self, field, value):
+        # JSON true and false are Python bools, which isinstance(.., int) accepts
+        d = spec_to_dict(preset("fig6", scale=1000.0))
+        (d if field.endswith("_per_decade") else d["runs"][0])[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
             spec_from_dict(d)
 
     def test_f_max_below_a_runs_lowest_frequency_rejected(self):
@@ -479,9 +497,11 @@ class TestRunner:
 
         cfg = SimConfig(
             rates=UniformRates(1.0, 10.0), trapping=PoissonTrapping(1.0),
-            horizon=20.0, n_carriers=2 * runner._CARRIER_GROUP + 3,
-            n_realizations=2, sample_dt=0.05, seed=4,
+            horizon=20.0, n_carriers=1, n_realizations=2, sample_dt=0.05, seed=4,
         )
+        size = len(_carrier_groups(cfg, range(_GROUP_CARRIERS))[0])
+        cfg = dataclasses.replace(cfg, n_carriers=2 * size + 3)
+        assert len(_carrier_groups(cfg, range(cfg.n_carriers))) == 3
         assert runner._export_events(cfg, "g", tmp_path) == [
             "g_events.csv", "g_signal.csv",
         ]
@@ -499,26 +519,28 @@ class TestRunner:
     def test_sampled_event_export_holds_one_group_beside_the_signal(self, tmp_path):
         import tracemalloc
 
-        def export_peak(n_carriers):
-            # a 100k-sample signal (0.8 MB) and about 1600 segments per path,
-            # so a group of paths holds about 1.6 MB
-            cfg = SimConfig(
-                rates=UniformRates(1.0, 10.0), trapping=PoissonTrapping(1.0),
-                horizon=1e3, n_carriers=n_carriers, sample_dt=1e-2, seed=4,
-            )
+        # a 100k-sample signal (0.8 MB) and about 1600 segments per path
+        cfg = SimConfig(
+            rates=UniformRates(1.0, 10.0), trapping=PoissonTrapping(1.0),
+            horizon=1e3, n_carriers=1, sample_dt=1e-2, seed=4,
+        )
+        group = len(_carrier_groups(cfg, range(_GROUP_CARRIERS))[0])
+
+        def export_peak(n_groups):
+            config = dataclasses.replace(cfg, n_carriers=n_groups * group)
+            assert len(_carrier_groups(config, range(config.n_carriers))) == n_groups
             tracemalloc.start()
             try:
-                runner._export_events(cfg, f"c{n_carriers}", tmp_path)
+                runner._export_events(config, f"g{n_groups}", tmp_path)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         # eight groups of carriers peak about as high as one (the first
         # call's one-time allocations are left out)
-        group = runner._CARRIER_GROUP
-        export_peak(group)
-        one = export_peak(group)
-        assert export_peak(8 * group) <= 1.5 * one
+        export_peak(1)
+        one = export_peak(1)
+        assert export_peak(8) <= 1.5 * one
 
     def test_sampled_run_with_event_export_holds_one_signal(self, tmp_path):
         import tracemalloc

@@ -1,5 +1,6 @@
 """Carrier-path generation, superposition, and reproducibility."""
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -335,52 +336,81 @@ class TestDeterminism:
 class TestCarrierGroups:
     """``simulate_realization`` draws the first blocks of a group of
     carriers into shared rows and cuts them in whole-array operations;
-    every path keeps the bytes ``simulate_carrier`` gives it."""
+    every path keeps the bytes of the three-buffer reference."""
 
     @staticmethod
-    def same_as_carriers(cfg, realization, carriers, monkeypatch):
-        """Assert the paths and the rate draws of ``carriers`` are those of
-        one ``simulate_carrier`` call each; return the draws past the
-        first blocks."""
-        sizes = TestBlockedPrefix.draws(monkeypatch)
+    def same_as_reference(cfg, realization, carriers, monkeypatch):
+        """Assert the paths of ``carriers`` have the reference's bytes and
+        that every block the reference draws is drawn once, through
+        ``simulate.sample_rate``; return the draws past the first blocks."""
+        grouped = TestBlockedPrefix.draws(monkeypatch)
         paths = simulate_realization(cfg, realization, carriers)
-        grouped = sizes[:]
-        sizes.clear()
+        wanted = []
+
+        def reference_sample_rate(model, rng, n, draw=sample_rate):
+            wanted.append(n)
+            return draw(model, rng, n)
+
+        # the reference draws through this module's own sample_rate
+        monkeypatch.setattr(sys.modules[__name__], "sample_rate", reference_sample_rate)
         assert len(paths) == len(carriers)
         for c, path in zip(carriers, paths):
-            want = simulate_carrier(cfg, carrier_stream(cfg.seed, realization, c))
-            assert path.durations.tobytes() == want.durations.tobytes()
-            assert path.ends.tobytes() == want.ends.tobytes()
-        # every block drawn once, through sample_rate, none twice
-        assert sorted(grouped) == sorted(sizes)
-        return len(sizes) - len(carriers)
+            kept, times = simulate_carrier_three_buffers(
+                cfg, carrier_stream(cfg.seed, realization, c)
+            )
+            assert path.durations.tobytes() == kept.tobytes()
+            assert path.ends.tobytes() == times.tobytes()
+        assert sorted(grouped) == sorted(wanted)
+        return len(wanted) - len(carriers)
 
     def test_fig6_preset(self, monkeypatch):
         cfg = preset("fig6", scale=64).runs[0][1]
-        guess = _cycle_time_guess(cfg.rates, cfg.trapping, cfg.horizon)
-        n = simulate._block_pairs(cfg.horizon, guess)
-        assert cfg.n_carriers > simulate._GROUP_SEGMENTS // (2 * n)  # several groups
-        self.same_as_carriers(cfg, 0, range(cfg.n_carriers), monkeypatch)
+        assert len(simulate._carrier_groups(cfg, range(cfg.n_carriers))) > 1
+        self.same_as_reference(cfg, 0, range(cfg.n_carriers), monkeypatch)
 
     def test_first_blocks_that_end_short_of_the_horizon(self, monkeypatch):
         cfg = make_config(rates=UniformRates(0.0, 10.0), horizon=30.0, n_carriers=300)
-        assert self.same_as_carriers(cfg, 1, range(300), monkeypatch) > 0
+        assert self.same_as_reference(cfg, 1, range(300), monkeypatch) > 0
 
     def test_arrhenius_rates(self, monkeypatch):
         cfg = make_config(
             rates=ArrheniusRates(10.0, 0.1, 0.0, 0.5), trapping=PoissonTrapping(2.0),
             horizon=50.0, n_carriers=200,
         )
-        self.same_as_carriers(cfg, 2, range(200), monkeypatch)
+        self.same_as_reference(cfg, 2, range(200), monkeypatch)
 
     def test_positive_rate_floor(self, monkeypatch):
         cfg = make_config(horizon=300.0, n_carriers=150)
         assert cfg.rates.gamma_min > 0.0
-        self.same_as_carriers(cfg, 0, range(150), monkeypatch)
+        self.same_as_reference(cfg, 0, range(150), monkeypatch)
 
     def test_carrier_sub_range(self, monkeypatch):
         cfg = make_config(horizon=100.0, n_carriers=400)
-        self.same_as_carriers(cfg, 3, range(37, 301), monkeypatch)
+        self.same_as_reference(cfg, 3, range(37, 301), monkeypatch)
+
+    def test_rows_crossed_in_different_prefix_blocks(self, monkeypatch):
+        # prefix blocks of 7 segments, far below the rows' length, so the
+        # rows of the one group reach the horizon in different blocks, one
+        # of them at a block's first segment (its clip takes the carried sum)
+        cfg = make_config(horizon=100.0, n_carriers=20)
+        monkeypatch.setattr(simulate, "_PREFIX_BLOCK", 7)
+        assert len(simulate._carrier_groups(cfg, range(20))) == 1
+        crossings = [
+            len(simulate_carrier_three_buffers(cfg, carrier_stream(cfg.seed, 0, c))[0]) - 1
+            for c in range(20)
+        ]
+        assert len({i // 7 for i in crossings}) > 1
+        assert any(i % 7 == 0 for i in crossings)
+        self.same_as_reference(cfg, 0, range(20), monkeypatch)
+
+    def test_group_size_rule(self):
+        # at most _GROUP_CARRIERS carriers, at most _GROUP_SEGMENTS first-block
+        # segments, and one carrier whose first block alone exceeds them
+        for horizon, size in ((20.0, simulate._GROUP_CARRIERS), (1e3, 18), (1e5, 1)):
+            cfg = make_config(rates=UniformRates(1.0, 10.0), horizon=horizon)
+            groups = simulate._carrier_groups(cfg, range(3, 100))
+            assert [len(g) for g in groups[:-1]] == [size] * (len(groups) - 1)
+            assert groups[0].start == 3 and groups[-1].stop == 100
 
 
 class TestCarrierPath:
