@@ -22,7 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import NonergodicError, _require_positive, detrap_mean
+from .distributions import (
+    NonergodicError, _require_integer, _require_positive, detrap_mean,
+)
 from .simulate import SimConfig
 from .spectra import SpectrumEstimate
 
@@ -103,8 +105,7 @@ def expected_min_rate(gamma_min: float, gamma_max: float, pulse_count: int) -> f
     The minimum of K uniforms on [0, 1] is Beta(1, K) with mean
     1/(K + 1); rescaling to [gamma_min, gamma_max] gives the result.
     """
-    if pulse_count < 1:
-        raise ValueError("pulse_count must be >= 1")
+    _require_integer(1, pulse_count=pulse_count)
     return (gamma_max - gamma_min) / (pulse_count + 1) + gamma_min
 
 

@@ -43,12 +43,28 @@ class NonergodicError(ValueError):
     """Raised when a moment is requested that only exists for gamma_min > 0."""
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: a bool (JSON ``true``), a
+    string or None is not, and numpy numbers are."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float, np.integer, np.floating)
+    )
+
+
 def _require_positive(**values) -> None:
-    """Reject the first value that is not finite and positive, by name;
-    NaN fails the test too."""
+    """Reject the first value that is not a finite positive real number,
+    by name; NaN fails the test too."""
     for name, value in values.items():
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (_is_real(value) and 0.0 < value < np.inf):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_nonnegative(**values) -> None:
+    """Reject the first value that is not a finite real number of at
+    least 0, by name; NaN fails the test too."""
+    for name, value in values.items():
+        if not (_is_real(value) and 0.0 <= value < np.inf):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _require_integer(minimum: int, **values) -> None:
@@ -75,15 +91,13 @@ class UniformRates:
     gamma_max: float
 
     def __post_init__(self):
-        for name in ("gamma_min", "gamma_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0.0 <= self.gamma_min <= self.gamma_max):
+        _require_nonnegative(gamma_min=self.gamma_min)
+        _require_positive(gamma_max=self.gamma_max)
+        if self.gamma_min > self.gamma_max:
             raise ValueError(
                 f"need 0 <= gamma_min <= gamma_max, got "
                 f"[{self.gamma_min}, {self.gamma_max}]"
             )
-        _require_positive(gamma_max=self.gamma_max)
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,8 @@ class ArrheniusRates:
 
     def __post_init__(self):
         _require_positive(prefactor=self.prefactor, thermal_energy=self.thermal_energy)
-        if not (0.0 <= self.energy_min <= self.energy_max):
+        _require_nonnegative(energy_min=self.energy_min, energy_max=self.energy_max)
+        if self.energy_min > self.energy_max:
             raise ValueError("need 0 <= energy_min <= energy_max")
 
     @property

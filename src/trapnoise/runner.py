@@ -4,17 +4,16 @@ deterministically, and write the artifact set.
 A run of several realizations fans them out to a pool of ``workers``
 processes; a run of one realization computes it in this process, and its
 event-exact transform splits its frequencies over ``workers`` threads,
-its sampled periodogram the blocks of its in-place FFT over two.  A
-sampled realization simulates its carriers one group at a time, in the
-groups of ``simulate._carrier_groups``, while ``superpose`` adds them
-into the signal, so only a group's paths are alive beside it; the pulse
-count and free time are tallied in carrier order, the same sums as over
-the whole list.  It counts its occupancy histogram before the transform,
-which then keeps the spectrum and its grid in the signal's memory.  An
-event-exact realization simulates all its carriers at once.  The event
-export simulates each realization again in the same groups, writing each
-group into the event CSV as it is made, and for a sampled run adds
-realization 0's groups into the signal it writes.
+its sampled periodogram the blocks of its in-place FFT over two.  One
+generator, ``_realization_groups``, simulates a realization's carriers a
+group at a time, in the groups of ``simulate._carrier_groups``, for all
+three consumers.  A sampled realization feeds the groups to
+``superpose``, so only one is alive beside the signal, and counts its
+occupancy histogram before the transform, which then keeps the spectrum
+and its grid in the signal's memory.  An event-exact realization joins
+them into one list.  The event export simulates each realization again,
+writing each group into the event CSV as it is made, and for a sampled
+run feeds realization 0's groups to the signal it writes.
 
 Artifacts per experiment ``name``:
 
@@ -49,13 +48,15 @@ import numpy as np
 
 from . import analysis as _analysis
 from .analytic import one_over_f_window
-from .distributions import NonergodicError, UniformRates, detrap_pdf, free_probability
+from .distributions import (
+    NonergodicError, UniformRates, _require_integer, detrap_pdf, free_probability,
+)
 from .presets import (
     FIG2_COMPONENT_RATES, FIG2_RATE_BOUNDS, ExperimentSpec, spec_to_dict,
 )
 from .simulate import (
     SimConfig, _carrier_groups, _write_rows, binomial_pmf, occupancy_counts,
-    simulate_realization, superpose,
+    simulate_realization, superpose, write_signal_csv,
 )
 from .spectra import (
     SpectrumEstimate,
@@ -90,50 +91,54 @@ class RunResult:
     hist: Optional[np.ndarray]  # occupancy counts summed over realizations
 
 
+def _realization_groups(config, realization, counts=None, events=None):
+    """Each carrier group of one realization, simulated when it is asked
+    for.  Given ``counts``, its pulses and free time are added in carrier
+    order, the sums over the whole list; given an event CSV ``events``,
+    the group is written into it."""
+    # looked up per call, so a wrapper installed on the module is seen
+    from .simulate import write_event_csv
+
+    for carriers in _carrier_groups(config, range(config.n_carriers)):
+        group = simulate_realization(config, realization, carriers)
+        if counts is not None:
+            for p in group:
+                counts["pulse_count"] += p.pulse_count
+                counts["free_time"] += p.free_time
+        if events is not None:
+            write_event_csv(
+                events, [group], start=realization, carrier_start=carriers.start
+            )
+        yield group
+        del group  # before the next group is simulated
+
+
 def _one_realization(config, freqs, threads, realization) -> RealizationResult:
     counts = {"pulse_count": 0, "free_time": 0}
+    groups = _realization_groups(config, realization, counts=counts)
     hist = None
     if freqs is None:
-
-        def paths():
-            # carrier groups simulated as superpose reads them, tallied in
-            # carrier order; each group is dropped once it is added in
-            for carriers in _carrier_groups(config, range(config.n_carriers)):
-                group = simulate_realization(config, realization, carriers)
-                _tally(counts, group)
-                yield from group
-
-        signal = superpose(paths(), config.amplitude, config.sample_dt)
+        signal = superpose(groups, config.amplitude, config.sample_dt)
         # the transform overwrites the signal, so it is counted first
         hist = occupancy_counts(signal)
         est = periodogram_fft(signal, workers=threads, overwrite=True)
     else:
-        paths = simulate_realization(config, realization)
-        _tally(counts, paths)
+        paths = [p for group in groups for p in group]
         est = periodogram_superposed_events(
             paths, config.amplitude, freqs, workers=threads
         )
     return RealizationResult(spectrum=est, hist=hist, **counts)
 
 
-def _tally(counts: dict, paths) -> None:
-    """Add the pulses and free time of ``paths`` to ``counts``, in path
-    order, so a realization's totals do not depend on how it is split."""
-    for p in paths:
-        counts["pulse_count"] += p.pulse_count
-        counts["free_time"] += p.free_time
-
-
 def _worker_count(workers: Optional[int]) -> int:
     """``workers``, or when it is None the number of CPUs this process may
     run on (its affinity mask where the platform has one, else the CPU
-    count); below 1 is an error."""
+    count); anything but an integer of at least 1 is an error."""
     if workers is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1 or None, got {workers}")
+    _require_integer(1, workers=workers)
     return workers
 
 
@@ -338,32 +343,20 @@ def _export_events(config: SimConfig, stem: str, outdir: Path) -> list[str]:
     """Event-level CSV (one row per segment) plus the sampled first
     realization when a sampling interval is configured; returns the
     names of the files written."""
-    from .simulate import write_event_csv, write_signal_csv
-
     ev_name = f"{stem}_events.csv"
     names = [ev_name]
     with open(outdir / ev_name, "w") as fh:
-
-        def paths(r):
-            # carrier groups written as they are simulated; each group is
-            # dropped before the next is simulated, once its consumer (the
-            # signal, for realization 0) has read it
-            for carriers in _carrier_groups(config, range(config.n_carriers)):
-                group = simulate_realization(config, r, carriers)
-                write_event_csv(fh, [group], start=r, carrier_start=carriers.start)
-                yield from group
-                del group
-
         for r in range(config.n_realizations):
+            groups = _realization_groups(config, r, events=fh)
             if r == 0 and config.sample_dt is not None:
-                signal = superpose(paths(r), config.amplitude, config.sample_dt)
+                signal = superpose(groups, config.amplitude, config.sample_dt)
                 sig_name = f"{stem}_signal.csv"
                 with open(outdir / sig_name, "w") as sig_fh:
                     write_signal_csv(sig_fh, signal, config.seed)
                 del signal
                 names.append(sig_name)
             else:
-                for _ in paths(r):  # written as it goes
+                for _ in groups:  # written as they are made
                     pass
     return names
 

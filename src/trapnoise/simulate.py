@@ -27,19 +27,19 @@ longer than one block in place, so such a path peaks at about 20 bytes
 per kept segment (the float64 durations and end times, 16 bytes per
 drawn segment, with about 1.1 drawn per kept, and one block of the
 longdouble sum) and keeps 16.  One rule, ``_carrier_groups``, sizes the
-groups that ``simulate_realization`` and the runner iterate.
+groups that ``simulate_realization``, the runner and ``superpose`` take.
 
 ``superpose`` builds the sampled signal in one float64 array: the
-pulses' rising (+1) and falling (-1) sample indices added in with
-``np.add.at``, a group of carriers at a time, then its prefix sum, then
-the pulse height, all in place.  The sums are over whole numbers, so
-they are exact.  It takes any iterable of paths and reads each once, so
-a producer can simulate the carriers while it adds them in (the
-runner's sampled realizations do), and only the paths of the groups in
-flight are alive beside the signal.  ``simulate_realization`` makes the
-paths of any range of a realization's carriers, the same as the whole
-realization's at those indices.  ``occupancy_counts`` counts the signal
-in blocks of ``_HIST_BLOCK`` samples.
+pulses' rising (+1) and falling (-1) sample indices added in with one
+``np.add.at`` per sign and carrier group, then its prefix sum, then the
+pulse height, all in place.  The sums are over whole numbers, so they
+are exact, whatever the grouping.  It takes any iterable of carrier
+groups and drops each once it is added in, so the runner simulates the
+groups while it adds them in, and only one is alive beside the signal.
+``simulate_realization`` makes the paths of any range of a realization's
+carriers, the same as the whole realization's at those indices.
+``occupancy_counts`` counts the signal in blocks of ``_HIST_BLOCK``
+samples.
 
 Every CSV row of the package is written by ``_write_rows``, in blocks
 of ``_CSV_BLOCK`` rows.
@@ -87,10 +87,6 @@ _CSV_BLOCK = 1 << 14
 # samples per block of the occupancy histogram (512 kB of float64), so
 # counting makes no temporary as large as the signal
 _HIST_BLOCK = 1 << 16
-# ``superpose`` adds the pulse bounds of whole carriers with one np.add.at
-# call per group of at least this many, so many short paths take few calls,
-# and the group's paths and index arrays beside the signal stay small
-_SUPERPOSE_GROUP = 1 << 14
 # segments per column block of the longdouble prefix sum; a lone path
 # longer than one block is trimmed in place, any other copied (in place,
 # the many short paths of a sampled run left more heap behind)
@@ -362,51 +358,42 @@ def empirical_nu(path: CarrierPath) -> float:
     return path.pulse_count / path.horizon
 
 
-def _add_bounds(delta: np.ndarray, group: list, dt: float) -> None:
-    """Add the rising (+1) and falling (-1) sample indices of a group of
-    ``pulse_bounds`` into the increments ``delta`` (one past the samples)."""
-    for times, step in zip(zip(*group), (1.0, -1.0)):
-        k = np.ceil(np.concatenate(times) / dt).astype(np.int64)
-        np.clip(k, 0, len(delta) - 1, out=k)
-        np.add.at(delta, k, step)
-
-
 def superpose(
-    paths: Iterable[CarrierPath], amplitude: float, dt: float
+    groups: Iterable[Sequence[CarrierPath]], amplitude: float, dt: float
 ) -> SampledSignal:
     """Sample the summed current of independent carriers on a uniform grid.
 
     State changes are located exactly; the only discretization is the
-    sampling itself.  ``paths`` may be any iterable of paths, a generator
-    included: each path is read as it arrives and dropped once its group
-    is added in, so a producer that makes the paths a few carriers at a
-    time keeps only those alive.  All paths must share the same horizon.
+    sampling itself.  ``groups`` may be any iterable of carrier groups
+    (sequences of paths), a generator included: each group is added in
+    as it arrives and then dropped, so a producer that makes the groups
+    one at a time keeps only one alive.  Pass ``[paths]`` for one list.
+    All paths must share the same horizon.
     """
     # carrier free on [t0, t1) contributes to samples ceil(t0/dt) .. ceil(t1/dt)-1;
     # one float64 array holds the increments, then the occupancy; both
-    # are whole numbers far below 2**53, so every sum is exact
+    # are whole numbers far below 2**53, so every sum is exact, whatever
+    # the grouping
     delta = None
-    group: list = []
-    size = n_carriers = 0
-    for p in paths:
-        if delta is None:
-            T = p.horizon
+    n_carriers = 0
+    for group in groups:
+        if delta is None and len(group):
+            T = group[0].horizon
             n_samples = _sample_count(T, dt)
             if n_samples < 1:
                 raise ValueError("horizon shorter than one sample interval")
             delta = np.zeros(n_samples + 1)
-        elif p.horizon != T:
+        if any(p.horizon != T for p in group):
             raise ValueError("mismatched horizons")
-        n_carriers += 1
-        group.append(p.pulse_bounds())
-        size += 2 * p.pulse_count
-        if size >= _SUPERPOSE_GROUP:
-            _add_bounds(delta, group, dt)
-            group, size = [], 0
+        n_carriers += len(group)
+        for times, step in zip(zip(*(p.pulse_bounds() for p in group)), (1.0, -1.0)):
+            k = np.ceil(np.concatenate(times) / dt).astype(np.int64)
+            np.clip(k, 0, n_samples, out=k)
+            np.add.at(delta, k, step)
+        # dropped before the producer makes the next group
+        group = times = k = None
     if delta is None:
         raise ValueError("need at least one carrier path")
-    if group:
-        _add_bounds(delta, group, dt)
     values = delta[:n_samples]
     np.cumsum(values, out=values)
     values *= amplitude

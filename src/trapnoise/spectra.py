@@ -119,7 +119,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import _require_positive
+from .distributions import _require_integer, _require_positive
 from .simulate import CarrierPath, SampledSignal, _write_rows
 
 __all__ = [
@@ -209,15 +209,18 @@ def natural_frequencies(
     points_per_decade: int = 40,
 ) -> np.ndarray:
     """Log-spaced selection from the natural grid k/horizon, k >= 1;
-    ``horizon`` and ``f_max`` must be finite and positive.
+    ``horizon``, ``f_max`` and a given ``f_min`` must be finite and
+    positive, and ``points_per_decade`` an integer of at least 1.
 
     Snapping to natural frequencies keeps the signal mean confined to the
     excluded zero bin of the finite-time periodogram.
     """
     _require_positive(horizon=horizon, f_max=f_max)
+    _require_integer(1, points_per_decade=points_per_decade)
     if f_min is None:
         f_min = 1.0 / horizon
-    if not (0.0 < f_min < f_max):
+    _require_positive(f_min=f_min)
+    if not f_min < f_max:
         raise ValueError(
             f"need 0 < f_min < f_max, got f_min {f_min:g} (by default "
             f"1/horizon) and f_max {f_max:g}"
@@ -670,8 +673,7 @@ def logbin_spectrum(est: SpectrumEstimate, bins_per_decade: int) -> SpectrumEsti
     points, so the largest temporary is the largest bin's log10, not
     the grid's.
     """
-    if bins_per_decade < 1:
-        raise ValueError("bins_per_decade must be >= 1")
+    _require_integer(1, bins_per_decade=bins_per_decade)
     f = est.freqs
     first, last = np.log10(f[[0, -1]])
     j0 = int(np.floor(first * bins_per_decade))

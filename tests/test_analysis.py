@@ -93,6 +93,11 @@ class TestExpectedMinRate:
         with pytest.raises(ValueError):
             expected_min_rate(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="pulse_count must be an integer"):
+            expected_min_rate(0.0, 1.0, count)
+
 
 class TestEffectiveCutoff:
     def test_long_trapping_frozen(self):

@@ -63,6 +63,16 @@ class TestRateModels:
             ArrheniusRates(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             ArrheniusRates(1.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="energy_max"):
+            ArrheniusRates(1.0, 1.0, 0.0, np.inf)
+        with pytest.raises(ValueError, match="energy_min must be finite"):
+            ArrheniusRates(1.0, 1.0, True, 2.0)
+
+    def test_numpy_scalars_accepted(self):
+        rates = UniformRates(np.float32(0.0), np.int64(10))
+        assert rates.gamma_max == 10
+        ArrheniusRates(np.float64(1.0), np.float32(0.5), np.int32(0), np.float64(2.0))
+        assert PoissonTrapping(np.float32(2.0)).mean_time == pytest.approx(0.5)
 
     def test_trapping_validation(self):
         assert PoissonTrapping(2.0).mean_time == pytest.approx(0.5)

@@ -455,7 +455,7 @@ class TestSuperpose:
         cfg = make_config(horizon=200.0)
         path = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
         dt = 0.05
-        sig = superpose([path], 2.0, dt)
+        sig = superpose([[path]], 2.0, dt)
         starts, ends = path.pulse_bounds()
         t = np.arange(len(sig.values)) * dt
         idx = np.searchsorted(starts, t, side="right") - 1
@@ -463,42 +463,51 @@ class TestSuperpose:
         assert np.array_equal(sig.values, 2.0 * free.astype(float))
 
     def test_mismatched_horizons_rejected(self):
+        # within one group and across two
         p1 = make_path(np.array([1.0, 1.0]), horizon=2.0)
         p2 = make_path(np.array([1.0, 2.0]), horizon=3.0)
-        with pytest.raises(ValueError):
-            superpose([p1, p2], 1.0, 0.1)
+        for groups in ([[p1, p2]], [[p1], [p2]]):
+            with pytest.raises(ValueError, match="mismatched horizons"):
+                superpose(groups, 1.0, 0.1)
 
     def test_mismatch_mid_stream_rejected(self):
         cfg = make_config(n_carriers=3, horizon=50.0)
         late = make_path(np.array([1.0, 2.0]), horizon=3.0)
-        stream = iter(simulate_realization(cfg, 0) + [late])
+        stream = iter([simulate_realization(cfg, 0), [late]])
         with pytest.raises(ValueError, match="mismatched horizons"):
             superpose(stream, 1.0, 0.1)
 
-    @pytest.mark.parametrize("empty", [[], (), iter([])])
+    @pytest.mark.parametrize("empty", [[], (), iter([]), [[]], [(), []]])
     def test_no_paths_rejected(self, empty):
         with pytest.raises(ValueError, match="need at least one carrier path"):
             superpose(empty, 1.0, 0.1)
 
-    def test_generator_gives_the_list_bytes(self, monkeypatch):
-        # a small group, so the stream crosses several add-in groups
-        monkeypatch.setattr(simulate, "_SUPERPOSE_GROUP", 64)
-        cfg = make_config(n_carriers=7, horizon=300.0)
+    def test_generator_gives_the_list_bytes(self):
+        # the increments are whole numbers, so how the paths are grouped,
+        # and whether the groups come from a list or a generator, leaves
+        # every byte of the signal as it is
+        cfg = make_config(n_carriers=150, horizon=300.0)
         paths = simulate_realization(cfg, 1)
-        want = superpose(paths, 1.5, 0.1)
-        got = superpose((p for p in paths), 1.5, 0.1)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.n_carriers == want.n_carriers == 7
+        groups = simulate._carrier_groups(cfg, range(cfg.n_carriers))
+        assert len(groups) > 1
+        want = superpose([paths], 1.5, 0.1)
+        for grouped in (
+            ([p] for p in paths),
+            (simulate_realization(cfg, 1, carriers) for carriers in groups),
+        ):
+            got = superpose(grouped, 1.5, 0.1)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.n_carriers == want.n_carriers == 150
 
     def test_all_trapped_gives_zero_signal(self):
         paths = [make_path(np.array([5.0]), horizon=5.0) for _ in range(3)]
-        sig = superpose(paths, 1.0, 0.5)
+        sig = superpose([paths], 1.0, 0.5)
         assert np.all(sig.values == 0.0)
 
     def test_mean_equals_grid_occupancy_identity(self):
         cfg = make_config(n_carriers=4, horizon=300.0)
         paths = simulate_realization(cfg, 0)
-        sig = superpose(paths, 1.5, 0.1)
+        sig = superpose([paths], 1.5, 0.1)
         occupancy = np.zeros(len(sig.values))
         t = np.arange(len(sig.values)) * 0.1
         for p in paths:
@@ -527,7 +536,7 @@ class TestAgainstFormulas:
         dt = 0.01
         cfg = make_config(n_carriers=6, horizon=n_samples * dt)
         paths = simulate_realization(cfg, 0)
-        sig = superpose(paths, 1.5, dt)
+        sig = superpose([paths], 1.5, dt)
         assert len(sig.values) == n_samples
         want = superpose_formula(paths, 1.5, dt)
         assert sig.values.tobytes() == want.tobytes()
@@ -546,7 +555,7 @@ class TestAgainstFormulas:
             make_path(np.array([9.99, 0.06]), horizon=10.05),
             make_path(np.array([0.26, 9.79]), horizon=10.05),
         ]
-        sig = superpose(paths, 1.5, 0.1)
+        sig = superpose([paths], 1.5, 0.1)
         want = superpose_formula(paths, 1.5, 0.1)
         assert len(want) == 100
         assert sig.values.tobytes() == want.tobytes()
@@ -729,7 +738,7 @@ class TestConfigValidation:
     def test_two_samples_accepted(self):
         cfg = make_config(horizon=1.0, sample_dt=0.5, seed=np.uint32(0))
         path = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
-        assert len(superpose([path], 1.0, cfg.sample_dt).values) == 2
+        assert len(superpose([[path]], 1.0, cfg.sample_dt).values) == 2
 
     def test_numpy_integer_counts_accepted(self):
         cfg = make_config(n_carriers=np.int64(3), n_realizations=np.int32(2))

@@ -49,6 +49,14 @@ class TestNaturalFrequencies:
             natural_frequencies(np.nan, 1.0, f_min=1e-3)
         with pytest.raises(ValueError, match="f_max"):
             natural_frequencies(1e4, np.inf)
+        for f_min in (0.0, True, "1e-3"):
+            with pytest.raises(ValueError, match="f_min must be finite"):
+                natural_frequencies(1e4, 10.0, f_min=f_min)
+
+    @pytest.mark.parametrize("points", [0, -1, 2.5, True])
+    def test_points_per_decade_must_be_a_positive_integer(self, points):
+        with pytest.raises(ValueError, match="points_per_decade must be an integer"):
+            natural_frequencies(1e4, 1e2, points_per_decade=points)
 
 
 class TestEventExact:
@@ -106,7 +114,7 @@ class TestEventExact:
             horizon=500.0, n_carriers=3, sample_dt=1e-3, seed=9,
         )
         paths = simulate_realization(cfg, 0)
-        sig = superpose(paths, 1.0, cfg.sample_dt)
+        sig = superpose([paths], 1.0, cfg.sample_dt)
         fft_est = periodogram_fft(sig)
         ks = np.arange(2, 1000)
         freqs = ks / sig.horizon
@@ -560,7 +568,7 @@ class TestFftEstimator:
             horizon=2000.0, sample_dt=1e-3, seed=21,
         )
         paths = simulate_realization(cfg, 0)
-        sig = superpose(paths, 1.0, cfg.sample_dt)
+        sig = superpose([paths], 1.0, cfg.sample_dt)
         fft_est = periodogram_fft(sig)
         ks = np.arange(2, 4000)
         freqs = ks / sig.horizon
@@ -903,6 +911,15 @@ class TestLogbin:
         assert np.allclose(binned.values, est.values, rtol=1e-12)
         assert binned.n_averaged == 4
         assert binned.estimator == "event_exact"
+
+    @pytest.mark.parametrize("bins", [0, 2.5, True])
+    def test_bins_per_decade_must_be_a_positive_integer(self, bins):
+        est = SpectrumEstimate(
+            freqs=np.array([1.0, 2.0]), values=np.ones(2), n_averaged=1,
+            estimator="event_exact",
+        )
+        with pytest.raises(ValueError, match="bins_per_decade must be an integer"):
+            logbin_spectrum(est, bins)
 
     def test_monotone_grid_preserved(self):
         rng = np.random.default_rng(1)
