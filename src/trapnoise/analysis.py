@@ -171,9 +171,13 @@ def hooge_alpha_predicted(trapping_rate: float, gamma_max: float) -> float:
 
 
 def hooge_alpha_exact(pulse_rate: float, mean_pulse: float, gamma_max: float) -> float:
-    """Unapproximated form ``1 / (nu <pulse>^2 gamma_max)``."""
-    if not pulse_rate > 0.0:
+    """Unapproximated form ``1 / (nu <pulse>^2 gamma_max)``, all three
+    finite and positive; a run without pulses is named as such."""
+    if pulse_rate == 0.0:
         raise ValueError("pulse rate must be positive")
+    _require_positive(
+        **{"pulse rate": pulse_rate}, mean_pulse=mean_pulse, gamma_max=gamma_max
+    )
     return 1.0 / (pulse_rate * mean_pulse**2 * gamma_max)
 
 
@@ -196,8 +200,8 @@ def hooge_alpha_fitted(
     A window of one point has no slope: the deviation is None and the
     window is not in band.
     """
-    if not mean_current > 0.0:
-        raise ValueError("mean current must be positive")
+    _require_positive(**{"mean current": mean_current})
+    _require_integer(1, n_carriers=n_carriers)
     alpha = float(n_carriers * flicker_line_level(est, window) / mean_current**2)
     try:
         deviation = abs(fit_loglog(est.freqs, est.values, window)[0] + 1.0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import _require_positive
+from .distributions import UniformRates, _require_positive
 
 __all__ = [
     "chi_exponential",
@@ -56,13 +56,12 @@ def chi_uniform_rate(f, gamma_min: float, gamma_max: float):
     using the principal complex log.  For 0 <= a < b and real w = 2 pi f
     != 0, Im log((b - iw)/(a - iw)) lies in (-pi/2, pi/2), so the log never
     meets its branch cut, ``gamma_min = 0`` included.  ``f = 0`` returns
-    exactly 1.
+    exactly 1.  ``gamma_min == gamma_max`` is the exponential law.
     """
+    UniformRates(gamma_min, gamma_max)  # the bounds' one rule
     a, b = float(gamma_min), float(gamma_max)
-    if not (0.0 <= a < b):
-        if a == b and a > 0.0:
-            return chi_exponential(f, a)
-        raise ValueError("need 0 <= gamma_min < gamma_max")
+    if a == b:
+        return chi_exponential(f, a)
     f_arr = np.asarray(f, dtype=float)
     w = np.atleast_1d(_TWO_PI * f_arr).astype(float)
     out = np.ones(w.shape, dtype=complex)
@@ -133,6 +132,7 @@ def psd_poisson_pulse(f, amplitude, pulse_rate, trapping_rate, chi_gap):
     Algebraically identical to :func:`psd_general_pulse` with an
     exponential pulse characteristic function.
     """
+    _require_positive(trapping_rate=trapping_rate)
     f_arr = np.asarray(f, dtype=float)
     if not np.all(f_arr > 0.0):
         raise ValueError("frequencies must be positive")
@@ -165,6 +165,7 @@ def psd_full_expression(f, amplitude, pulse_rate, trapping_rate, gamma_max):
     Reduces to ``a^2 nu / (gamma_max f)`` when gamma_max/g dominates both
     pi/2 and the log term.
     """
+    _require_positive(trapping_rate=trapping_rate, gamma_max=gamma_max)
     f_arr = np.asarray(f, dtype=float)
     if not np.all(f_arr > 0.0):
         raise ValueError("frequencies must be positive")
@@ -177,7 +178,9 @@ def psd_full_expression(f, amplitude, pulse_rate, trapping_rate, gamma_max):
 
 
 def psd_one_over_f(f, amplitude, pulse_rate, gamma_max):
-    """Pure flicker spectrum ``a^2 nu / (gamma_max f)`` for a single carrier."""
+    """Pure flicker spectrum ``a^2 nu / (gamma_max f)`` for a single carrier,
+    with ``gamma_max`` finite and positive."""
+    _require_positive(gamma_max=gamma_max)
     f_arr = np.asarray(f, dtype=float)
     out = amplitude**2 * pulse_rate / (gamma_max * f_arr)
     return out if out.shape else float(out)

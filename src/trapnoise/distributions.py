@@ -228,7 +228,8 @@ def detrap_pdf(tau, model: RateModel):
 
     For ``b * tau`` below ``1e-6`` the difference above cancels
     catastrophically and a 2-term series is used instead; the limit at
-    ``tau = 0+`` is ``(a + b) / 2``.
+    ``tau = 0+`` is ``(a + b) / 2``, and at ``tau = inf`` (a zero-rate
+    draw) 0.
 
     Raises
     ------
@@ -244,11 +245,12 @@ def detrap_pdf(tau, model: RateModel):
         return out if tau_arr.shape else float(out)
 
     small = b * tau_arr < _SERIES_THRESHOLD
-    out = np.empty_like(tau_arr)
+    exact = ~small & (tau_arr < np.inf)
+    out = np.zeros_like(tau_arr)
 
-    t = tau_arr[~small]
+    t = tau_arr[exact]
     num = (1.0 + a * t) * np.exp(-a * t) - (1.0 + b * t) * np.exp(-b * t)
-    out[~small] = num / ((b - a) * t * t)
+    out[exact] = num / ((b - a) * t * t)
 
     # p(tau) = (a+b)/2 - (a^2 + ab + b^2)/3 * tau + O(tau^2)
     t = tau_arr[small]
@@ -262,7 +264,8 @@ def detrap_cdf(tau, model: RateModel):
 
         F(tau) = 1 - (e^{-a tau} - e^{-b tau}) / ((b - a) tau)
 
-    evaluated through ``expm1`` so it is stable down to tau = 0.
+    evaluated through ``expm1`` so it is stable down to tau = 0; it is 1
+    at ``tau = inf`` (a zero-rate draw).
     """
     tau_arr = np.asarray(tau, dtype=float)
     if not np.all(tau_arr >= 0.0):
@@ -274,7 +277,7 @@ def detrap_cdf(tau, model: RateModel):
     with np.errstate(invalid="ignore"):
         spread = (b - a) * tau_arr
         ratio = np.exp(-a * tau_arr) * -np.expm1(-spread) / spread
-    out = np.where(tau_arr > 0.0, 1.0 - ratio, 0.0)
+    out = np.select([tau_arr == 0.0, tau_arr == np.inf], [0.0, 1.0], 1.0 - ratio)
     return out if tau_arr.shape else float(out)
 
 

@@ -16,14 +16,15 @@ ends, alternating, which the event-exact transform walks in chunks and
 
 One builder makes every path, a lone carrier's as a group of one.  Its
 draw rule (``_draw``) fills one interleaved row per carrier, each from
-the carrier's own stream, and also draws the later blocks of a carrier
-whose first block ends short of the horizon.  Its cut rule (``_cut``)
-takes the row-wise longdouble prefix sum in column blocks of
-``_PREFIX_BLOCK`` segments, each starting from the last sum of the block
-before, so the additions are those of one cumsum over the path, and
-casts it straight into the end times.  It clips each row's segment that
-crosses the horizon and copies each path out, or trims a lone path
-longer than one block in place, so such a path peaks at about 20 bytes
+the carrier's own stream.  Its cut rule (``_cut``) takes the row-wise
+longdouble prefix sum in column blocks of ``_PREFIX_BLOCK`` segments,
+each starting from the last sum of the block before, so the additions
+are those of one cumsum over the path, and casts it straight into the
+end times.  Those ends alone decide where a path ends: the segment that
+crosses the horizon is clipped there, so every path covers [0, T], and
+a row whose ends all fall short draws a block more from its own stream
+and is cut again.  Each path is copied out, or a lone path longer than
+one block trimmed in place, so such a path peaks at about 20 bytes
 per kept segment (the float64 durations and end times, 16 bytes per
 drawn segment, with about 1.1 drawn per kept, and one block of the
 longdouble sum) and keeps 16.  One rule, ``_carrier_groups``, sizes the
@@ -257,28 +258,28 @@ def _draw(config: SimConfig, rngs: list, n: int) -> np.ndarray:
     return block
 
 
-def _cut(block: np.ndarray, rows: np.ndarray, T: float) -> list[CarrierPath]:
-    """The paths of the ``rows`` of a draw block, each cut at the horizon.
+def _cut(block: np.ndarray, T: float) -> list[CarrierPath | float]:
+    """Each row of a draw block cut at the horizon: its path, or the
+    time it reached if that is short of T.
 
     The longdouble prefix sum runs along the rows in column blocks of
     ``_PREFIX_BLOCK`` segments; column 0 of the sum's buffer holds each
     row's last sum of the block before (0 at first), so one cumsum per
     block makes the same sequential additions as one over the row.  Its
-    float64 cast goes into the ends up to the block in which the last of
-    ``rows`` reaches T.  In the block where a row reaches T, the count of
-    its float64 ends below T (the search of a sorted row) finds the
-    crossing segment, which is clipped (positive, as its start is below
-    T) and ended from the longdouble sum before it, as the row's own
-    prefix sum would end it.  A lone row longer than one block is trimmed
-    in place; any other path is copied out.
+    float64 cast, the end times, alone judges a row.  In the block whose
+    last end is at least T, the count of the row's ends below T (the
+    search of a sorted row) finds the crossing segment, which is clipped
+    (positive, as its start is below T) and ended from the longdouble sum
+    before it, as the row's own prefix sum would end it.  A row whose
+    ends all stay below T gives back its last end, its durations as
+    drawn.  A lone row longer than one block is trimmed in place; any
+    other path is copied out.
     """
-    if not len(rows):
-        return []
     width = block.shape[1]
     ends = np.empty_like(block)
     prefix = np.zeros((len(block), min(_PREFIX_BLOCK, width) + 1), dtype=np.longdouble)
-    cuts = np.full(len(block), width)
-    todo = rows
+    cuts = np.zeros(len(block), dtype=int)  # 0 for a row short of T
+    todo = np.arange(len(block))
     for start in range(0, width, _PREFIX_BLOCK):
         stop = min(start + _PREFIX_BLOCK, width)
         part = prefix[:, : stop - start + 1]
@@ -306,10 +307,9 @@ def _cut(block: np.ndarray, rows: np.ndarray, T: float) -> list[CarrierPath]:
         ends.resize(cuts[0], refcheck=False)
         return [CarrierPath(durations=block, horizon=T, ends=ends)]
     return [
-        CarrierPath(
-            durations=block[i, : cuts[i]].copy(), horizon=T, ends=ends[i, : cuts[i]].copy()
-        )
-        for i in rows
+        CarrierPath(durations=block[i, :cut].copy(), horizon=T, ends=ends[i, :cut].copy())
+        if cut else float(ends[i, -1])
+        for i, cut in enumerate(cuts)
     ]
 
 
@@ -317,21 +317,20 @@ def _simulate_carriers(config: SimConfig, rngs: list) -> list[CarrierPath]:
     """The path of each stream of ``rngs``.
 
     The streams' first draw blocks are drawn and cut together.  A row
-    whose float64 total falls short of T carries on alone: it draws
-    blocks from its own stream, each sized for the time left, until the
-    total reaches T, and is then cut as a group of one.
+    that the cut finds short of T carries on alone: it joins on a block
+    from its own stream, sized for the time from its last end to T, and
+    is cut again, until the cut gives its path.
     """
     T = config.horizon
     guess = _cycle_time_guess(config.rates, config.trapping, T)
     block = _draw(config, rngs, _block_pairs(T, guess))
-    totals = block[:, 0::2].sum(axis=1) + block[:, 1::2].sum(axis=1)
-    paths = _cut(block, np.flatnonzero(totals >= T), T)
-    for i in np.flatnonzero(totals < T):
-        blocks, total = [block[i : i + 1]], totals[i]
-        while total < T:
-            blocks.append(_draw(config, [rngs[i]], _block_pairs(T - total, guess)))
-            total += blocks[-1][0, 0::2].sum() + blocks[-1][0, 1::2].sum()
-        paths.insert(i, _cut(np.concatenate(blocks, axis=1), np.arange(1), T)[0])
+    paths = _cut(block, T)
+    for i, rng in enumerate(rngs):
+        row = block[i : i + 1]
+        while isinstance(paths[i], float):
+            more = _draw(config, [rng], _block_pairs(T - paths[i], guess))
+            row = np.concatenate([row, more], axis=1)
+            paths[i] = _cut(row, T)[0]
     return paths
 
 

@@ -182,10 +182,17 @@ class TestHoogePredicted:
         full = hooge_alpha_exact(nu, 1.0, 1e4)
         assert abs(full / 1e-4 - 1.0) < 0.005
 
-    @pytest.mark.parametrize("pulse_rate", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("pulse_rate", [0.0, -1.0, float("nan"), float("inf")])
     def test_exact_form_rejects_a_run_without_pulses(self, pulse_rate):
         with pytest.raises(ValueError, match="pulse rate"):
             hooge_alpha_exact(pulse_rate, 1.0, 1e4)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_exact_form_rejects_bad_pulse_and_rate(self, bad):
+        with pytest.raises(ValueError, match="mean_pulse"):
+            hooge_alpha_exact(0.5, bad, 1e4)
+        with pytest.raises(ValueError, match="gamma_max"):
+            hooge_alpha_exact(0.5, 1.0, bad)
 
 
 class TestHoogeFitted:
@@ -263,6 +270,18 @@ class TestHoogeFitted:
         )
         with pytest.raises(ValueError, match="mean current"):
             hooge_alpha_fitted(est, 0.0, 1, (1e-1, 1e1))
+
+    @pytest.mark.parametrize("current", [float("inf"), float("nan"), -1.0])
+    def test_mean_current_must_be_finite_and_positive(self, current):
+        est = self._flicker_estimate(1e-3, 2.5, 10, np.geomspace(1e-2, 1e2, 10))
+        with pytest.raises(ValueError, match="mean current"):
+            hooge_alpha_fitted(est, current, 10, (1e-1, 1e1))
+
+    @pytest.mark.parametrize("n", [2.5, 0, True])
+    def test_carrier_count_must_be_a_positive_integer(self, n):
+        est = self._flicker_estimate(1e-3, 2.5, 10, np.geomspace(1e-2, 1e2, 10))
+        with pytest.raises(ValueError, match="n_carriers"):
+            hooge_alpha_fitted(est, 2.5, n, (1e-1, 1e1))
 
 
 class TestMaterialRelations:

@@ -101,6 +101,22 @@ class TestChiUniformRate:
     def test_degenerate_falls_back_to_exponential(self):
         assert chi_uniform_rate(0.7, 2.0, 2.0) == chi_exponential(0.7, 2.0)
 
+    @pytest.mark.parametrize(
+        "bounds, field",
+        [
+            (("0", "10"), "gamma_min"),
+            ((True, 10.0), "gamma_min"),
+            ((-1.0, 10.0), "gamma_min"),
+            ((np.nan, 10.0), "gamma_min"),
+            ((1.0, np.inf), "gamma_max"),
+            ((0.0, 0.0), "gamma_max"),
+            ((2.0, 1.0), "gamma_max"),
+        ],
+    )
+    def test_rejects_bad_bounds(self, bounds, field):
+        with pytest.raises(ValueError, match=field):
+            chi_uniform_rate(1.0, *bounds)
+
 
 class TestChiUniformRateApprox:
     def test_at_zero(self):
@@ -193,6 +209,19 @@ class TestPsdGeneralPulse:
         ):
             with pytest.raises(ValueError, match="frequencies"):
                 psd(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rates_must_be_finite_and_positive(self, bad):
+        chi = partial(chi_exponential, rate=3.0)
+        for psd, field in (
+            (lambda: psd_poisson_pulse(1.0, 1.0, 0.5, bad, chi), "rate"),
+            (lambda: psd_full_expression(1.0, 1.0, 0.5, bad, 1e4), "rate"),
+            (lambda: psd_full_expression(1.0, 1.0, 0.5, 1.0, bad), "gamma_max"),
+            (lambda: psd_one_over_f(1.0, 1.0, 1.0, bad), "gamma_max"),
+            (lambda: psd_multi_carrier(1.0, 2, 1.0, 1.0, bad), "gamma_max"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                psd()
 
 
 class TestPsdPoissonPulse:

@@ -218,6 +218,18 @@ class TestDetrapCdf:
         assert np.all(np.diff(vals) >= 0.0)
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 10.0), (1e-3, 10.0), (2.0, 2.0)])
+    def test_limits_at_an_infinite_time(self, bounds):
+        # a zero-rate draw gives tau = inf, where the density is 0 and
+        # the distribution function 1, as a scalar and in an array
+        m = UniformRates(*bounds)
+        assert detrap_pdf(np.inf, m) == 0.0
+        assert detrap_cdf(np.inf, m) == 1.0
+        t = np.array([0.0, 1.0, np.inf])
+        assert detrap_pdf(t, m)[-1] == 0.0
+        assert np.array_equal(detrap_cdf(t, m)[[0, 2]], [0.0, 1.0])
+        assert detrap_pdf(t, m)[1] == detrap_pdf(1.0, m)
+
 
 class TestDetrapMean:
     # frozen values computed from the tau * mixture_pdf quadrature oracle

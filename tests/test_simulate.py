@@ -303,6 +303,33 @@ class TestBlockedPrefix:
         assert len(sizes) == 1
         assert 1 < len(path.durations) < simulate._PREFIX_BLOCK
 
+    def test_ends_short_of_a_horizon_the_float64_total_reaches(self, monkeypatch):
+        # a first block whose float64 total passes the float64 rounding of
+        # its longdouble last end, with T at that total: the ends, which
+        # the cut reads, stay short of T, so the path must draw on
+        rng = np.random.default_rng(1)
+        while True:
+            first = rng.standard_exponential((1, 80))
+            T = first[0, 0::2].sum() + first[0, 1::2].sum()
+            if T > np.float64(np.cumsum(first[0].astype(np.longdouble))[-1]):
+                break
+        drawn, real_draw = [], simulate._draw
+
+        def draw(config, rngs, n):
+            drawn.append(first.copy() if not drawn else real_draw(config, rngs, n))
+            return drawn[-1].copy()
+
+        monkeypatch.setattr(simulate, "_draw", draw)
+        cfg = make_config(horizon=float(T))
+        path = simulate_carrier(cfg, carrier_stream(cfg.seed, 0, 0))
+        assert [b.shape for b in drawn] == [(1, 80), (1, 32)]
+        assert path.ends[-1] == T
+        joined = np.concatenate(drawn, axis=1)[0]
+        n = len(path.durations)
+        assert 80 < n <= 112
+        assert path.durations[:-1].tobytes() == joined[: n - 1].tobytes()
+        assert 0.0 < path.durations[-1] < joined[n - 1]
+
 
 class TestDeterminism:
     def test_bit_identical_paths(self):
