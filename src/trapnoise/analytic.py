@@ -13,13 +13,16 @@ Specializing the gap law to the uniform-rate mixture and the pulse law to
 an exponential yields, in the window gamma_min << 2 pi f << gamma_max,
 the pure flicker spectrum ``a^2 nu / (gamma_max f)``.
 
-Frequencies are in cycles per unit time throughout.
+Frequencies are in cycles per unit time throughout; every ``psd_*``
+takes them finite and positive and rejects any other.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import UniformRates, _require_positive
+from .distributions import (
+    UniformRates, _require_integer, _require_nonnegative, _require_positive,
+)
 
 __all__ = [
     "chi_exponential",
@@ -37,6 +40,15 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 # factor kept between the flicker window and each rate bound
 _FLICKER_MARGIN = 10.0
+
+
+def _frequencies(f) -> np.ndarray:
+    """``f`` as a float array, rejected unless every value is finite and
+    positive, as the frequencies of a one-sided spectrum are."""
+    f_arr = np.asarray(f, dtype=float)
+    if not np.all((f_arr > 0.0) & (f_arr < np.inf)):
+        raise ValueError("frequencies must be finite and positive")
+    return f_arr
 
 
 def chi_exponential(f, rate: float):
@@ -96,11 +108,11 @@ def psd_general_pulse(f, amplitude, pulse_rate, chi_pulse, chi_gap):
     Parameters
     ----------
     f : array_like
-        Frequencies, all > 0.
+        Frequencies, all finite and > 0.
     amplitude : float
         Pulse height.
     pulse_rate : float
-        Mean number of pulses per unit time (nu).
+        Mean number of pulses per unit time (nu), finite and >= 0.
     chi_pulse, chi_gap : callable
         Characteristic functions of the pulse and gap duration laws, of f
         alone, e.g. ``functools.partial(chi_exponential, rate=g)``.
@@ -111,9 +123,8 @@ def psd_general_pulse(f, amplitude, pulse_rate, chi_pulse, chi_gap):
         If ``|1 - chi_pulse * chi_gap|`` falls below 1e-14 anywhere
         (frequency too close to 0: the expression is indeterminate).
     """
-    f_arr = np.asarray(f, dtype=float)
-    if not np.all(f_arr > 0.0):
-        raise ValueError("frequencies must be positive")
+    _require_nonnegative(pulse_rate=pulse_rate)
+    f_arr = _frequencies(f)
     cp = np.asarray(chi_pulse(f_arr), dtype=complex)
     cg = np.asarray(chi_gap(f_arr), dtype=complex)
     denom = 1.0 - cp * cg
@@ -132,10 +143,9 @@ def psd_poisson_pulse(f, amplitude, pulse_rate, trapping_rate, chi_gap):
     Algebraically identical to :func:`psd_general_pulse` with an
     exponential pulse characteristic function.
     """
+    _require_nonnegative(pulse_rate=pulse_rate)
     _require_positive(trapping_rate=trapping_rate)
-    f_arr = np.asarray(f, dtype=float)
-    if not np.all(f_arr > 0.0):
-        raise ValueError("frequencies must be positive")
+    f_arr = _frequencies(f)
     g = float(trapping_rate)
     cg = np.asarray(chi_gap(f_arr), dtype=complex)
     denom = 1.0 - cg - _TWO_PI * 1j * f_arr / g
@@ -149,8 +159,12 @@ def psd_lorentzian(f, amplitude, pulse_rate, trapping_rate, detrapping_rate):
     """Random-telegraph limit (exponential pulses and gaps):
 
         S(f) = 4 a^2 nu / ((g_p + g_g)^2 + (2 pi f)^2)
+
+    with both rates finite and positive.
     """
-    f_arr = np.asarray(f, dtype=float)
+    _require_nonnegative(pulse_rate=pulse_rate)
+    _require_positive(trapping_rate=trapping_rate, detrapping_rate=detrapping_rate)
+    f_arr = _frequencies(f)
     lam = trapping_rate + detrapping_rate
     out = 4.0 * amplitude**2 * pulse_rate / (lam**2 + (_TWO_PI * f_arr) ** 2)
     return out if out.shape else float(out)
@@ -165,10 +179,9 @@ def psd_full_expression(f, amplitude, pulse_rate, trapping_rate, gamma_max):
     Reduces to ``a^2 nu / (gamma_max f)`` when gamma_max/g dominates both
     pi/2 and the log term.
     """
+    _require_nonnegative(pulse_rate=pulse_rate)
     _require_positive(trapping_rate=trapping_rate, gamma_max=gamma_max)
-    f_arr = np.asarray(f, dtype=float)
-    if not np.all(f_arr > 0.0):
-        raise ValueError("frequencies must be positive")
+    f_arr = _frequencies(f)
     g = float(trapping_rate)
     bracket = gamma_max / g - np.log(_TWO_PI * f_arr / gamma_max)
     out = (amplitude**2 * pulse_rate * gamma_max / (g**2 * f_arr)) / (
@@ -180,8 +193,9 @@ def psd_full_expression(f, amplitude, pulse_rate, trapping_rate, gamma_max):
 def psd_one_over_f(f, amplitude, pulse_rate, gamma_max):
     """Pure flicker spectrum ``a^2 nu / (gamma_max f)`` for a single carrier,
     with ``gamma_max`` finite and positive."""
+    _require_nonnegative(pulse_rate=pulse_rate)
     _require_positive(gamma_max=gamma_max)
-    f_arr = np.asarray(f, dtype=float)
+    f_arr = _frequencies(f)
     out = amplitude**2 * pulse_rate / (gamma_max * f_arr)
     return out if out.shape else float(out)
 
@@ -189,14 +203,20 @@ def psd_one_over_f(f, amplitude, pulse_rate, gamma_max):
 def psd_multi_carrier(f, n_carriers, amplitude, pulse_rate, gamma_max):
     """Flicker spectrum of N independent carriers, ``N a^2 nu / (gamma_max f)``.
 
-    ``pulse_rate`` is per carrier.
+    ``pulse_rate`` is per carrier, and ``n_carriers`` an integer >= 1.
     """
+    _require_integer(1, n_carriers=n_carriers)
     return n_carriers * psd_one_over_f(f, amplitude, pulse_rate, gamma_max)
 
 
 def one_over_f_window(gamma_min: float, gamma_max: float):
     """Frequency window (f_lo, f_hi) on which the flicker approximation holds:
-    ``_FLICKER_MARGIN * gamma_min < 2 pi f < gamma_max / _FLICKER_MARGIN``."""
+    ``_FLICKER_MARGIN * gamma_min < 2 pi f < gamma_max / _FLICKER_MARGIN``,
+    with ``gamma_min`` finite and >= 0 and ``gamma_max`` finite and
+    positive.  A floor above the ceiling gives an inverted window, which
+    callers report."""
+    _require_nonnegative(gamma_min=gamma_min)
+    _require_positive(gamma_max=gamma_max)
     return (
         _FLICKER_MARGIN * gamma_min / _TWO_PI,
         gamma_max / (_FLICKER_MARGIN * _TWO_PI),

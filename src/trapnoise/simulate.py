@@ -367,8 +367,10 @@ def superpose(
     (sequences of paths), a generator included: each group is added in
     as it arrives and then dropped, so a producer that makes the groups
     one at a time keeps only one alive.  Pass ``[paths]`` for one list.
-    All paths must share the same horizon.
+    All paths must share the same horizon, and ``amplitude`` and ``dt``
+    must be finite and positive.
     """
+    _require_positive(amplitude=amplitude, dt=dt)
     # carrier free on [t0, t1) contributes to samples ceil(t0/dt) .. ceil(t1/dt)-1;
     # one float64 array holds the increments, then the occupancy; both
     # are whole numbers far below 2**53, so every sum is exact, whatever

@@ -37,8 +37,10 @@ two paths per frequency:
   ``trig_dtype=np.float64`` to make this part double precision.
 
 The direct sum walks each path once, in chunks of 2 * ``_EVENT_CHUNK``
-events split into pulse starts and ends, frequencies inside.  ``workers``
-threads share it: its frequencies are split evenly between them (numpy
+events split into pulse starts and ends, frequencies inside.  Both
+transforms share their threads by one rule, ``_in_threads``: a pass's
+fixed blocks (here the frequencies) go in contiguous runs to the threads
+of a pool made for the pass, each run writing its own results (numpy
 releases the GIL in the cast, trig and sum loops).  Every frequency adds
 the float64 sums of the same chunks in the same order, paths in order,
 so the result does not depend on the thread count.  Each call, so each
@@ -67,19 +69,19 @@ W = e^{-2 pi i/L}, X_k = E_k + W^k O_k and X_{N-k} = conj(E_k - W^k O_k).
 The twiddles come from short tables of phases reduced exactly and taken
 in long double, each rounded once (a twiddle from ``exp`` of a float64
 phase made the smallest ordinates twice as noisy as numpy's rfft).  Each
-pass runs in fixed blocks, which ``min(workers, 2)`` threads share
-(scipy releases the GIL); N1 and the blocks depend on L alone, so no
-value depends on the thread count.  Once a pair of rows k1 and N1 - k1
-is read, the unpack writes its 2 N2 ordinates |X_k|^2 into row k1's own
-2 N2 float64, so every ordinate is staged in the buffer's first half
-(row 0's N2 share row 0 with one more column).  One blocked pass then
-moves them into natural order in the second half, and the grid
+pass runs in fixed blocks, which ``min(workers, 2)`` threads share by
+the same rule (scipy releases the GIL; the cap bounds the per-thread
+temporaries, which grow with the signal); N1 and the blocks depend on L
+alone, so no value depends on the thread count.  Once a pair of rows k1
+and N1 - k1 is read, the unpack writes its 2 N2 ordinates |X_k|^2 into
+row k1's own 2 N2 float64, so every ordinate is staged in the buffer's
+first half (row 0's N2 share row 0 with one more column).  One blocked
+pass then moves them into natural order in the second half, and the grid
 k/(L dt) is written into the first, block by block, so ``freqs`` and
-``values`` are views of the one buffer.  The unpack's blocks hold
-N1/256 rows and the move's N2/64 rows of the grid, so beyond the
-buffer the transform holds its twiddle tables and a few blocks: under
-0.1 signal sizes at L = 2^20 on one thread (0.14 on two), less at longer
-signals.
+``values`` are views of the one buffer.  The unpack's blocks hold N1/256
+rows and the move's N2/64 rows of the grid, so beyond the buffer the
+transform holds its twiddle tables and a few blocks: under 0.1 signal
+sizes at L = 2^20 on one thread (0.14 on two), less at longer signals.
 ``periodogram_fft`` transforms a copy unless told it may overwrite the
 signal; in overwrite mode the spectrum and its grid take over the
 signal's buffer.  An odd L takes one rfft.
@@ -113,7 +115,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -302,6 +303,17 @@ def _binned_sums(events: list, ks: np.ndarray, grid: int, horizon: float) -> np.
     return total
 
 
+def _in_threads(fn, blocks, threads: int) -> None:
+    """Call ``fn`` on ``threads`` contiguous runs of ``blocks``, each on its
+    own thread of one pool, or on all of ``blocks`` on the calling thread
+    when ``threads`` is 1; ``fn`` writes its own results."""
+    if threads == 1:
+        return fn(blocks)
+    cuts = [len(blocks) * t // threads for t in range(threads + 1)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fn, (blocks[a:b] for a, b in zip(cuts, cuts[1:]))))
+
+
 def _direct_sums(events: list, freqs: np.ndarray, trig_dtype) -> np.ndarray:
     """sum over events of w e^{-2 pi i f t} by the direct sum, with
     w = +1 at pulse starts and -1 at pulse ends: phases reduced modulo one
@@ -360,10 +372,11 @@ def periodogram_superposed_events(
     (i w).  Natural frequencies k/T up to the cut the cost model picks go
     through the binned series; every other frequency through the direct
     sum, with trig in ``trig_dtype``, split evenly over
-    ``min(workers, frequencies)`` threads (the values do not depend on it).
-    A grid that is not positive, finite and strictly increasing is
-    rejected before any sum runs.
+    ``min(workers, frequencies)`` threads, ``workers`` an integer >= 1
+    (the values do not depend on it).  A grid that is not positive,
+    finite and strictly increasing is rejected before any sum runs.
     """
+    _require_integer(1, workers=workers)
     freqs = np.asarray(freqs, dtype=float)
     _check_grid(freqs)
     if not paths:
@@ -382,21 +395,13 @@ def periodogram_superposed_events(
             ks = modes[binned].astype(np.intp)
             total[binned] = _binned_sums(events, ks, grid, T)
         direct = np.flatnonzero(~binned)
+
+        def part_sums(part):
+            total[part] = _direct_sums(events, freqs[part], trig_dtype)
+
         # an all-binned grid skips the direct pass and its workspace
         if len(direct):
-            threads = min(workers, len(direct))
-            parts = np.array_split(direct, max(threads, 1))
-
-            def part_sums(part):
-                return _direct_sums(events, freqs[part], trig_dtype)
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    sums = list(pool.map(part_sums, parts))
-            else:
-                sums = map(part_sums, parts)
-            for part, part_total in zip(parts, sums):
-                total[part] = part_total
+            _in_threads(part_sums, direct, min(workers, len(direct)))
         total /= 1j * _TWO_PI * freqs
     values = (2.0 * amplitude**2 / T) * np.abs(total) ** 2
     return SpectrumEstimate(
@@ -450,10 +455,10 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     staged row 0; the one column whose staged row would be N1 (the
     self-paired middle row of an even N1, or the second column of the
     last pair of an odd N1) goes to staged row 1.  Then one blocked
-    pass moves the staged rows into the grid's columns.  Each pass is
-    split into fixed blocks, shared by two threads when ``workers > 1``;
-    N1 and the blocks depend on L alone, so no value depends on the
-    thread count.
+    pass moves the staged rows into the grid's columns.  Each of the four
+    passes goes through ``_in_threads`` in fixed blocks on
+    ``min(workers, 2)`` threads, as the direct sum's frequencies do; N1
+    and the blocks depend on L alone, so no value depends on it.
     """
     import scipy.fft
 
@@ -542,27 +547,19 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
         for i in starts:
             grid[i : i + move_step] = staged[source, i : i + move_step].T
 
-    with ThreadPoolExecutor(max_workers=2) if workers > 1 else nullcontext() as pool:
-
-        def run_pass(fn, blocks):
-            if pool is None:
-                fn(blocks)
-            else:
-                cut = len(blocks) // 2
-                list(pool.map(fn, (blocks[:cut], blocks[cut:])))
-
-        run_pass(column_ffts, range(0, cols, _COLUMN_BLOCK))
-        del table, coarse, fine  # the column twiddles are used up
-        run_pass(row_ffts, range(0, rows, _ROW_BLOCK))
-        # row 0 pairs with itself: Z_{N - N1 k2} = Z[0, -k2 mod N2]; it is
-        # read first, as a pair's column is staged over its second half
-        plus, minus = doubled(z[0], np.roll(z[0, ::-1], 1).conj(), -1j * col_twiddle)
-        # X_{N1 k2} for k2 = 1..N2-1, then X_N = conj(E_0 - W^0 O_0)
-        staged[0, :-1] = _power(plus[1:], quarter)
-        staged[0, -1] = _power(minus[0], quarter)
-        del plus, minus
-        run_pass(unpack_rows, range(1, half + 1, unpack_step))
-        run_pass(move_rows, range(0, cols, move_step))
+    threads = min(workers, 2)
+    _in_threads(column_ffts, range(0, cols, _COLUMN_BLOCK), threads)
+    del table, coarse, fine  # the column twiddles are used up
+    _in_threads(row_ffts, range(0, rows, _ROW_BLOCK), threads)
+    # row 0 pairs with itself: Z_{N - N1 k2} = Z[0, -k2 mod N2]; it is
+    # read first, as a pair's column is staged over its second half
+    plus, minus = doubled(z[0], np.roll(z[0, ::-1], 1).conj(), -1j * col_twiddle)
+    # X_{N1 k2} for k2 = 1..N2-1, then X_N = conj(E_0 - W^0 O_0)
+    staged[0, :-1] = _power(plus[1:], quarter)
+    staged[0, -1] = _power(minus[0], quarter)
+    del plus, minus
+    _in_threads(unpack_rows, range(1, half + 1, unpack_step), threads)
+    _in_threads(move_rows, range(0, cols, move_step), threads)
     return x[n:]
 
 
@@ -582,16 +579,17 @@ def periodogram_fft(
     Natural frequencies k/(L dt) for k = 1..L//2; normalized to the same
     one-sided convention as the event-exact estimator, zero bin dropped.
     An even length L goes through the in-place four-step FFT on
-    ``min(workers, 2)`` threads (the values do not depend on it), of a
-    copy of the signal unless ``overwrite`` allows it to use the signal's
-    own memory.  The transform holds no spectrum beside that buffer: the
-    unpack stages the ordinates in its first half and one pass moves
-    them into its second.  The spectrum and its grid take over the
-    transformed buffer: ``freqs`` is a view of its first half and
-    ``values`` of its second, so with ``overwrite`` the signal's values
-    hold the grid and the spectrum, not samples.  An odd length goes
-    through a single rfft and leaves the signal as it was.
+    ``min(workers, 2)`` threads, ``workers`` an integer >= 1 (the values
+    do not depend on it), of a copy of the signal unless ``overwrite``
+    allows it to use the signal's own memory.  The transform holds no
+    spectrum beside that buffer: the unpack stages the ordinates in its
+    first half and one pass moves them into its second.  The spectrum and
+    its grid take over the transformed buffer: ``freqs`` is a view of its
+    first half and ``values`` of its second, so with ``overwrite`` the
+    signal's values hold the grid and the spectrum, not samples.  An odd
+    length goes through a single rfft and leaves the signal as it was.
     """
+    _require_integer(1, workers=workers)
     x = np.asarray(signal.values, dtype=float)
     if x.size < 2:
         raise ValueError("signal too short")

@@ -15,9 +15,10 @@ def make_path(durations, horizon) -> CarrierPath:
 
 @pytest.fixture
 def thread_pools(monkeypatch):
-    """The thread count of every pool the spectra module makes: the
-    event-exact transform's direct sum and the four-step FFT of a sampled
-    signal (one pool for its four passes)."""
+    """The thread count of every pool the spectra module makes, one per
+    threaded pass: the event-exact transform's direct sum makes one, and
+    the four-step FFT of a sampled signal one for each of its four
+    passes."""
     made = []
     real = spectra.ThreadPoolExecutor
 

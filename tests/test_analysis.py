@@ -419,3 +419,12 @@ class TestFitting:
         )
         got = fitted_floor_rate(est, nu, 1.0, gth, gmax, (1e-5, 1e-1))
         assert got == pytest.approx(floor, rel=0.1)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1e-1), (1e-1, 1e-5), (1e-5, 1e3)])
+    def test_fitted_floor_bounds_must_lie_below_gamma_max(self, bounds):
+        freqs = np.geomspace(1e-4, 1.0, 8)
+        est = SpectrumEstimate(
+            freqs=freqs, values=1.0 / freqs, n_averaged=1, estimator="event_exact"
+        )
+        with pytest.raises(ValueError, match="gamma_max"):
+            fitted_floor_rate(est, 0.99, 1.0, 1.0, 1e3, bounds)

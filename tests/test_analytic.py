@@ -18,6 +18,7 @@ from trapnoise import (
     chi_uniform_rate_approx,
     detrap_mean,
     detrap_pdf,
+    one_over_f_window,
     psd_full_expression,
     psd_general_pulse,
     psd_lorentzian,
@@ -206,11 +207,15 @@ class TestPsdGeneralPulse:
             lambda f: psd_general_pulse(f, 1.0, 0.5, chi, chi),
             lambda f: psd_poisson_pulse(f, 1.0, 0.5, 1.0, chi),
             lambda f: psd_full_expression(f, 1.0, 0.5, 1.0, 1e4),
+            lambda f: psd_lorentzian(f, 1.0, 0.5, 1.0, 3.0),
+            lambda f: psd_one_over_f(f, 1.0, 0.5, 1e3),
+            lambda f: psd_multi_carrier(f, 2, 1.0, 0.5, 1e3),
         ):
-            with pytest.raises(ValueError, match="frequencies"):
-                psd(np.array([1.0, np.nan]))
+            for f in (np.array([1.0, np.nan]), 0.0, -1.0, np.inf):
+                with pytest.raises(ValueError, match="frequencies"):
+                    psd(f)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True])
     def test_rates_must_be_finite_and_positive(self, bad):
         chi = partial(chi_exponential, rate=3.0)
         for psd, field in (
@@ -219,9 +224,31 @@ class TestPsdGeneralPulse:
             (lambda: psd_full_expression(1.0, 1.0, 0.5, 1.0, bad), "gamma_max"),
             (lambda: psd_one_over_f(1.0, 1.0, 1.0, bad), "gamma_max"),
             (lambda: psd_multi_carrier(1.0, 2, 1.0, 1.0, bad), "gamma_max"),
+            (lambda: psd_lorentzian(1.0, 1.0, 0.5, bad, 3.0), "trapping_rate"),
+            (lambda: psd_lorentzian(1.0, 1.0, 0.5, 1.0, bad), "detrapping_rate"),
+            (lambda: one_over_f_window(1e-4, bad), "gamma_max"),
         ):
             with pytest.raises(ValueError, match=field):
                 psd()
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, True])
+    def test_pulse_rate_and_floor_must_be_finite_and_nonnegative(self, bad):
+        chi = partial(chi_exponential, rate=3.0)
+        for psd, field in (
+            (lambda: psd_general_pulse(1.0, 1.0, bad, chi, chi), "pulse_rate"),
+            (lambda: psd_poisson_pulse(1.0, 1.0, bad, 1.0, chi), "pulse_rate"),
+            (lambda: psd_lorentzian(1.0, 1.0, bad, 1.0, 3.0), "pulse_rate"),
+            (lambda: psd_full_expression(1.0, 1.0, bad, 1.0, 1e4), "pulse_rate"),
+            (lambda: psd_one_over_f(1.0, 1.0, bad, 1e3), "pulse_rate"),
+            (lambda: one_over_f_window(bad, 1e3), "gamma_min"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                psd()
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True])
+    def test_carrier_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n_carriers"):
+            psd_multi_carrier(1.0, n, 1.0, 1.0, 1e3)
 
 
 class TestPsdPoissonPulse:
@@ -246,6 +273,10 @@ class TestPsdPoissonPulse:
         s1 = psd_poisson_pulse(0.5, 1.0, 0.9, 2.0, chi_gap)
         s2 = psd_poisson_pulse(0.5, 2.0, 0.9, 2.0, chi_gap)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
+
+    def test_indeterminate_near_zero(self):
+        with pytest.raises(ValueError, match="indeterminate"):
+            psd_poisson_pulse(1e-300, 1.0, 0.5, 1.0, partial(chi_exponential, rate=3.0))
 
 
 class TestPsdFullExpression:
@@ -286,3 +317,10 @@ class TestFlickerForms:
     def test_exact_unit_slope(self):
         s = psd_one_over_f(np.array([0.1, 10.0]), 1.0, 0.9, 1e3)
         assert s[0] / s[1] == pytest.approx(100.0, rel=1e-12)
+
+    def test_no_pulses_and_inverted_windows_stay_legal(self):
+        # a run without pulses has a zero spectrum, and a floor above the
+        # ceiling an inverted window, which the runner reports as such
+        assert psd_one_over_f(1.0, 1.0, 0.0, 1e3) == 0.0
+        lo, hi = one_over_f_window(1e3, 10.0)
+        assert lo > hi

@@ -98,8 +98,10 @@ class TestPresets:
             (lambda d: d.update(f_maxx=1.0), "f_maxx"),
             (lambda d: d["runs"][0].update(horizn=1e3), "horizn"),
             (lambda d: d["runs"][0]["rates"].update(gamma_mx=1e3), "gamma_mx"),
+            (lambda d: d["runs"][0]["rates"].update(kind="bogus"), "bogus"),
         ],
-        ids=["estimator", "analysis", "spec-key", "run-key", "rates-key"],
+        ids=["estimator", "analysis", "spec-key", "run-key", "rates-key",
+             "rates-kind"],
     )
     def test_unknown_name_rejected(self, edit, name):
         d = spec_to_dict(preset("fig3", scale=1000.0))
@@ -123,10 +125,14 @@ class TestPresets:
             ("fig3", lambda d: d.update(scale=-2.0), "scale"),
             ("fig6", lambda d: d.update(f_min=1e-3), "f_min"),
             ("fig6", lambda d: d.update(f_max=1.0), "f_max"),
+            ("fig3", lambda d: d.update(name=""), "name"),
+            ("fig3", lambda d: d.update(kind="bogus"), "kind"),
+            ("fig3", lambda d: d.update(runs=[]), "run"),
         ],
         ids=["duplicate-label", "pmf-event-exact", "fft-no-dt", "points-zero",
              "bins-zero", "f_min-zero", "f_max-negative", "f_min-above-f_max",
-             "scale-zero", "scale-negative", "fft-f_min", "fft-f_max"],
+             "scale-zero", "scale-negative", "fft-f_min", "fft-f_max",
+             "empty-name", "unknown-kind", "no-runs"],
     )
     def test_unrunnable_spec_rejected(self, figure, edit, field):
         d = spec_to_dict(preset(figure, scale=1000.0))
@@ -433,7 +439,8 @@ class TestRunner:
         serial = run_spectrum_config(cfg, workers=1)
         assert thread_pools == []
         threaded = run_spectrum_config(cfg, workers=2)
-        assert thread_pools == [2]
+        # one pool for each of the transform's four passes
+        assert thread_pools == [2] * 4
         assert threaded.spectrum.values.tobytes() == serial.spectrum.values.tobytes()
 
     def test_sampled_run_counts_the_signal_before_its_transform(self):

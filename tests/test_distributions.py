@@ -114,6 +114,13 @@ class TestSampleRate:
 
 
 class TestSampleDetrapTime:
+    def test_one_draw_without_a_size_is_a_float(self):
+        model = UniformRates(1e-2, 10.0)
+        tau = sample_detrap_time(model, np.random.default_rng(3))
+        assert type(tau) is float
+        one = sample_detrap_time(model, np.random.default_rng(3), size=1)
+        assert tau == one[0]
+
     def test_degenerate_is_exponential(self):
         rng = np.random.default_rng(3)
         tau = sample_detrap_time(UniformRates(2.0, 2.0), rng, size=50_000)

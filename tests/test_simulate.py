@@ -509,6 +509,22 @@ class TestSuperpose:
         with pytest.raises(ValueError, match="need at least one carrier path"):
             superpose(empty, 1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "amplitude, dt, message",
+        [
+            (0.0, 0.1, "amplitude"), (-1.0, 0.1, "amplitude"),
+            (np.nan, 0.1, "amplitude"), (True, 0.1, "amplitude"),
+            (1.0, 0.0, "dt"), (1.0, -0.1, "dt"), (1.0, np.nan, "dt"),
+            (1.0, np.inf, "dt"),
+            # dt = 2 T leaves no sample
+            (1.0, 4.0, "horizon shorter than one sample interval"),
+        ],
+    )
+    def test_bad_amplitude_and_interval_rejected(self, amplitude, dt, message):
+        path = make_path(np.array([1.0, 1.0]), horizon=2.0)
+        with pytest.raises(ValueError, match=message):
+            superpose([[path]], amplitude, dt)
+
     def test_generator_gives_the_list_bytes(self):
         # the increments are whole numbers, so how the paths are grouped,
         # and whether the groups come from a list or a generator, leaves

@@ -105,6 +105,11 @@ class TestEventExact:
         with pytest.raises(ValueError, match="need at least one carrier path"):
             periodogram_superposed_events([], 1.0, np.array([0.5, 2.0]))
 
+    def test_mismatched_horizons_rejected(self):
+        paths = [single_pulse_path(1.0, 4.0), single_pulse_path(1.0, 5.0)]
+        with pytest.raises(ValueError, match="mismatched horizons"):
+            periodogram_superposed_events(paths, 1.0, np.array([0.5, 2.0]))
+
     def test_superposed_equals_sampled_superposition(self):
         # coherent sum over carriers equals the spectrum of the summed
         # signal; compare log-binned so single-bin notches cannot blow up
@@ -413,6 +418,17 @@ class TestThreadedTransform:
         # one frequency runs on the calling thread; two get two threads
         assert thread_pools == ([] if n_direct == 1 else [2])
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+    def test_workers_must_be_a_positive_integer(self, thread_pools, workers):
+        paths = [single_pulse_path(1.0, 4.0)]
+        with pytest.raises(ValueError, match="workers"):
+            periodogram_superposed_events(
+                paths, 1.0, np.array([0.25, 0.5]), workers=workers
+            )
+        with pytest.raises(ValueError, match="workers"):
+            periodogram_fft(_sampled(_walk(64)), workers=workers)
+        assert thread_pools == []
+
 
 def fourier_sums_by_frequency(times, freqs, trig_dtype):
     """Reference: (sum cos, sum sin) of 2 pi f t over ``times``, one
@@ -646,8 +662,9 @@ class TestSplitPeriodogram:
             threaded = periodogram_fft(sig, workers=workers)
             assert threaded.values.tobytes() == serial.values.tobytes()
             assert threaded.freqs.tobytes() == serial.freqs.tobytes()
-        # the two halves share two threads; an odd length has one rfft
-        assert thread_pools == ([] if length % 2 else [2, 2])
+        # each of the four passes shares two threads, at both thread
+        # counts; an odd length has one rfft
+        assert thread_pools == ([] if length % 2 else [2] * 8)
 
 
 class TestFourStepPeriodogram:
@@ -715,6 +732,26 @@ class TestFourStepPeriodogram:
         want = _one_rfft(values)
         est = periodogram_fft(_sampled(values), workers=2, overwrite=True)
         assert np.max(np.abs(est.values - want)) <= 1e-9 * want.mean()
+
+    def test_fft_that_returns_a_new_array_keeps_the_bytes(self, monkeypatch):
+        # scipy may return a new array instead of transforming in place;
+        # the row pass then copies it back into the matrix
+        import scipy.fft
+
+        sig = _sampled(_walk(24594, seed=3))
+        want = periodogram_fft(sig).values.tobytes()
+        real = scipy.fft.fft
+        copies = []
+
+        def fft_into_a_new_array(x, *args, **kwargs):
+            out = real(x, *args, **{**kwargs, "overwrite_x": False})
+            copies.append(not np.may_share_memory(out, x))
+            return out
+
+        monkeypatch.setattr(scipy.fft, "fft", fft_into_a_new_array)
+        for workers in (1, 2):
+            assert periodogram_fft(sig, workers=workers).values.tobytes() == want
+        assert copies and all(copies)
 
 
 class TestStagedUnpack:
@@ -844,6 +881,10 @@ class TestAveraging:
         assert avg.n_averaged == n_realizations
         # the running sum leaves its inputs as they were
         assert np.stack([e.values for e in ests], axis=0).tobytes() == stacked.tobytes()
+
+    def test_nothing_to_average_rejected(self):
+        with pytest.raises(ValueError, match="nothing to average"):
+            average_spectra([])
 
     def test_single_estimate_is_its_own_mean(self):
         est = self._estimate(3)
