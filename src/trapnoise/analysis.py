@@ -51,6 +51,8 @@ __all__ = [
 
 # candidate floors scanned by fitted_floor_rate
 _FLOOR_GRID = 140
+# the share of its flicker line below which a spectrum has departed from it
+_DEPARTURE_RATIO = 2.0**-0.5
 
 _REGIMES = (
     "ergodic_exact",
@@ -303,22 +305,18 @@ def flicker_line_level(est: SpectrumEstimate, window: tuple) -> float:
     return float((est.values[sel] * est.freqs[sel]).mean())
 
 
-def line_departure_frequency(
-    freqs: np.ndarray,
-    ratio: np.ndarray,
-    threshold: float = 2.0**-0.5,
-) -> float:
+def line_departure_frequency(freqs: np.ndarray, ratio: np.ndarray) -> float:
     """Highest frequency at which a spectrum drops below its flicker line.
 
     ``ratio`` is S(f)*f/A, the spectrum in units of the measured 1/f
-    line.  The crossing is the highest point below ``threshold`` whose
-    neighbour below it is under ``threshold`` too (so single noisy bins
+    line.  The crossing is the highest point below ``_DEPARTURE_RATIO``
+    whose neighbour below it is under that ratio too (so single noisy bins
     do not trigger), with the exact frequency log-interpolated against
     the point above it.  Returns NaN if the profile never departs.
     """
     freqs = np.asarray(freqs, dtype=float)
     ratio = np.asarray(ratio, dtype=float)
-    below = ratio < threshold
+    below = ratio < _DEPARTURE_RATIO
     hits = np.flatnonzero(below[1:] & below[:-1])
     if not hits.size:
         return float("nan")
@@ -331,27 +329,23 @@ def line_departure_frequency(
     lr = np.log(ratio[i : i + 2])
     if lr[1] == lr[0]:
         return float(freqs[i])
-    t = (np.log(threshold) - lr[0]) / (lr[1] - lr[0])
+    t = (np.log(_DEPARTURE_RATIO) - lr[0]) / (lr[1] - lr[0])
     return float(np.exp(lf[0] + np.clip(t, 0.0, 1.0) * (lf[1] - lf[0])))
 
 
-def plateau_onset(
-    est: SpectrumEstimate,
-    line_window: tuple,
-    threshold: float = 2.0**-0.5,
-) -> float:
+def plateau_onset(est: SpectrumEstimate, line_window: tuple) -> float:
     """Measured low-frequency cutoff of a flicker spectrum.
 
     The flicker line is measured on ``line_window`` and the onset is the
     highest frequency below that window where the spectrum has fallen
-    to ``threshold`` times the line and stays below — the point where 1/f
-    behavior gives way to the finite-observation plateau.  Only points
-    below the window are scanned: inside it the spectrum is on the line
-    by assumption, and on a single realization a wide window holds
-    enough noisy bins for two to dip below the threshold together.  Feed
+    to ``_DEPARTURE_RATIO`` times the line and stays below — the point
+    where 1/f behavior gives way to the finite-observation plateau.  Only
+    points below the window are scanned: inside it the spectrum is on the
+    line by assumption, and on a single realization a wide window holds
+    enough noisy bins for two to dip below that ratio together.  Feed
     a log-binned spectrum.
     """
     level = flicker_line_level(est, line_window)
     sel = est.freqs < line_window[0]
     ratio = est.values[sel] * est.freqs[sel] / level
-    return line_departure_frequency(est.freqs[sel], ratio, threshold)
+    return line_departure_frequency(est.freqs[sel], ratio)

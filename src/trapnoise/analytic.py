@@ -14,7 +14,8 @@ an exponential yields, in the window gamma_min << 2 pi f << gamma_max,
 the pure flicker spectrum ``a^2 nu / (gamma_max f)``.
 
 Frequencies are in cycles per unit time throughout; every ``psd_*``
-takes them finite and positive and rejects any other.
+takes them and the pulse height ``a`` finite and positive and rejects
+any other.
 """
 from __future__ import annotations
 
@@ -110,7 +111,7 @@ def psd_general_pulse(f, amplitude, pulse_rate, chi_pulse, chi_gap):
     f : array_like
         Frequencies, all finite and > 0.
     amplitude : float
-        Pulse height.
+        Pulse height, finite and > 0.
     pulse_rate : float
         Mean number of pulses per unit time (nu), finite and >= 0.
     chi_pulse, chi_gap : callable
@@ -123,6 +124,7 @@ def psd_general_pulse(f, amplitude, pulse_rate, chi_pulse, chi_gap):
         If ``|1 - chi_pulse * chi_gap|`` falls below 1e-14 anywhere
         (frequency too close to 0: the expression is indeterminate).
     """
+    _require_positive(amplitude=amplitude)
     _require_nonnegative(pulse_rate=pulse_rate)
     f_arr = _frequencies(f)
     cp = np.asarray(chi_pulse(f_arr), dtype=complex)
@@ -143,8 +145,8 @@ def psd_poisson_pulse(f, amplitude, pulse_rate, trapping_rate, chi_gap):
     Algebraically identical to :func:`psd_general_pulse` with an
     exponential pulse characteristic function.
     """
+    _require_positive(amplitude=amplitude, trapping_rate=trapping_rate)
     _require_nonnegative(pulse_rate=pulse_rate)
-    _require_positive(trapping_rate=trapping_rate)
     f_arr = _frequencies(f)
     g = float(trapping_rate)
     cg = np.asarray(chi_gap(f_arr), dtype=complex)
@@ -160,10 +162,12 @@ def psd_lorentzian(f, amplitude, pulse_rate, trapping_rate, detrapping_rate):
 
         S(f) = 4 a^2 nu / ((g_p + g_g)^2 + (2 pi f)^2)
 
-    with both rates finite and positive.
+    with ``amplitude`` and both rates finite and positive.
     """
+    _require_positive(
+        amplitude=amplitude, trapping_rate=trapping_rate, detrapping_rate=detrapping_rate
+    )
     _require_nonnegative(pulse_rate=pulse_rate)
-    _require_positive(trapping_rate=trapping_rate, detrapping_rate=detrapping_rate)
     f_arr = _frequencies(f)
     lam = trapping_rate + detrapping_rate
     out = 4.0 * amplitude**2 * pulse_rate / (lam**2 + (_TWO_PI * f_arr) ** 2)
@@ -179,8 +183,8 @@ def psd_full_expression(f, amplitude, pulse_rate, trapping_rate, gamma_max):
     Reduces to ``a^2 nu / (gamma_max f)`` when gamma_max/g dominates both
     pi/2 and the log term.
     """
+    _require_positive(amplitude=amplitude, trapping_rate=trapping_rate, gamma_max=gamma_max)
     _require_nonnegative(pulse_rate=pulse_rate)
-    _require_positive(trapping_rate=trapping_rate, gamma_max=gamma_max)
     f_arr = _frequencies(f)
     g = float(trapping_rate)
     bracket = gamma_max / g - np.log(_TWO_PI * f_arr / gamma_max)
@@ -192,9 +196,9 @@ def psd_full_expression(f, amplitude, pulse_rate, trapping_rate, gamma_max):
 
 def psd_one_over_f(f, amplitude, pulse_rate, gamma_max):
     """Pure flicker spectrum ``a^2 nu / (gamma_max f)`` for a single carrier,
-    with ``gamma_max`` finite and positive."""
+    with ``amplitude`` and ``gamma_max`` finite and positive."""
+    _require_positive(amplitude=amplitude, gamma_max=gamma_max)
     _require_nonnegative(pulse_rate=pulse_rate)
-    _require_positive(gamma_max=gamma_max)
     f_arr = _frequencies(f)
     out = amplitude**2 * pulse_rate / (gamma_max * f_arr)
     return out if out.shape else float(out)

@@ -47,6 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis as _analysis
+from . import simulate as _simulate
 from .analytic import one_over_f_window
 from .distributions import (
     NonergodicError, UniformRates, _require_integer, detrap_pdf, free_probability,
@@ -96,9 +97,6 @@ def _realization_groups(config, realization, counts=None, events=None):
     for.  Given ``counts``, its pulses and free time are added in carrier
     order, the sums over the whole list; given an event CSV ``events``,
     the group is written into it."""
-    # looked up per call, so a wrapper installed on the module is seen
-    from .simulate import write_event_csv
-
     for carriers in _carrier_groups(config, range(config.n_carriers)):
         group = simulate_realization(config, realization, carriers)
         if counts is not None:
@@ -106,7 +104,8 @@ def _realization_groups(config, realization, counts=None, events=None):
                 counts["pulse_count"] += p.pulse_count
                 counts["free_time"] += p.free_time
         if events is not None:
-            write_event_csv(
+            # looked up on the module, so a wrapper installed there is seen
+            _simulate.write_event_csv(
                 events, [group], start=realization, carrier_start=carriers.start
             )
         yield group

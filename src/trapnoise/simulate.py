@@ -23,12 +23,13 @@ are those of one cumsum over the path, and casts it straight into the
 end times.  Those ends alone decide where a path ends: the segment that
 crosses the horizon is clipped there, so every path covers [0, T], and
 a row whose ends all fall short draws a block more from its own stream
-and is cut again.  Each path is copied out, or a lone path longer than
-one block trimmed in place, so such a path peaks at about 20 bytes
-per kept segment (the float64 durations and end times, 16 bytes per
-drawn segment, with about 1.1 drawn per kept, and one block of the
-longdouble sum) and keeps 16.  One rule, ``_carrier_groups``, sizes the
-groups that ``simulate_realization``, the runner and ``superpose`` take.
+and is cut again.  No path is copied.  A lone path is its row trimmed
+in place: it peaks at about 20 bytes per kept segment (the float64
+durations and end times, 16 bytes per drawn segment, with about 1.1
+drawn per kept, and one block of the longdouble sum) and keeps 16.  A
+group's paths are views of the group's rows.  One rule,
+``_carrier_groups``, sizes the groups that ``simulate_realization``,
+the runner and ``superpose`` take.
 
 ``superpose`` builds the sampled signal in one float64 array: the
 pulses' rising (+1) and falling (-1) sample indices added in with one
@@ -88,9 +89,7 @@ _CSV_BLOCK = 1 << 14
 # samples per block of the occupancy histogram (512 kB of float64), so
 # counting makes no temporary as large as the signal
 _HIST_BLOCK = 1 << 16
-# segments per column block of the longdouble prefix sum; a lone path
-# longer than one block is trimmed in place, any other copied (in place,
-# the many short paths of a sampled run left more heap behind)
+# segments per column block of the longdouble prefix sum
 _PREFIX_BLOCK = 1 << 16
 # the most first-block segments of one carrier group: its buffers hold
 # about 33 bytes per segment at once (1 MB), whatever the carriers' path
@@ -272,8 +271,8 @@ def _cut(block: np.ndarray, T: float) -> list[CarrierPath | float]:
     (positive, as its start is below T) and ended from the longdouble sum
     before it, as the row's own prefix sum would end it.  A row whose
     ends all stay below T gives back its last end, its durations as
-    drawn.  A lone row longer than one block is trimmed in place; any
-    other path is copied out.
+    drawn.  A lone row's path is the row trimmed in place, which it
+    owns; a group's paths are views of its rows.
     """
     width = block.shape[1]
     ends = np.empty_like(block)
@@ -301,13 +300,13 @@ def _cut(block: np.ndarray, T: float) -> list[CarrierPath | float]:
             break
         prefix[:, 0] = part[:, -1]
     del prefix, part
-    if len(block) == 1 and cuts[0] > _PREFIX_BLOCK:
+    if len(block) == 1 and cuts[0]:
         # no view of either buffer is left, so both shrink in place
         block.resize(cuts[0], refcheck=False)
         ends.resize(cuts[0], refcheck=False)
         return [CarrierPath(durations=block, horizon=T, ends=ends)]
     return [
-        CarrierPath(durations=block[i, :cut].copy(), horizon=T, ends=ends[i, :cut].copy())
+        CarrierPath(durations=block[i, :cut], horizon=T, ends=ends[i, :cut])
         if cut else float(ends[i, -1])
         for i, cut in enumerate(cuts)
     ]

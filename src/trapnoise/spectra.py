@@ -373,9 +373,11 @@ def periodogram_superposed_events(
     through the binned series; every other frequency through the direct
     sum, with trig in ``trig_dtype``, split evenly over
     ``min(workers, frequencies)`` threads, ``workers`` an integer >= 1
-    (the values do not depend on it).  A grid that is not positive,
-    finite and strictly increasing is rejected before any sum runs.
+    (the values do not depend on it).  An ``amplitude`` that is not
+    finite and positive, or a grid that is not positive, finite and
+    strictly increasing, is rejected before any sum runs.
     """
+    _require_positive(amplitude=amplitude)
     _require_integer(1, workers=workers)
     freqs = np.asarray(freqs, dtype=float)
     _check_grid(freqs)

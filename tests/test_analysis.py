@@ -29,6 +29,7 @@ from trapnoise.analysis import (
     line_departure_frequency,
     mean_current_from_material,
 )
+from trapnoise import analysis
 from trapnoise.analytic import chi_exponential, chi_uniform_rate, psd_general_pulse
 
 
@@ -335,24 +336,23 @@ class TestFitting:
         f_knee = 1e-2
         spectrum = 1.0 / (freqs + f_knee)  # flat below knee, 1/f above
         ratio = spectrum * freqs / 1.0
-        got = line_departure_frequency(freqs, ratio, threshold=0.5)
-        # ratio = f/(f + knee) = 0.5 exactly at the knee
-        assert got == pytest.approx(f_knee, rel=0.05)
+        got = line_departure_frequency(freqs, ratio)
+        # ratio = f/(f + knee) = 2**-0.5 exactly at knee / (sqrt(2) - 1)
+        assert got == pytest.approx(f_knee / (2.0**0.5 - 1.0), rel=0.05)
 
     def test_line_departure_none(self):
         freqs = np.geomspace(1e-2, 1.0, 30)
         assert np.isnan(line_departure_frequency(freqs, np.ones(30)))
 
     @staticmethod
-    def _assert_same_departure(freqs, ratio, threshold):
-        got = line_departure_frequency(freqs, ratio, threshold)
-        want = departure_by_scan(freqs, ratio, threshold)
+    def _assert_same_departure(freqs, ratio):
+        got = line_departure_frequency(freqs, ratio)
+        want = departure_by_scan(freqs, ratio, analysis._DEPARTURE_RATIO)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
             ratio, got, want
         )
 
-    @pytest.mark.parametrize("threshold", [2.0**-0.5, 0.5])
-    def test_line_departure_matches_the_downward_scan(self, threshold):
+    def test_line_departure_matches_the_downward_scan(self):
         rng = np.random.default_rng(11)
         for _ in range(400):
             n = int(rng.integers(1, 40))
@@ -360,7 +360,7 @@ class TestFitting:
             ratio = rng.uniform(0.2, 1.4, n)
             ratio[rng.random(n) < 0.1] = 0.0
             ratio[rng.random(n) < 0.05] = np.nan
-            self._assert_same_departure(freqs, ratio, threshold)
+            self._assert_same_departure(freqs, ratio)
 
     @pytest.mark.parametrize(
         "ratio",
@@ -376,16 +376,19 @@ class TestFitting:
     )
     def test_line_departure_edge_cases(self, ratio):
         freqs = np.geomspace(1e-2, 1.0, len(ratio))
-        self._assert_same_departure(freqs, np.asarray(ratio), 2.0**-0.5)
+        self._assert_same_departure(freqs, np.asarray(ratio))
 
-    def test_line_departure_equal_logs_around_the_crossing(self):
-        # two neighbouring floats whose logs round alike: lr[1] == lr[0]
+    def test_line_departure_equal_logs_around_the_crossing(self, monkeypatch):
+        # two neighbouring floats whose logs round alike, lr[1] == lr[0]:
+        # neighbours around 2**-0.5 have distinct logs, so the departure
+        # ratio is set to 4 here
         below = np.nextafter(4.0, 0.0)
         assert np.log(below) == np.log(4.0)
+        monkeypatch.setattr(analysis, "_DEPARTURE_RATIO", 4.0)
         freqs = np.geomspace(1e-2, 1.0, 3)
         ratio = np.array([1.0, below, 4.0])
-        self._assert_same_departure(freqs, ratio, 4.0)
-        assert line_departure_frequency(freqs, ratio, 4.0) == freqs[1]
+        self._assert_same_departure(freqs, ratio)
+        assert line_departure_frequency(freqs, ratio) == freqs[1]
 
     def test_line_departure_from_a_zero_crossing(self):
         # log(0) would make the interpolation inf/inf; its limit is the
@@ -402,10 +405,13 @@ class TestFitting:
             freqs=freqs, values=1.0 / (freqs + f_knee), n_averaged=1,
             estimator="event_exact",
         )
-        # the measured line level over the window sits slightly below the
-        # asymptote, shifting the crossing a little: allow 20%
-        onset = plateau_onset(est, (5e-2, 5e-1), threshold=0.5)
-        assert onset == pytest.approx(f_knee, rel=0.2)
+        # the line is measured over the window, where f/(f + knee) is
+        # still a little below 1, so the onset is where the profile falls
+        # to 2**-0.5 times that level
+        window = (freqs >= 5e-2) & (freqs <= 5e-1)
+        share = 2.0**-0.5 * np.mean(freqs[window] / (freqs[window] + f_knee))
+        onset = plateau_onset(est, (5e-2, 5e-1))
+        assert onset == pytest.approx(f_knee * share / (1.0 - share), rel=0.02)
 
     def test_fitted_floor_recovers_synthetic_floor(self):
         floor, gmax, gth, nu = 2e-3, 1e3, 1.0, 0.99

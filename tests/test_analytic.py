@@ -227,6 +227,12 @@ class TestPsdGeneralPulse:
             (lambda: psd_lorentzian(1.0, 1.0, 0.5, bad, 3.0), "trapping_rate"),
             (lambda: psd_lorentzian(1.0, 1.0, 0.5, 1.0, bad), "detrapping_rate"),
             (lambda: one_over_f_window(1e-4, bad), "gamma_max"),
+            (lambda: psd_general_pulse(1.0, bad, 0.5, chi, chi), "amplitude"),
+            (lambda: psd_poisson_pulse(1.0, bad, 0.5, 1.0, chi), "amplitude"),
+            (lambda: psd_lorentzian(1.0, bad, 0.5, 1.0, 3.0), "amplitude"),
+            (lambda: psd_full_expression(1.0, bad, 0.5, 1.0, 1e4), "amplitude"),
+            (lambda: psd_one_over_f(1.0, bad, 0.5, 1e3), "amplitude"),
+            (lambda: psd_multi_carrier(1.0, 2, bad, 0.5, 1e3), "amplitude"),
         ):
             with pytest.raises(ValueError, match=field):
                 psd()

@@ -430,6 +430,24 @@ class TestCarrierGroups:
         assert any(i % 7 == 0 for i in crossings)
         self.same_as_reference(cfg, 0, range(20), monkeypatch)
 
+    def test_paths_are_not_copied(self):
+        # a group's paths are views of its draw block and its end times; a
+        # path drawn on alone owns both, shorter or longer than one prefix
+        # block.  Carrier 1's first block ends short of the horizon, so it
+        # is drawn on alone
+        cfg = make_config(horizon=100.0, n_carriers=3)
+        assert len(simulate._carrier_groups(cfg, range(3))) == 1
+        first, alone, last = simulate_realization(cfg, 0)
+        block, ends = first.durations.base, first.ends.base
+        assert block is not None and np.shares_memory(block, last.durations)
+        assert ends is not None and np.shares_memory(ends, last.ends)
+        assert alone.durations.flags.owndata and alone.ends.flags.owndata
+        for horizon, rates in ((1e3, cfg.rates), (1e5, UniformRates(0.0, 10.0))):
+            lone = make_config(rates=rates, horizon=horizon)
+            [path] = simulate_realization(lone, 0)
+            assert path.durations.flags.owndata and path.ends.flags.owndata
+            assert (len(path.durations) > simulate._PREFIX_BLOCK) == (horizon > 1e3)
+
     def test_group_size_rule(self):
         # at most _GROUP_CARRIERS carriers, at most _GROUP_SEGMENTS first-block
         # segments, and one carrier whose first block alone exceeds them

@@ -105,6 +105,19 @@ class TestEventExact:
         with pytest.raises(ValueError, match="need at least one carrier path"):
             periodogram_superposed_events([], 1.0, np.array([0.5, 2.0]))
 
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0, np.nan, np.inf, True])
+    def test_amplitude_must_be_finite_and_positive(self, monkeypatch, amplitude):
+        def no_sum(*args):
+            raise AssertionError("a sum ran")
+
+        # rejected before a sum of either kind runs
+        monkeypatch.setattr(spectra, "_binned_sums", no_sum)
+        monkeypatch.setattr(spectra, "_direct_sums", no_sum)
+        with pytest.raises(ValueError, match="amplitude"):
+            periodogram_superposed_events(
+                [single_pulse_path(1.0, 4.0)], amplitude, np.array([0.25, 0.3])
+            )
+
     def test_mismatched_horizons_rejected(self):
         paths = [single_pulse_path(1.0, 4.0), single_pulse_path(1.0, 5.0)]
         with pytest.raises(ValueError, match="mismatched horizons"):
