@@ -179,12 +179,12 @@ class SampledSignal:
     """Superposed current sampled on a uniform grid.
 
     ``values[k]`` is the current at time ``k * dt``: the pulse height
-    times the number of carriers free at that instant.  An even-length
-    signal passed to ``periodogram_fft(..., overwrite=True)`` is
-    transformed in its own memory, with no spectrum-sized array beside
-    it, and gives that memory to the spectrum: ``values`` then holds the
-    frequency grid and the periodogram, not samples, and keeps its
-    length.
+    times the number of carriers free at that instant.  A signal passed
+    to ``periodogram_fft(..., overwrite=True)`` is transformed in its own
+    memory, with no spectrum-sized array beside it, and gives that memory
+    to the spectrum: ``values`` then holds the frequency grid and the
+    periodogram, not samples, and keeps its length.  An odd length's
+    last sample is left out of the transform and keeps its value.
     """
 
     values: np.ndarray

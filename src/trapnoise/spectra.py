@@ -55,8 +55,10 @@ length.  The binned series
 runs first, on the calling thread: run beside the direct sum, its grids
 would raise the peak memory by about as much as they hold.
 
-A signal of even length L is transformed in place, in one signal of
-memory and small blocks.  Its N = L/2 complex values
+A sampled signal's first L samples, L its length rounded down to even,
+are transformed in place, in one signal of memory and small blocks; an
+odd length n leaves its last sample out, which keeps its value, so its
+grid is k/((n - 1) dt).  The N = L/2 complex values
 z[m] = x[2m] + i x[2m+1], a view of the float64 samples, go through the
 four-step FFT (Bailey 1990, "FFTs in external or hierarchical memory")
 as an N1 x N2 matrix, N1 the divisor of N nearest sqrt(N): FFTs of the
@@ -84,15 +86,17 @@ transform holds its twiddle tables and a few blocks: under 0.1 signal
 sizes at L = 2^20 on one thread (0.14 on two), less at longer signals.
 ``periodogram_fft`` transforms a copy unless told it may overwrite the
 signal; in overwrite mode the spectrum and its grid take over the
-signal's buffer.  An odd L takes one rfft.
+signal's buffer.  The time follows the largest prime factor of N, as
+scipy takes a large prime length by Bluestein's algorithm, through FFTs
+of at least twice that length: at fig6's scale 20, N = 1677721 is prime.
 
 Accuracy, on integer random walks with three seeds per length, as the
 largest error over the spectrum in units of the mean ordinate: against
 a long-double rfft, 2.8e-10 at L = 2^22 (numpy's rfft: 4.3e-10) and
 1.0e-9 at L = 6710886 (rfft: 5.3e-10), a few roundings of the largest
-ordinate, which is 1.4e6 to 2.2e6 times the mean.  The single rfft and this
+ordinate, which is 1.4e6 to 2.2e6 times the mean.  numpy's rfft and this
 transform differ by at most 1.5e-10 and 1.6e-9.  Against a long-double
-DFT with exactly reduced phases it is as accurate as the single rfft at
+DFT with exactly reduced phases it is as accurate as numpy's rfft at
 the largest and the smallest ordinates (L = 2^16).  Where N1 or N2 has
 a large prime factor, scipy's FFT of that length is less accurate and
 the smallest ordinates are noisier: at L = 6710886 (N1 = 7 x 241) the
@@ -185,6 +189,11 @@ class SpectrumEstimate:
     estimator: str
 
     def __post_init__(self):
+        if np.shape(self.values) != np.shape(self.freqs):
+            raise ValueError(
+                f"values of shape {np.shape(self.values)} do not match "
+                f"freqs of shape {np.shape(self.freqs)}"
+            )
         _check_grid(self.freqs)
 
 
@@ -576,40 +585,35 @@ def _power(z: np.ndarray, scale: float) -> np.ndarray:
 def periodogram_fft(
     signal: SampledSignal, workers: int = 1, overwrite: bool = False
 ) -> SpectrumEstimate:
-    """Rectangular-window periodogram of a sampled signal.
+    """Rectangular-window periodogram of a sampled signal's first L
+    samples, L its length rounded down to even: an odd length leaves its
+    last sample out.
 
-    Natural frequencies k/(L dt) for k = 1..L//2; normalized to the same
+    Natural frequencies k/(L dt) for k = 1..L/2; normalized to the same
     one-sided convention as the event-exact estimator, zero bin dropped.
-    An even length L goes through the in-place four-step FFT on
+    The samples go through the in-place four-step FFT on
     ``min(workers, 2)`` threads, ``workers`` an integer >= 1 (the values
-    do not depend on it), of a copy of the signal unless ``overwrite``
-    allows it to use the signal's own memory.  The transform holds no
-    spectrum beside that buffer: the unpack stages the ordinates in its
-    first half and one pass moves them into its second.  The spectrum and
-    its grid take over the transformed buffer: ``freqs`` is a view of its
-    first half and ``values`` of its second, so with ``overwrite`` the
-    signal's values hold the grid and the spectrum, not samples.  An odd
-    length goes through a single rfft and leaves the signal as it was.
+    do not depend on it), of a copy unless ``overwrite`` allows it to use
+    the signal's own memory.  The transform holds no spectrum beside that
+    buffer: the unpack stages the ordinates in its first half and one
+    pass moves them into its second.  The spectrum and its grid take over
+    the transformed buffer: ``freqs`` is a view of its first half and
+    ``values`` of its second, so with ``overwrite`` the signal's first L
+    values hold the grid and the spectrum, not samples.
     """
     _require_integer(1, workers=workers)
+    shape = np.shape(signal.values)
+    if len(shape) != 1:
+        raise ValueError(f"values must be one-dimensional, got shape {shape}")
     x = np.asarray(signal.values, dtype=float)
-    if x.size < 2:
+    n = x.size // 2
+    if n == 0:
         raise ValueError("signal too short")
-    length = x.size
-    scale = 2.0 * signal.dt / length
-    n = length // 2
-    if length % 2 == 0:
-        x = np.array(x, order="C", copy=None if overwrite else True)
-        # the spectrum takes the second half of x, and the grid its first
-        values = _four_step_periodogram(x, scale, workers)
-        freqs = x[:n]
-    else:
-        spectrum = np.fft.rfft(x)
-        values = np.abs(spectrum[1:])
-        del spectrum
-        np.square(values, out=values)
-        values *= scale
-        freqs = np.empty(n)
+    length = 2 * n
+    x = np.array(x[:length], order="C", copy=None if overwrite else True)
+    # the spectrum takes the second half of x, and the grid its first
+    values = _four_step_periodogram(x, 2.0 * signal.dt / length, workers)
+    freqs = x[:n]
     for i in range(0, n, _GRID_BLOCK):
         block = freqs[i : i + _GRID_BLOCK]
         block[...] = np.arange(i + 1, i + 1 + len(block), dtype=np.float64)

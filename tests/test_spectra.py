@@ -1,5 +1,6 @@
 """Periodogram estimators, averaging, and log binning."""
 import io
+import re
 
 import numpy as np
 import pytest
@@ -574,15 +575,20 @@ class TestFftEstimator:
             values=values, dt=0.01, n_carriers=4, amplitude=1.5, horizon=length * 0.01
         )
         est = periodogram_fft(sig)
-        spectrum = np.fft.rfft(values)
-        want = (2.0 * 0.01 / length) * np.abs(spectrum[1:]) ** 2
-        want_f = np.arange(1, len(spectrum)) / (length * 0.01)
-        if length % 2:
-            assert est.values.tobytes() == want.tobytes()
-        else:
-            # even lengths take the split rfft (TestSplitPeriodogram)
-            assert np.max(np.abs(est.values - want)) <= 1e-9 * want.mean()
+        # an odd length's last sample is left out; the rest take the
+        # split rfft (TestSplitPeriodogram)
+        used = length - length % 2
+        spectrum = np.fft.rfft(values[:used])
+        want = (2.0 * 0.01 / used) * np.abs(spectrum[1:]) ** 2
+        want_f = np.arange(1, len(spectrum)) / (used * 0.01)
+        assert np.max(np.abs(est.values - want)) <= 1e-9 * want.mean()
         assert est.freqs.tobytes() == want_f.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 8), (8, 1)])
+    def test_values_that_are_not_one_dimensional_rejected(self, shape):
+        sig = _sampled(np.ones(shape))
+        with pytest.raises(ValueError, match=rf"values .*{re.escape(str(shape))}"):
+            periodogram_fft(sig)
 
     def test_short_signal_rejected(self):
         sig = SampledSignal(values=np.array([1.0]), dt=0.1, n_carriers=1,
@@ -624,7 +630,9 @@ def _sampled(values, dt=0.01):
 
 
 def _one_rfft(values, dt=0.01):
-    """The periodogram of a single rfft, as odd lengths compute it."""
+    """The periodogram of a single rfft of the samples ``periodogram_fft``
+    transforms: an odd length's last sample is left out."""
+    values = values[: len(values) - len(values) % 2]
     return (2.0 * dt / len(values)) * np.abs(np.fft.rfft(values)[1:]) ** 2
 
 
@@ -676,8 +684,8 @@ class TestSplitPeriodogram:
             assert threaded.values.tobytes() == serial.values.tobytes()
             assert threaded.freqs.tobytes() == serial.freqs.tobytes()
         # each of the four passes shares two threads, at both thread
-        # counts; an odd length has one rfft
-        assert thread_pools == ([] if length % 2 else [2] * 8)
+        # counts, at every length
+        assert thread_pools == [2] * 8
 
 
 class TestFourStepPeriodogram:
@@ -705,31 +713,42 @@ class TestFourStepPeriodogram:
 
         import scipy.fft  # noqa: F401  (the transform imports it lazily)
 
-        length = 1 << 20
-        sig = _sampled(_walk(length))
-        tracemalloc.start()
-        try:
-            periodogram_fft(sig, overwrite=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the powers are staged in the signal's first half and moved into
-        # its second: beyond the signal only twiddle tables and blocks
-        assert peak <= 0.1 * sig.values.nbytes
+        # an odd length too: its first L - 1 samples are the buffer
+        for length in (1 << 20, (1 << 20) + 1):
+            sig = _sampled(_walk(length))
+            tracemalloc.start()
+            try:
+                periodogram_fft(sig, overwrite=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the powers are staged in the signal's first half and moved
+            # into its second: beyond the signal only twiddle tables and
+            # blocks
+            assert peak <= 0.1 * sig.values.nbytes
 
-    # N = L/2 across several blocks of the grid, and past the last one
-    @pytest.mark.parametrize("length", [2, 1000, 2 * (3 * _GRID_BLOCK + 5)])
+    # N = L/2 across several blocks of the grid, and past the last one;
+    # odd lengths, the transform of all but their last sample, which
+    # keeps its value
+    @pytest.mark.parametrize(
+        "length",
+        [2, 1000, 2 * (3 * _GRID_BLOCK + 5), 3, 1001, 2 * (3 * _GRID_BLOCK + 5) + 1],
+    )
     def test_spectrum_and_grid_take_over_the_signal(self, length):
         dt = 3e-3
         values = _walk(length, seed=6)
-        want = periodogram_fft(_sampled(values.copy(), dt))
+        used = length - length % 2
+        want = periodogram_fft(_sampled(values[:used].copy(), dt))
+        last = values[-1]
         sig = _sampled(values, dt)
         est = periodogram_fft(sig, overwrite=True)
         assert np.shares_memory(est.freqs, sig.values)
         assert np.shares_memory(est.values, sig.values)
-        grid = np.arange(1, length // 2 + 1) / (length * dt)
+        grid = np.arange(1, used // 2 + 1) / (used * dt)
         assert est.freqs.tobytes() == grid.tobytes()
         assert est.values.tobytes() == want.values.tobytes()
+        if length % 2:
+            assert sig.values[-1] == last
 
     @pytest.mark.parametrize("length", [1000, 1001])
     def test_default_leaves_the_signal_as_it_was(self, length):
@@ -774,6 +793,7 @@ class TestStagedUnpack:
         "length, rows",
         [
             (30030, 105),  # odd: the last pair's row straddles both halves
+            (49147, 3),  # L odd, its last sample left out: N = 3 x 8191
             (30, 3),
             (2 * 65537, 1),  # N prime: row 0 alone
             (1 << 16, 128),  # even: a self-paired middle row
@@ -829,6 +849,12 @@ class TestSpectrumEstimate:
         with pytest.raises(ValueError, match=message):
             periodogram_superposed_events([single_pulse_path(1.0, 4.0)], 1.0, freqs)
 
+    def test_values_of_another_shape_than_the_grid_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
+            SpectrumEstimate(
+                freqs=[1.0, 2.0, 3.0], values=[1.0, 2.0], n_averaged=1,
+                estimator="sampled_fft",
+            )
 
     @pytest.mark.parametrize("at", [_GRID_BLOCK - 1, _GRID_BLOCK, _GRID_BLOCK + 1])
     def test_repeat_at_a_block_boundary_rejected(self, at):
