@@ -29,11 +29,17 @@ two paths per frequency:
   test-suite grids.  A cost model picks k_cut from the event count and
   the grid, and chooses no cut when the direct sum is cheaper.
 * Every other frequency, above the cut or not a multiple of 1/T, uses
-  the direct sum, with phases reduced modulo one cycle in float64 and
-  trig in float32 (about 7x faster than float64 trig).  The per-term
-  error is ~4e-7 radians; on single-realization fig3 spectra (scales
-  12.5 and 100) the direct part is off from float64 trig by 2.3e-4
-  relative at most and 8e-7 in the median.  Pass
+  the direct sum: phases reduced to the nearest whole cycle in float64
+  (within half a cycle, so the float32 phase is rounded by at most
+  1.2e-7 radians, half what a reduction to [0, 1) cycle costs), trig in
+  float32 (about 7x faster than float64 trig), and each half-chunk's
+  cos and sin values folded to a quarter in float32 before a float64
+  sum of that quarter.  Against float64 trig, over every realization's
+  direct frequencies of fig3 (scales 12.5 and 100), fig4 (5 and 10) and
+  fig5 (100), the relative error is 2.8e-7 to 5.2e-7 in the median and
+  1.7e-5 to 6.5e-5 at the 99th percentile (floor reduction with
+  float64 sums of whole rows: 4.2e-7 to 7.5e-7 and 1.9e-5 to 9.8e-5),
+  and at most 1.0e-3, at an ordinate that nearly cancels.  Pass
   ``trig_dtype=np.float64`` to make this part double precision.
 
 The direct sum walks each path once, in chunks of 2 * ``_EVENT_CHUNK``
@@ -41,17 +47,18 @@ events split into pulse starts and ends, frequencies inside.  Both
 transforms share their threads by one rule, ``_in_threads``: a pass's
 fixed blocks (here the frequencies) go in contiguous runs to the threads
 of a pool made for the pass, each run writing its own results (numpy
-releases the GIL in the cast, trig and sum loops).  Every frequency adds
-the float64 sums of the same chunks in the same order, paths in order,
-so the result does not depend on the thread count.  Each call, so each
+releases the GIL in the cast, trig, add and sum loops).  Every frequency
+adds the sums of the same chunks in the same order, paths in order, so
+the result does not depend on the thread count.  Each call, so each
 thread, allocates one workspace of three ``_EVENT_CHUNK`` float64 rows:
 the half-chunk's starts or ends, copied contiguous once for every
-frequency; the float64 phase; and its floor, whose row, once the floor
-is subtracted, holds the float32 phases and trig values as two views.
-Every per-frequency step writes into it through ``out=``, so the direct
-sum makes no temporary per frequency, and its peak (3.1 rows with the
-sum's cast buffer) depends on neither the frequency count nor the path
-length.  The binned series
+frequency; the float64 phase; and its rint.  The sin and cos values take
+a pair of rows, the rint row's two float32 halves, or for float64 trig
+the rint and the phase rows, zero-padded to a multiple of 4 values, and
+fold in place.  Every per-frequency step writes into the workspace
+through ``out=``, so the direct sum makes no temporary per frequency,
+and its peak (3.1 rows with the sum's cast buffer) depends on neither
+the frequency count nor the path length.  The binned series
 runs first, on the calling thread: run beside the direct sum, its grids
 would raise the peak memory by about as much as they hold.
 
@@ -167,9 +174,13 @@ _NATURAL_RTOL = 1e-14
 # FFT per M log2(M) and term (1.1-1.5 at M >= 8192).  The kernels have
 # since become faster; measured again on that VM (best of five calls,
 # three rounds): the direct sum 4.1-6.0, the binned path 3.8-5.5, and the
-# blocked FFT 0.5-1.6 at M = 2^10 to 2^18.  The constants stay as they
-# are: they decide which frequencies are binned, so new values would
-# change the bytes of every event-exact spectrum whose cut moves.
+# blocked FFT 0.5-1.6 at M = 2^10 to 2^18.  With phases reduced to the
+# nearest cycle and the float32 folds, the direct sum measures 5.1-6.7
+# against 6.0-7.0 for the floor-reduced kernel with float64 sums of whole
+# rows (fig3 paths of 2e4-4e5 events, 40 direct frequencies, the two
+# interleaved in one process, best of five calls, three rounds).  The
+# constants stay as they are: they decide which frequencies are binned,
+# so new values would move the cut and the bytes of the binned spectra.
 _DIRECT_NS = 7.5
 _BINNED_NS = 7.0
 _FFT_NS = 1.2
@@ -323,23 +334,43 @@ def _in_threads(fn, blocks, threads: int) -> None:
         list(pool.map(fn, (blocks[a:b] for a, b in zip(cuts, cuts[1:]))))
 
 
+def _quarter_folds(row: np.ndarray):
+    """The quarters of a row whose length is a multiple of 4, as the views
+    that ``_folded_sum`` adds: rows 0-1 and 2-3, then rows 0 and 1."""
+    q = row.reshape(4, -1)
+    return q[:2], q[2:], q[0], q[1]
+
+
+def _folded_sum(top, bottom, first, second) -> float:
+    """The sum of a row given as its ``_quarter_folds``: quarters 2-3 are
+    added onto 0-1 and quarter 1 onto 0 in the row's dtype, in place, and
+    the float64 pairwise sum of quarter 0 is returned."""
+    np.add(top, bottom, out=top)
+    np.add(first, second, out=first)
+    return first.sum(dtype=np.float64)
+
+
 def _direct_sums(events: list, freqs: np.ndarray, trig_dtype) -> np.ndarray:
     """sum over events of w e^{-2 pi i f t} by the direct sum, with
-    w = +1 at pulse starts and -1 at pulse ends: phases reduced modulo one
-    cycle in float64, then per frequency the float64 cos and sin sums of
-    each path's chunks added in chunk order, the paths in order.  Every
-    step writes into one workspace of three rows: the half-chunk's edges,
-    the phase, and its floor, whose row then holds the ``trig_dtype``
-    phases and trig values (two float32 halves, or for float64 trig the
-    row itself beside the phase)."""
+    w = +1 at pulse starts and -1 at pulse ends: phases reduced to the
+    nearest whole cycle in float64 (f t - rint(f t), within half a cycle),
+    then per frequency the sin and cos of each half-chunk's phases, folded
+    and summed by ``_folded_sum``, added in chunk order, the paths in
+    order.  Every step writes into one workspace of three rows: the
+    half-chunk's edges, the phase, and its rint.  The pair of rows that
+    holds the ``trig_dtype`` phase and trig values is the two float32
+    halves of the rint row, or for float64 trig the phase row and the rint
+    row; the phase is written into the cos row, the sin beside it, then the
+    cos in place.  The pair is zero-padded to a multiple of 4 values, which
+    only a path's last half-chunk needs; the sin row lies in the rint row,
+    so its pad is zeroed again after each rint."""
     total = np.zeros(len(freqs), dtype=complex)
     work = np.empty((3, _EVENT_CHUNK))
     edges_row, x_row, low_row = work
     if np.dtype(trig_dtype) == np.float64:
-        ph_row, trig_row = x_row, low_row
+        sin_row, cos_row = low_row, x_row
     else:
-        halves = low_row.view(trig_dtype)
-        ph_row, trig_row = halves[:_EVENT_CHUNK], halves[_EVENT_CHUNK:]
+        sin_row, cos_row = low_row.view(trig_dtype).reshape(2, _EVENT_CHUNK)
     for times in events:
         # sums of cos and of sin over the starts (row 0) and ends (row 1)
         c = np.zeros((2, len(freqs)))
@@ -349,17 +380,26 @@ def _direct_sums(events: list, freqs: np.ndarray, trig_dtype) -> np.ndarray:
             for half in range(2):
                 half_chunk = chunk[half::2]
                 n = len(half_chunk)
+                padded = -(-n // 4) * 4
                 edges, x, low = edges_row[:n], x_row[:n], low_row[:n]
-                ph, trig = ph_row[:n], trig_row[:n]
+                sines, cosines = sin_row[:n], cos_row[:n]
+                sin_pad = sin_row[n:padded]
+                cos_row[n:padded] = 0.0
+                sin_folds = _quarter_folds(sin_row[:padded])
+                cos_folds = _quarter_folds(cos_row[:padded])
                 np.copyto(edges, half_chunk)
                 for j, f in enumerate(freqs):
                     np.multiply(f, edges, out=x)
-                    np.floor(x, out=low)
+                    np.rint(x, out=low)
                     np.subtract(x, low, out=x)
                     # a float64 product, rounded into the trig dtype
-                    np.multiply(x, _TWO_PI, out=ph, casting="same_kind")
-                    c[half, j] += np.cos(ph, out=trig).sum(dtype=np.float64)
-                    s[half, j] += np.sin(ph, out=trig).sum(dtype=np.float64)
+                    np.multiply(x, _TWO_PI, out=cosines, casting="same_kind")
+                    if padded > n:
+                        sin_pad[...] = 0.0
+                    np.sin(cosines, out=sines)
+                    np.cos(cosines, out=cosines)
+                    s[half, j] += _folded_sum(*sin_folds)
+                    c[half, j] += _folded_sum(*cos_folds)
         # sum of e^{-i w t} is (sum cos) - i (sum sin)
         total += (c[0] - c[1]) - 1j * (s[0] - s[1])
     return total

@@ -444,9 +444,22 @@ class TestThreadedTransform:
         assert thread_pools == []
 
 
+def folded_sum(values, trig_dtype):
+    """Reference: the sum of ``values`` zero-padded to a multiple of 4,
+    whose quarters 2-3 are added onto 0-1 and quarter 1 onto 0 in
+    ``trig_dtype``, then quarter 0 summed in float64."""
+    padded = np.zeros(-(-len(values) // 4) * 4, dtype=trig_dtype)
+    padded[: len(values)] = values
+    q = padded.reshape(4, -1)
+    q[:2] += q[2:]
+    q[0] += q[1]
+    return float(q[0].sum(dtype=np.float64))
+
+
 def fourier_sums_by_frequency(times, freqs, trig_dtype):
     """Reference: (sum cos, sum sin) of 2 pi f t over ``times``, one
-    frequency at a time, each over ``_EVENT_CHUNK`` chunks of the times."""
+    frequency at a time, each over ``_EVENT_CHUNK`` chunks of the times,
+    with phases reduced to the nearest whole cycle."""
     cos_out = np.zeros(len(freqs))
     sin_out = np.zeros(len(freqs))
     for j, f in enumerate(freqs):
@@ -454,11 +467,11 @@ def fourier_sums_by_frequency(times, freqs, trig_dtype):
         acc_s = 0.0
         for i in range(0, len(times), _EVENT_CHUNK):
             x = f * times[i : i + _EVENT_CHUNK]
-            x -= np.floor(x)
+            x -= np.rint(x)
             x *= _TWO_PI
             ph = x.astype(trig_dtype, copy=False)
-            acc_c += float(np.cos(ph).sum(dtype=np.float64))
-            acc_s += float(np.sin(ph).sum(dtype=np.float64))
+            acc_c += folded_sum(np.cos(ph), trig_dtype)
+            acc_s += folded_sum(np.sin(ph), trig_dtype)
         cos_out[j] = acc_c
         sin_out[j] = acc_s
     return cos_out, sin_out
@@ -520,6 +533,58 @@ class TestDirectSumOrder:
         )
         for est in estimates:
             assert est.values.tobytes() == reference.values.tobytes()
+
+
+def floor_reduced_sums(events, freqs):
+    """Reference: the float32-trig direct sum that reduced phases to
+    [0, 1) cycle by floor and summed each whole chunk's cos and sin in
+    float64."""
+    total = np.zeros(len(freqs), dtype=complex)
+    for times in events:
+        for half, sign in ((0, 1.0), (1, -1.0)):
+            edges = times[half::2]
+            for j, f in enumerate(freqs):
+                for i in range(0, len(edges), _EVENT_CHUNK):
+                    x = f * edges[i : i + _EVENT_CHUNK]
+                    x -= np.floor(x)
+                    x *= _TWO_PI
+                    ph = x.astype(np.float32)
+                    c = np.cos(ph).sum(dtype=np.float64)
+                    s = np.sin(ph).sum(dtype=np.float64)
+                    total[j] += sign * (c - 1j * s)
+    return total
+
+
+class TestDirectSumAccuracy:
+    """The float32-trig direct sum against float64 trig, on the direct
+    frequencies of two preset paths, is more accurate than the
+    floor-reduced kernel it replaced."""
+
+    def test_errors_below_the_floor_reduced_kernel(self):
+        from trapnoise import preset
+
+        new, old = [], []
+        for name, scale, label in (("fig3", 100, None), ("fig4", 10, "T1e6")):
+            spec = preset(name, scale=scale)
+            cfg = dict(spec.runs)[label] if label else spec.runs[0][1]
+            paths = simulate_realization(cfg, 0)
+            freqs = spec.event_grid(cfg)
+            freqs = freqs[np.rint(freqs * cfg.horizon) > _binned_cut(paths, freqs)]
+            events = [p.events for p in paths if p.pulse_count]
+            want = np.abs(spectra._direct_sums(events, freqs, np.float64)) ** 2
+            got = np.abs(spectra._direct_sums(events, freqs, np.float32)) ** 2
+            new.append(np.abs(got / want - 1.0))
+            old.append(np.abs(np.abs(floor_reduced_sums(events, freqs)) ** 2 / want - 1.0))
+        new, old = np.concatenate(new), np.concatenate(old)
+        assert len(new) > 400
+        # measured on x86_64 with AVX-512 trig (numpy 2.4): median 4.3e-7
+        # against 4.9e-7, 90th percentile 6.5e-6 against 1.0e-5, largest
+        # 1.2e-4 against 2.3e-4
+        for q in (50, 90):
+            assert np.percentile(new, q) < np.percentile(old, q)
+        assert np.median(new) < 5e-7
+        assert np.percentile(new, 90) < 8e-6
+        assert new.max() < 2e-4
 
 
 class TestDirectSumWorkspace:
