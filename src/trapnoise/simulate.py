@@ -49,6 +49,11 @@ of ``_CSV_BLOCK`` rows.
 Reproducibility contract: one random sub-stream per (realization,
 carrier), derived from the master seed by index, so results are
 bit-identical for a given config regardless of how work is distributed.
+The stream is a ``PCG64`` seeded by numpy's
+``SeedSequence(seed, spawn_key=(realization, carrier))``:
+``carrier_stream`` builds it for a lone carrier, and
+``_carrier_streams`` computes the same states for a group of two or
+more in one array pass of that hash, which numpy keeps fixed.
 """
 from __future__ import annotations
 
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import (
     NonergodicError,
@@ -195,9 +201,84 @@ class SampledSignal:
 
 
 def carrier_stream(seed: int, realization: int, carrier: int) -> np.random.Generator:
-    """Independent, reproducible stream for one (realization, carrier)."""
+    """Independent, reproducible stream for one (realization, carrier):
+    a ``PCG64`` seeded by ``np.random.SeedSequence(seed,
+    spawn_key=(realization, carrier))``.  The three indices must be
+    integers >= 0.  A carrier group's streams are the same, made in one
+    pass by ``_carrier_streams``."""
+    _require_integer(0, seed=seed, realization=realization, carrier=carrier)
     ss = np.random.SeedSequence(seed, spawn_key=(realization, carrier))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# numpy's SeedSequence hash constants, which its reproducibility policy
+# (NEP 19) keeps fixed
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32 for k = first .. first + count - 1:
+    the hash constant after k hash steps."""
+    m = 1 << 32
+    ks = range(first, first + count)
+    return np.array([init * pow(mult, k, m) % m for k in ks], dtype=np.uint32)
+
+
+def _uint32_words(value: int) -> int:
+    """The 32-bit words SeedSequence splits a non-negative integer into."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+class _CarrierSeed(ISeedSequence):
+    """A carrier's ``generate_state(4, np.uint64)`` words, computed by
+    ``_carrier_streams``, for ``PCG64`` to seed itself from (it cannot
+    spawn)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _carrier_streams(seed: int, realization: int, carriers: range) -> list:
+    """The ``carrier_stream`` of each of ``carriers``, a range of carrier
+    indices, with the same states, hashed for the whole group in uint32
+    array arithmetic.
+
+    ``SeedSequence(seed, spawn_key=(realization,))`` has mixed every word
+    before the carrier's into its 4-word pool.  The carrier, one 32-bit
+    word (so an index must be below 2**32), is then hash-mixed into each
+    pool word, and the pool hashed into the 8 words of
+    ``generate_state(4, np.uint64)``, as numpy's C code does: every
+    product wraps mod 2**32, which array arithmetic does silently.  Each
+    row of words seeds a ``PCG64`` through ``_CarrierSeed``, so numpy's
+    own PCG64 seeding runs.
+    """
+    _require_integer(0, seed=seed, realization=realization)
+    if len(carriers):
+        lo, hi = sorted((carriers[0], carriers[-1]))
+        _require_integer(0, carrier=lo)
+        if hi >= 1 << 32:
+            raise ValueError(f"carrier must be below 2**32, got {hi!r}")
+    pool = np.random.SeedSequence(seed, spawn_key=(realization,)).pool
+    # words before the carrier's: the seed's, padded to the pool size,
+    # and the realization's; filling the pool took 4 hash steps, mixing
+    # it 12, and each word past the first 4 took 4
+    before = max(4, _uint32_words(seed)) + _uint32_words(realization)
+    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (before - 4), 5)
+    index = np.arange(carriers.start, carriers.stop, carriers.step, dtype=np.uint32)
+    h = (index[:, None] ^ a[:4]) * a[1:]
+    h ^= h >> 16
+    mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * h
+    mixed ^= mixed >> 16
+    b = _hash_constants(_INIT_B, _MULT_B, 0, 9)
+    state = (np.tile(mixed, 2) ^ b[:8]) * b[1:]
+    state ^= state >> 16
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_CarrierSeed(w))) for w in words]
 
 
 def _cycle_time_guess(rates: RateModel, trapping: PoissonTrapping, horizon: float) -> float:
@@ -342,11 +423,15 @@ def simulate_realization(
     simulated in their ``_carrier_groups``."""
     if carriers is None:
         carriers = range(config.n_carriers)
+    # the group pass costs a lone carrier about twice carrier_stream's time
     return [
         path
         for group in _carrier_groups(config, carriers)
         for path in _simulate_carriers(
-            config, [carrier_stream(config.seed, realization, c) for c in group]
+            config,
+            _carrier_streams(config.seed, realization, group)
+            if len(group) > 1
+            else [carrier_stream(config.seed, realization, group[0])],
         )
     ]
 

@@ -360,6 +360,68 @@ class TestDeterminism:
         assert not np.array_equal(p0.durations, p2.durations)
 
 
+class TestCarrierStreams:
+    """A group's streams, hashed in one array pass, are numpy's own
+    ``SeedSequence(seed, spawn_key=(realization, carrier))`` streams."""
+
+    @pytest.mark.parametrize("seed", [0, 3, np.int64(3), 2**32 + 1, 2**160 + 5],
+                             ids=["0", "3", "int64-3", "two-word", "six-word"])
+    @pytest.mark.parametrize("realization", [0, 7, 2**32 + 5])
+    @pytest.mark.parametrize("carriers", [range(100), range(35, 70)])
+    def test_words_and_draws_match_seed_sequence(self, seed, realization, carriers):
+        streams = simulate._carrier_streams(seed, realization, carriers)
+        assert len(streams) == len(carriers)
+        for c, rng in zip(carriers, streams):
+            ss = np.random.SeedSequence(seed, spawn_key=(realization, c))
+            words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert words.dtype == np.uint64
+            assert words.tobytes() == ss.generate_state(4, np.uint64).tobytes()
+            ref = carrier_stream(seed, realization, c)
+            assert rng.random() == ref.random()
+            assert rng.standard_exponential() == ref.standard_exponential()
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((3, 0, True), "carrier"),
+            ((3, 0, 1.0), "carrier"),
+            ((3, 0, -1), "carrier"),
+            ((3, 0.0, 0), "realization"),
+            ((3, -2, 0), "realization"),
+            ((False, 0, 0), "seed"),
+            ((3.0, 0, 0), "seed"),
+        ],
+        ids=["carrier-bool", "carrier-float", "carrier-negative",
+             "realization-float", "realization-negative", "seed-bool", "seed-float"],
+    )
+    def test_bad_indices_rejected_by_name(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            carrier_stream(*args)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((3, 0, range(-1, 1)), "carrier"),
+            # the group pass mixes one 32-bit word per carrier
+            ((3, 0, range(2**32 - 1, 2**32 + 1)), "carrier"),
+            ((3, 0, range(2**32, 2**32 - 2, -1)), "carrier"),
+            ((3, 0.0, range(2)), "realization"),
+            ((3, -2, range(2)), "realization"),
+            ((3.0, 0, range(2)), "seed"),
+        ],
+        ids=["carrier-negative", "carrier-33-bits", "carrier-33-bits-descending",
+             "realization-float", "realization-negative", "seed-float"],
+    )
+    def test_group_pass_rejects_bad_indices_by_name(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            simulate._carrier_streams(*args)
+
+    def test_largest_carrier_words(self):
+        top = range(2**32 - 2, 2**32)
+        for c, rng in zip(top, simulate._carrier_streams(0, 0, top)):
+            assert rng.bit_generator.state == carrier_stream(0, 0, c).bit_generator.state
+
+
 class TestCarrierGroups:
     """``simulate_realization`` draws the first blocks of a group of
     carriers into shared rows and cuts them in whole-array operations;
