@@ -327,8 +327,6 @@ def line_departure_frequency(freqs: np.ndarray, ratio: np.ndarray) -> float:
         return float(freqs[i + 1])
     lf = np.log(freqs[i : i + 2])
     lr = np.log(ratio[i : i + 2])
-    if lr[1] == lr[0]:
-        return float(freqs[i])
     t = (np.log(_DEPARTURE_RATIO) - lr[0]) / (lr[1] - lr[0])
     return float(np.exp(lf[0] + np.clip(t, 0.0, 1.0) * (lf[1] - lf[0])))
 

@@ -50,13 +50,14 @@ Reproducibility contract: one random sub-stream per (realization,
 carrier), derived from the master seed by index, so results are
 bit-identical for a given config regardless of how work is distributed.
 The stream is a ``PCG64`` seeded by numpy's
-``SeedSequence(seed, spawn_key=(realization, carrier))``:
-``carrier_stream`` builds it for a lone carrier, and
-``_carrier_streams`` computes the same states for a group of two or
-more in one array pass of that hash, which numpy keeps fixed.
+``SeedSequence(seed, spawn_key=(realization, carrier))``.  Every carrier
+group, a lone carrier as a group of one, has its streams hashed in one
+array pass of that hash, which numpy keeps fixed (``_carrier_streams``);
+``carrier_stream`` builds one stream straight from numpy, the reference.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -109,8 +110,9 @@ _GROUP_CARRIERS = 64
 
 
 def _sample_count(horizon: float, dt: float) -> int:
-    """Samples at k * dt below ``horizon``, forgiving rounding of horizon/dt."""
-    return int(np.floor(horizon / dt + 1e-9))
+    """Whole intervals ``dt`` in ``horizon``, forgiving 4 ulps of horizon/dt."""
+    ratio = horizon / dt
+    return int(np.floor(ratio + 4 * np.spacing(ratio)))
 
 
 @dataclass(frozen=True)
@@ -203,9 +205,9 @@ class SampledSignal:
 def carrier_stream(seed: int, realization: int, carrier: int) -> np.random.Generator:
     """Independent, reproducible stream for one (realization, carrier):
     a ``PCG64`` seeded by ``np.random.SeedSequence(seed,
-    spawn_key=(realization, carrier))``.  The three indices must be
-    integers >= 0.  A carrier group's streams are the same, made in one
-    pass by ``_carrier_streams``."""
+    spawn_key=(realization, carrier))``, any integers >= 0.  The
+    reference for ``_carrier_streams``, which seeds every carrier group
+    in one array pass and takes carriers below 2**32 only."""
     _require_integer(0, seed=seed, realization=realization, carrier=carrier)
     ss = np.random.SeedSequence(seed, spawn_key=(realization, carrier))
     return np.random.Generator(np.random.PCG64(ss))
@@ -215,15 +217,22 @@ def carrier_stream(seed: int, realization: int, carrier: int) -> np.random.Gener
 # (NEP 19) keeps fixed
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
+@functools.lru_cache
 def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """``init * mult**k`` mod 2**32 for k = first .. first + count - 1:
-    the hash constant after k hash steps."""
+    """Xor (row 0) and multiply (row 1) constants of hash steps first ..
+    first + count - 1, ``init * mult**k`` mod 2**32 after k steps; cached."""
     m = 1 << 32
-    ks = range(first, first + count)
-    return np.array([init * pow(mult, k, m) % m for k in ks], dtype=np.uint32)
+    c = [init * pow(mult, k, m) % m for k in range(first, first + count + 1)]
+    rows = np.array([c[:-1], c[1:]], dtype=np.uint32)
+    rows.flags.writeable = False
+    return rows
+
+
+# the output hash's constants, rows of 4 words that broadcast over a pool
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 0, 8).reshape(2, 2, 4)
 
 
 def _uint32_words(value: int) -> int:
@@ -268,16 +277,15 @@ def _carrier_streams(seed: int, realization: int, carriers: range) -> list:
     # and the realization's; filling the pool took 4 hash steps, mixing
     # it 12, and each word past the first 4 took 4
     before = max(4, _uint32_words(seed)) + _uint32_words(realization)
-    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (before - 4), 5)
+    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (before - 4), 4)
     index = np.arange(carriers.start, carriers.stop, carriers.step, dtype=np.uint32)
-    h = (index[:, None] ^ a[:4]) * a[1:]
+    h = (index[:, None] ^ a[0]) * a[1]
     h ^= h >> 16
-    mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * h
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * h
     mixed ^= mixed >> 16
-    b = _hash_constants(_INIT_B, _MULT_B, 0, 9)
-    state = (np.tile(mixed, 2) ^ b[:8]) * b[1:]
+    state = (mixed[:, None] ^ _HASH_B[0]) * _HASH_B[1]
     state ^= state >> 16
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words = state.reshape(len(index), 8).astype("<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_CarrierSeed(w))) for w in words]
 
 
@@ -423,17 +431,9 @@ def simulate_realization(
     simulated in their ``_carrier_groups``."""
     if carriers is None:
         carriers = range(config.n_carriers)
-    # the group pass costs a lone carrier about twice carrier_stream's time
-    return [
-        path
-        for group in _carrier_groups(config, carriers)
-        for path in _simulate_carriers(
-            config,
-            _carrier_streams(config.seed, realization, group)
-            if len(group) > 1
-            else [carrier_stream(config.seed, realization, group[0])],
-        )
-    ]
+    groups = _carrier_groups(config, carriers)
+    streams = (_carrier_streams(config.seed, realization, g) for g in groups)
+    return [path for rngs in streams for path in _simulate_carriers(config, rngs)]
 
 
 def empirical_nu(path: CarrierPath) -> float:

@@ -502,14 +502,15 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     column of N2 powers is staged in ``x[:N]`` as a row of the matrix
     ``x[:N].reshape(N1, N2)``: row k1 >= 1 pairs with row N1 - k1, and
     once both are read its two columns go into row k1's own 2 N2
-    float64, staged rows 2 k1 and 2 k1 + 1; row 0, read first, goes to
-    staged row 0; the one column whose staged row would be N1 (the
-    self-paired middle row of an even N1, or the second column of the
-    last pair of an odd N1) goes to staged row 1.  Then one blocked
-    pass moves the staged rows into the grid's columns.  Each of the four
-    passes goes through ``_in_threads`` in fixed blocks on
-    ``min(workers, 2)`` threads, as the direct sum's frequencies do; N1
-    and the blocks depend on L alone, so no value depends on it.
+    float64, staged rows 2 k1 and 2 k1 + 1; row 0, read first in blocks
+    of ``_GRID_BLOCK`` columns, goes to staged row 0; the one column
+    whose staged row would be N1 (the self-paired middle row of an even
+    N1, or the second column of the last pair of an odd N1) goes to
+    staged row 1.  Then one blocked pass moves the staged rows into the
+    grid's columns.  Each of the four passes goes through ``_in_threads``
+    in fixed blocks on ``min(workers, 2)`` threads, as the direct sum's
+    frequencies do; N1 and the blocks depend on L alone, so no value
+    depends on it.
     """
     import scipy.fft
 
@@ -530,7 +531,6 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     fine = _unit_roots(k1, n)
     # -i W_L^k = row_twiddle[k1] col_twiddle[k2] for k = k1 + N1 k2
     row_twiddle = -1j * _unit_roots(k1, len(x))[:, None]
-    col_twiddle = _unit_roots(np.arange(cols) * rows, len(x))
     unpack_step = max(1, rows // _UNPACK_SHARE)
     move_step = max(1, cols // _MOVE_SHARE)
     # grid column c comes from staged row source[c]: 2 (c + 1) for the
@@ -602,13 +602,25 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     _in_threads(column_ffts, range(0, cols, _COLUMN_BLOCK), threads)
     del table, coarse, fine  # the column twiddles are used up
     _in_threads(row_ffts, range(0, rows, _ROW_BLOCK), threads)
+    col_twiddle = _unit_roots(np.arange(cols) * rows, len(x))
     # row 0 pairs with itself: Z_{N - N1 k2} = Z[0, -k2 mod N2]; it is
-    # read first, as a pair's column is staged over its second half
-    plus, minus = doubled(z[0], np.roll(z[0, ::-1], 1).conj(), -1j * col_twiddle)
-    # X_{N1 k2} for k2 = 1..N2-1, then X_N = conj(E_0 - W^0 O_0)
-    staged[0, :-1] = _power(plus[1:], quarter)
-    staged[0, -1] = _power(minus[0], quarter)
-    del plus, minus
+    # read first, as a pair's column is staged over its second half.  Its
+    # column blocks' powers gather in a scratch row, since staged row 0
+    # overlays the first half of matrix row 0, which every block reads
+    row0 = np.empty(cols)
+    for j in range(0, cols, _GRID_BLOCK):
+        part = slice(j, min(j + _GRID_BLOCK, cols))
+        zm = z[0, -np.arange(j, part.stop) % cols]
+        np.conjugate(zm, out=zm)
+        plus, minus = doubled(z[0, part], zm, -1j * col_twiddle[part])
+        row0[part] = _power(plus, quarter)
+        if not j:
+            row0[0] = _power(minus[0], quarter)
+    # X_{N1 k2} for k2 = 1..N2-1, then X_N = conj(E_0 - W^0 O_0), which
+    # the first block put in place of X_0
+    staged[0, :-1] = row0[1:]
+    staged[0, -1] = row0[0]
+    del row0, zm, plus, minus
     _in_threads(unpack_rows, range(1, half + 1, unpack_step), threads)
     _in_threads(move_rows, range(0, cols, move_step), threads)
     return x[n:]

@@ -378,18 +378,6 @@ class TestFitting:
         freqs = np.geomspace(1e-2, 1.0, len(ratio))
         self._assert_same_departure(freqs, np.asarray(ratio))
 
-    def test_line_departure_equal_logs_around_the_crossing(self, monkeypatch):
-        # two neighbouring floats whose logs round alike, lr[1] == lr[0]:
-        # neighbours around 2**-0.5 have distinct logs, so the departure
-        # ratio is set to 4 here
-        below = np.nextafter(4.0, 0.0)
-        assert np.log(below) == np.log(4.0)
-        monkeypatch.setattr(analysis, "_DEPARTURE_RATIO", 4.0)
-        freqs = np.geomspace(1e-2, 1.0, 3)
-        ratio = np.array([1.0, below, 4.0])
-        self._assert_same_departure(freqs, ratio)
-        assert line_departure_frequency(freqs, ratio) == freqs[1]
-
     def test_line_departure_from_a_zero_crossing(self):
         # log(0) would make the interpolation inf/inf; its limit is the
         # point above the crossing

@@ -367,7 +367,7 @@ class TestCarrierStreams:
     @pytest.mark.parametrize("seed", [0, 3, np.int64(3), 2**32 + 1, 2**160 + 5],
                              ids=["0", "3", "int64-3", "two-word", "six-word"])
     @pytest.mark.parametrize("realization", [0, 7, 2**32 + 5])
-    @pytest.mark.parametrize("carriers", [range(100), range(35, 70)])
+    @pytest.mark.parametrize("carriers", [range(100), range(35, 70), range(5, 6)])
     def test_words_and_draws_match_seed_sequence(self, seed, realization, carriers):
         streams = simulate._carrier_streams(seed, realization, carriers)
         assert len(streams) == len(carriers)
@@ -876,3 +876,25 @@ class TestConfigValidation:
             make_config(n_realizations=0)
         with pytest.raises(ValueError):
             make_config(sample_dt=0.0)
+
+
+class TestSampleCount:
+    """The sample grid keeps every sample below the horizon, however many:
+    the rounding it forgives in horizon/dt is relative, not absolute."""
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 2.5e-4])
+    @pytest.mark.parametrize("k", [2**26, 10**9], ids=["2^26", "1e9"])
+    def test_whole_ratio_keeps_its_last_sample(self, k, dt):
+        counts = [simulate._sample_count(n * dt, dt) for n in range(k - 200, k + 200)]
+        assert counts == list(range(k - 200, k + 200))
+
+    def test_rounded_below_a_whole_ratio(self):
+        # 6700.8871 / 1e-4 rounds to 67008870.99999999, one float64
+        # spacing (1.5e-8) short, which an absolute 1e-9 does not reach
+        assert 6700.8871 / 1e-4 < 67008871
+        assert simulate._sample_count(6700.8871, 1e-4) == 67008871
+
+    def test_fractional_ratio_floors(self):
+        # fig6 at scale 3: 22369621.33 samples
+        run = preset("fig6", scale=3).runs[0][1]
+        assert simulate._sample_count(run.horizon, run.sample_dt) == 22369621

@@ -792,6 +792,26 @@ class TestFourStepPeriodogram:
             # blocks
             assert peak <= 0.1 * sig.values.nbytes
 
+    def test_prime_half_length_unpacks_row_zero_in_blocks(self):
+        import tracemalloc
+
+        import scipy.fft  # noqa: F401  (the transform imports it lazily)
+
+        # fig6 at scale 20: N = L/2 is prime, so the matrix is one row of
+        # N complex values, a signal's size; unpacked in one piece, its
+        # temporaries took 4 signal sizes
+        length = 3355442
+        assert spectra._rows(length // 2) == 1
+        sig = _sampled(_walk(length))
+        tracemalloc.start()
+        try:
+            periodogram_fft(sig, workers=2, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the prime-length row FFT's own buffers now set the peak
+        assert peak <= 3.2 * sig.values.nbytes
+
     # N = L/2 across several blocks of the grid, and past the last one;
     # odd lengths, the transform of all but their last sample, which
     # keeps its value
