@@ -44,7 +44,17 @@ carriers, the same as the whole realization's at those indices.
 samples.
 
 Every CSV row of the package is written by ``_write_rows``, in blocks
-of ``_CSV_BLOCK`` rows.
+of ``_CSV_BLOCK`` rows, each formatted in whole-array operations with
+the bytes of ``"%.17g" % value``: a row is a run of NUL-padded 8-byte
+words, its text copied in and each number's field laid out from table
+lookups, and a block is written in one call with its NULs taken out.
+A whole number below 2**53 is written from its 4-digit groups.  Any
+other number in [1e-6, 1e17) is scaled to 17 digits by Dekker's exact
+product, rounded half to even, and laid out by ``%g``'s rule, its
+trailing zeros stripped.  The rest (non-finite or out of range, about
+0.03% of fig4's durations) go through ``%`` one at a time.
+``write_event_csv`` writes each carrier group's rows together, each
+row's ``realization,carrier,kind,`` text taken from a table.
 
 Reproducibility contract: one random sub-stream per (realization,
 carrier), derived from the master seed by index, so results are
@@ -91,8 +101,10 @@ __all__ = [
 ]
 
 # rows per formatted block of every CSV; bounds the strings a long path,
-# signal or spectrum would otherwise build
-_CSV_BLOCK = 1 << 14
+# signal or spectrum would otherwise build, and the block's temporaries:
+# 8192-row blocks took the sampled export of fig6 at scale 64 to 1.24
+# signal sizes, past its 1.2, and 2048-row ones were 7-17% slower
+_CSV_BLOCK = 1 << 12
 # samples per block of the occupancy histogram (512 kB of float64), so
 # counting makes no temporary as large as the signal
 _HIST_BLOCK = 1 << 16
@@ -513,19 +525,257 @@ def binomial_pmf(n_carriers: int, p_free: float) -> np.ndarray:
     return binom.pmf(np.arange(n_carriers + 1), n_carriers, p_free)
 
 
-def _write_rows(fileobj, *pieces) -> None:
-    """One row per index of the equal-length arrays among ``pieces``:
-    strings are fixed text, written as they are, and each array a column
-    at 17 significant digits (so ``2.0`` is ``2``).  One ``%`` pass and
-    one write per ``_CSV_BLOCK`` rows.
+def _digit_words() -> np.ndarray:
+    """ASCII words (4 bytes) of 0..9999: with leading zeros at 0..9999;
+    with them as NUL (0 as four NULs) at 10000..19999; the same, but 0 as
+    "0", at 20000..29999; then the digits 0..9, each before three NULs,
+    at 30000..30009, and four NULs at ``_NUL_WORD``."""
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    full = (digits + 48).astype(np.uint8)
+    stripped = np.where(np.cumsum(digits, axis=1) > 0, full, 0).astype(np.uint8)
+    kept = stripped.copy()
+    kept[0, 3] = 48
+    single = np.zeros((11, 4), np.uint8)
+    single[:10, 0] = full[:10, 3]
+    return np.concatenate([full, stripped, kept, single]).view("<u4").ravel()
+
+
+def _layouts() -> tuple[np.ndarray, ...]:
+    """``"%.17g"``'s layout of 17 digits with exponent k in -6..16 and
+    n = 1..17 significant digits, by row 18 (k + 6) + n: masks (3 words)
+    of the digits kept before the point, and after it in the digits
+    moved on by one byte, and the point and exponent text; and by k + 6,
+    the word of text before the digits, from its second byte on.  Fixed
+    notation keeps the integer part's digits; k < -4 takes exponent
+    notation, with at least two exponent digits."""
+    at = np.arange(24)
+    before = np.zeros((23, 18, 24), bool)
+    after = np.zeros_like(before)
+    text = np.zeros((23, 18, 24), np.uint8)
+    lead = np.zeros((23, 8), np.uint8)
+    n = np.arange(18)[:, None]
+    for k in range(-6, 17):
+        if k >= 0:
+            point = kept = k + 1
+        elif k >= -4:
+            lead[k + 6, 1 : 2 - k] = list(b"0." + b"0" * (-k - 1))
+            point, kept = 24, 1  # the point is in the lead text
+        else:
+            text[k + 6, :, 18:22] = list(b"e-0%d" % -k)
+            point = kept = 1
+        end = np.maximum(n, kept) + (n > point)
+        before[k + 6] = (at < point) & (at < end)
+        after[k + 6] = (at > point) & (at < end)
+        if point < 24:
+            text[k + 6, :, point] = np.where(point < end[:, 0], 46, 0)
+    rows = (before.view(np.uint8) * 255, after.view(np.uint8) * 255, text)
+    # word-major tables of three words per layout
+    words = [r.reshape(23 * 18, 24).view("<u8").T.copy() for r in rows]
+    return (*words, lead.view("<u8").ravel())
+
+
+_DIGIT_WORDS = _digit_words()
+_NUL_WORD = 30010
+# "0" in each digit's byte of the three words of 17 digits, and the
+# place, counted from 1, of each word's first digit
+_ZERO_DIGITS = np.array([[0x3030303030303030], [0x3030303030303030], [0x30]], "<u8")
+_WORD_PLACES = np.array([[1], [9], [17]])
+_BEFORE_POINT, _AFTER_POINT, _LAYOUT_TEXT, _LEAD_TEXT = _layouts()
+# 10**k for k = -8..18, the doubles nearest them; and the exact 10**q,
+# q = 0..22, split in 26-bit halves for Dekker's product
+_POW10 = 10.0 ** np.arange(-8, 19)
+_SCALE = 10.0 ** np.arange(23)
+_SPLIT = 134217729.0  # 2**27 + 1
+_SCALE_HI = _SCALE * _SPLIT - (_SCALE * _SPLIT - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+
+
+def _integer_fields(ax: np.ndarray, out: np.ndarray) -> None:
+    """Words 1-2 of the fields of whole numbers ``ax`` below 2**53: their
+    16 digits, leading zeros as NUL but the last digit kept; word 3 NUL."""
+    v = ax.astype(np.int64)
+    high = v // 10**8
+    low = (v - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    index = np.empty((len(v), 4), np.intp)
+    g = high // 10000
+    index[:, 0] = g + 10000
+    blank = g == 0  # every digit so far is a leading zero
+    g = high - g * 10000
+    index[:, 1] = g + blank * np.uint32(10000)
+    blank &= g == 0
+    g = low // 10000
+    index[:, 2] = g + blank * np.uint32(10000)
+    blank &= g == 0
+    index[:, 3] = low - g * 10000 + blank * np.uint32(20000)
+    out[:, 1:3] = _DIGIT_WORDS.take(index).view("<u8")
+    out[:, 3] = 0
+
+
+def _scaled_digits(a: np.ndarray, q: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """a * 10**q (q = 0..22, so 10**q is exact) rounded half to even to a
+    whole number, as int64, for the rows of ``ok``: hi + rint(lo), the
+    exact double-double hi + lo of Dekker's product of the two factors
+    split in 26-bit halves, whose hi is an even whole number when it is
+    at least 1e16.  Clears ``ok`` where hi = 1e16 rounds up a smaller
+    product."""
+    hi = a * _SCALE.take(q, mode="clip")
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a = a - a_hi  # its low half
+    s_hi, s_lo = _SCALE_HI.take(q, mode="clip"), _SCALE_LO.take(q, mode="clip")
+    # Dekker's error terms, in Shewchuk's order
+    err = hi - a_hi * s_hi
+    err -= a * s_hi
+    err -= a_hi * s_lo
+    lo = a * s_lo
+    lo -= err
+    ok &= (hi != 1e16) | (lo >= 0)
+    d = hi.astype(np.int64)
+    d += np.rint(lo).astype(np.int64)
+    return d
+
+
+def _digit_string(d: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each of ``d`` (1e16 <= d < 1e17; any text
+    for others), NUL-padded to three little-endian words, word-major:
+    an array of (3, len(d))."""
+    high = d // 10**9
+    low = (d - high * 10**9).astype(np.uint32)
+    high = high.astype(np.uint32)
+    low10 = low // 10
+    # 4 and 4 digits, 4 and 4, then the last and NULs
+    index = np.empty((3, len(d), 2), np.intp)
+    for w, part in enumerate((high, low10)):
+        g = part // 10000
+        index[w, :, 0] = g
+        index[w, :, 1] = part - g * 10000
+    index[2, :, 0] = low - low10 * 10 + 30000
+    index[2, :, 1] = _NUL_WORD
+    return _DIGIT_WORDS.take(index, mode="clip").view("<u8")[..., 0]
+
+
+def _decimal_fields(ax: np.ndarray, skip: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The fields of ``ax`` (finite, 1e-6 <= ax < 1e17) but the rows of
+    ``skip``: their 17 significant digits, laid out by ``_layouts``, with
+    the lead text in word 0.  Returns the rows written; the others hold
+    any text.
+
+    k = floor(log10 ax) is read off the exponent bits and one table
+    comparison, and D, ax * 10**(16 - k) rounded half to even as ``%``
+    rounds, by ``_scaled_digits``.  A row whose k is off by one gets D
+    out of [1e16, 1e17), or hi = 1e16 above a smaller product, and is
+    not written.
     """
-    row = "".join(
-        p.replace("%", "%%") if isinstance(p, str) else "%.17g" for p in pieces
-    )
-    columns = [p for p in pieces if not isinstance(p, str)]
-    for i in range(0, len(columns[0]), _CSV_BLOCK):
-        block = np.column_stack([c[i : i + _CSV_BLOCK] for c in columns])
-        fileobj.write(row * len(block) % tuple(block.ravel().tolist()))
+    k = (ax.view(np.uint64) >> np.uint64(52)).astype(np.intp)
+    k -= 1023
+    k *= 1233
+    k >>= 12  # floor(k log10 2), k the binary exponent
+    k += ax >= _POW10.take(k + 9, mode="clip")
+    k += 6  # from here on, k + 6
+    ok = k.view(np.uintp) <= 22
+    ok &= ~skip
+    d = _scaled_digits(np.where(ok, ax, 0.0), 22 - k, ok)
+    ok &= (d - 10**16).view(np.uint64) < 9 * 10**16
+    digits = _digit_string(d)
+    # the significant digits run to the last nonzero one: the top byte of
+    # each word's digits less "0", read off its float exponent
+    n = (digits ^ _ZERO_DIGITS).astype(np.float64).view(np.int64) >> 52
+    n -= 1023
+    n >>= 3
+    n += _WORD_PLACES
+    row = n.max(axis=0)
+    row += k * 18
+    moved = digits << np.uint64(8)  # moved on by one byte, after the point
+    moved[1:] |= digits[:2] >> np.uint64(56)
+    moved &= _AFTER_POINT.take(row, axis=1, mode="clip")
+    digits &= _BEFORE_POINT.take(row, axis=1, mode="clip")
+    digits |= moved
+    digits |= _LAYOUT_TEXT.take(row, axis=1, mode="clip")
+    out[:, 1:] = digits.T
+    out[:, 0] = _LEAD_TEXT.take(k, mode="clip")
+    return ok
+
+
+def _format_column(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` of each float64 v of ``x`` in the matching row of
+    ``out``, four little-endian words, NUL-padded: the sign and any lead
+    text, then the digits.  Whole numbers below 2**53 take
+    ``_integer_fields``, and the rest ``_decimal_fields``; the values
+    that neither writes (non-finite, outside [1e-6, 1e17), or an
+    exponent read off by one) are formatted by ``%`` one at a time, and
+    their rows returned."""
+    ax = np.abs(x)
+    whole = np.rint(ax) == ax
+    whole &= ax < 2.0**53
+    n_whole = np.count_nonzero(whole)
+    done = whole
+    if n_whole < len(x):
+        done = _decimal_fields(ax, whole, out) | whole
+    if n_whole == len(x):
+        out[:, 0] = 0
+        _integer_fields(ax, out)
+    elif n_whole:
+        rows = np.flatnonzero(whole)
+        fields = np.zeros((len(rows), 4), "<u8")
+        _integer_fields(ax[rows], fields)
+        out[rows] = fields
+    out[:, 0] |= np.signbit(x) * np.uint64(45)
+    rest = np.flatnonzero(~done)
+    for i in rest:
+        out[i] = np.frombuffer(("%.17g" % x[i]).encode().ljust(32, b"\0"), "<u8")
+    return rest
+
+
+def _text_words(texts: Sequence[str]) -> np.ndarray:
+    """Each text's UTF-8 bytes, NUL-padded to whole 8-byte words of one
+    width: an array of (len(texts), words)."""
+    raw = [t.encode() for t in texts]
+    if any(b"\0" in r for r in raw):
+        raise ValueError("CSV text may not hold NUL")
+    size = -(-max(map(len, raw)) // 8) * 8
+    padded = b"".join(r.ljust(size, b"\0") for r in raw)
+    return np.frombuffer(padded, "<u8").reshape(len(raw), size // 8)
+
+
+def _write_rows(fileobj, *pieces) -> None:
+    """One row per index of the equal-length columns among ``pieces``.
+
+    A piece is fixed text (a string), text per row (a pair of a list of
+    strings and an index array: row i takes ``texts[index[i]]``), or a
+    column of numbers, each written as ``"%.17g" % value`` (so ``2.0``
+    is ``2``).  Every piece fills whole 8-byte words of a NUL-padded row,
+    a column four, so a block of ``_CSV_BLOCK`` rows is formatted in
+    whole-array operations and written once, its NULs taken out.
+    """
+    fixed, slots, width = [], [], 0
+    for piece in pieces:
+        if isinstance(piece, str):
+            words = _text_words([piece])[0]
+            fixed.append((width, words))
+            width += len(words)
+        elif isinstance(piece, tuple):
+            table = _text_words(piece[0]).T.copy()  # word-major
+            slots.append((width, table, piece[1]))
+            width += len(table)
+        else:
+            slots.append((width, None, piece))
+            width += 4  # a number's field
+    n = len(slots[0][2])
+    row = np.empty((min(n, _CSV_BLOCK), width), "<u8")
+    for at, words in fixed:
+        row[:, at : at + len(words)] = words
+    for i in range(0, n, _CSV_BLOCK):
+        block = row[: min(_CSV_BLOCK, n - i)]
+        for at, table, column in slots:
+            part = column[i : i + len(block)]
+            if table is None:
+                _format_column(np.asarray(part, np.float64), block[:, at : at + 4])
+            else:
+                for w, words in enumerate(table, at):
+                    block[:, w] = words.take(part)
+        fileobj.write(block.tobytes().translate(None, b"\0").decode())
 
 
 def write_event_csv(
@@ -539,16 +789,32 @@ def write_event_csv(
     Rows carry realization index ``start + i`` and carrier index
     ``carrier_start + j``, and the header is written when both are 0, so
     realizations, or groups of one realization's carriers, can be written
-    one call at a time.  Each gap and pulse pair is one two-line row of
-    :func:`_write_rows`.
+    one call at a time.  A realization's carriers are written together:
+    their segments in turn, ``_CSV_BLOCK`` rows per :func:`_write_rows`
+    call, each row's ``r,c,kind,`` text taken by its carrier and the
+    parity of its segment.
     """
     if start == 0 and carrier_start == 0:
         fileobj.write("realization,carrier,kind,duration\n")
+    values = np.empty(_CSV_BLOCK)
+    label = np.empty(_CSV_BLOCK, dtype=np.intp)
     for r, paths in enumerate(realizations, start):
-        for c, path in enumerate(paths, carrier_start):
-            gap, d, n = f"{r},{c},gap,", path.durations, 2 * path.pulse_count
-            _write_rows(fileobj, gap, d[0:n:2], f"\n{r},{c},pulse,", d[1:n:2], "\n")
-            _write_rows(fileobj, gap, d[n:], "\n")  # the closing gap, if any
+        carriers = range(carrier_start, carrier_start + len(paths))
+        labels = [f"{r},{c},{kind}," for c in carriers for kind in ("gap", "pulse")]
+        n = 0
+        for j, path in enumerate(paths):
+            d, lo = path.durations, 0
+            while lo < len(d):
+                m = min(len(d) - lo, _CSV_BLOCK - n)
+                values[n : n + m] = d[lo : lo + m]
+                np.bitwise_and(np.arange(lo, lo + m), 1, out=label[n : n + m])
+                label[n : n + m] += 2 * j
+                n, lo = n + m, lo + m
+                if n == _CSV_BLOCK:
+                    _write_rows(fileobj, (labels, label), values, "\n")
+                    n = 0
+        if n:
+            _write_rows(fileobj, (labels, label[:n]), values[:n], "\n")
 
 
 def write_signal_csv(fileobj, signal: SampledSignal, seed: int) -> None:

@@ -88,9 +88,12 @@ first half (row 0's N2 share row 0 with one more column).  One blocked
 pass then moves them into natural order in the second half, and the grid
 k/(L dt) is written into the first, block by block, so ``freqs`` and
 ``values`` are views of the one buffer.  The unpack's blocks hold N1/256
-rows and the move's N2/64 rows of the grid, so beyond the buffer the
-transform holds its twiddle tables and a few blocks: under 0.1 signal
-sizes at L = 2^20 on one thread (0.14 on two), less at longer signals.
+rows of at most ``_UNPACK_BLOCK`` columns and the move's N2/64 rows of
+the grid, so beyond the buffer the transform holds its twiddle tables
+and a few blocks: under 0.1 signal sizes at L = 2^20 on one thread
+(0.14 on two), less at longer signals, and 0.35 on two threads at
+L = 3532044, where N1 = 6: each thread's row holds 2 N2 / 3 values in a
+scratch row, and the column twiddles take a sixth of the signal.
 ``periodogram_fft`` transforms a copy unless told it may overwrite the
 signal; in overwrite mode the spectrum and its grid take over the
 signal's buffer.  The time follows the largest prime factor of N, as
@@ -155,6 +158,10 @@ _ROW_BLOCK = 16
 # its few block-sized temporaries stay near 1/64 of the signal at every
 # length; its values do not depend on the block
 _UNPACK_SHARE = 256
+# columns per block of the unpack's rows: at N1 = 6 (L = 3532044) its
+# blocks and scratch rows, beside the column twiddles, peak at 0.35 of
+# the signal on two threads (0.61 with blocks of 65536 columns)
+_UNPACK_BLOCK = 1 << 14
 # the move from the staged rows into the spectrum takes N2 / _MOVE_SHARE
 # grid rows per block (at least one), so its gathered block stays near
 # 1/128 of the signal
@@ -475,13 +482,16 @@ def _rows(n: int) -> int:
 def _unit_roots(m: np.ndarray, n: int) -> np.ndarray:
     """e^{-2 pi i m / n} for integers m, from phases reduced exactly
     modulo n and taken in long double, so each is rounded once; cos and
-    sin cast into the roots as they go, with no long-double array of
-    their own."""
-    phase = (m % n).astype(np.longdouble)
-    phase *= -2 * _PI_LONG / n
+    sin cast into the roots as they go, ``_GRID_BLOCK`` phases at a time,
+    with no long-double array as long as the roots."""
     roots = np.empty(np.shape(m), dtype=complex)
-    np.cos(phase, out=roots.real, casting="same_kind")
-    np.sin(phase, out=roots.imag, casting="same_kind")
+    flat, m = roots.reshape(-1), np.ravel(m)
+    for i in range(0, len(m), _GRID_BLOCK):
+        phase = (m[i : i + _GRID_BLOCK] % n).astype(np.longdouble)
+        phase *= -2 * _PI_LONG / n
+        block = flat[i : i + _GRID_BLOCK]
+        np.cos(phase, out=block.real, casting="same_kind")
+        np.sin(phase, out=block.imag, casting="same_kind")
     return roots
 
 
@@ -502,8 +512,10 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     column of N2 powers is staged in ``x[:N]`` as a row of the matrix
     ``x[:N].reshape(N1, N2)``: row k1 >= 1 pairs with row N1 - k1, and
     once both are read its two columns go into row k1's own 2 N2
-    float64, staged rows 2 k1 and 2 k1 + 1; row 0, read first in blocks
-    of ``_GRID_BLOCK`` columns, goes to staged row 0; the one column
+    float64, staged rows 2 k1 and 2 k1 + 1; row 0, read first, goes to
+    staged row 0.  Every row is read in blocks of ``_UNPACK_BLOCK``
+    columns, each block's powers staged over columns already read or,
+    until they are, held in a scratch row.  The one column
     whose staged row would be N1 (the self-paired middle row of an even
     N1, or the second column of the last pair of an odd N1) goes to
     staged row 1.  Then one blocked pass moves the staged rows into the
@@ -541,11 +553,12 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     source[-1] = 0
     source[source == rows] = 1
 
-    def stage(first, powers):
-        """Stage ``powers`` in rows first, first + 2, ..., row N1 in row 1."""
+    def stage(first, powers, part=slice(None)):
+        """Stage ``powers`` in columns ``part`` of rows first, first + 2,
+        ..., row N1 in row 1."""
         j = np.arange(first, first + 2 * len(powers), 2)
         j[j == rows] = 1
-        staged[j] = powers
+        staged[j, part] = powers
 
     def column_ffts(starts):
         buf = np.empty((rows, _COLUMN_BLOCK), dtype=complex)
@@ -581,18 +594,33 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
         return plus, minus
 
     def unpack_rows(starts):
-        # row k1 pairs with row N1 - k1, reversed; the results are fresh
-        # arrays, so the pair's rows are read before row k1 is staged over
+        # row k1 pairs with row N1 - k1, reversed, in blocks of columns.
+        # Column k2's X_k power is staged at float k2 of row k1 and its
+        # X_{N-k} power at float 2 N2 - 1 - k2, columns k2 // 2 and
+        # N2 - 1 - k2 // 2 of the matrix row; the results are fresh arrays,
+        # so once a block is read both places of its columns from
+        # ``wait`` = ceil((2 N2 - 2) / 3) on are read too, and the X_{N-k}
+        # powers of the columns before it wait in a scratch row
+        wait = -(-(2 * cols - 2) // 3)
         for a in starts:
             b = min(a + unpack_step, half + 1)
-            plus, minus = doubled(
-                z[a:b],
-                z[rows - a : rows - b : -1, ::-1].conj(),
-                row_twiddle[a:b] * col_twiddle,
-            )
-            stage(2 * a, _power(plus, quarter))
             c = min(b, (rows + 1) // 2)
-            stage(2 * a + 1, _power(minus[: c - a], quarter)[:, ::-1])
+            pending = np.empty((c - a, wait))
+            pair = z[rows - a : rows - b : -1, ::-1]
+            for j in range(0, cols, _UNPACK_BLOCK):
+                stop = min(j + _UNPACK_BLOCK, cols)
+                plus, minus = doubled(
+                    z[a:b, j:stop],
+                    pair[:, j:stop].conj(),
+                    row_twiddle[a:b] * col_twiddle[j:stop],
+                )
+                stage(2 * a, _power(plus, quarter), slice(j, stop))
+                minus = _power(minus[: c - a], quarter)
+                split = min(max(wait, j), stop)
+                pending[:, j:split] = minus[:, : split - j]
+                later = slice(cols - stop, cols - split)
+                stage(2 * a + 1, minus[:, split - j :][:, ::-1], later)
+            stage(2 * a + 1, pending[:, ::-1], slice(cols - wait, cols))
 
     def move_rows(starts):
         for i in starts:
@@ -608,8 +636,8 @@ def _four_step_periodogram(x: np.ndarray, scale: float, workers: int) -> np.ndar
     # column blocks' powers gather in a scratch row, since staged row 0
     # overlays the first half of matrix row 0, which every block reads
     row0 = np.empty(cols)
-    for j in range(0, cols, _GRID_BLOCK):
-        part = slice(j, min(j + _GRID_BLOCK, cols))
+    for j in range(0, cols, _UNPACK_BLOCK):
+        part = slice(j, min(j + _UNPACK_BLOCK, cols))
         zm = z[0, -np.arange(j, part.stop) % cols]
         np.conjugate(zm, out=zm)
         plus, minus = doubled(z[0, part], zm, -1j * col_twiddle[part])

@@ -812,6 +812,102 @@ class TestBlockedRows:
         assert buf.getvalue() == "%d%%1.5,%s 100%\n%d%%2,%s 100%\n"
 
 
+def neighbours(x, ulps):
+    """x and its float64 neighbours up to ``ulps`` steps either way."""
+    out, up, down = [x], x, x
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestExactFormat:
+    """``_write_rows`` formats numbers in array operations, exactly as the
+    f-string ``{v:.17g}`` formats each."""
+
+    @staticmethod
+    def assert_formats(values):
+        values = np.asarray(values, dtype=np.float64)
+        buf = io.StringIO()
+        _write_rows(buf, values, "\n")
+        assert buf.getvalue() == "".join(f"{v:.17g}\n" for v in values.tolist())
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = neighbours(10.0 ** np.arange(-30, 31), 2)
+        self.assert_formats(np.concatenate([powers, -powers]))
+
+    def test_ties_round_half_to_even(self):
+        # 17 digits of 2**50 + 0.25 and 2**50 + 0.75 end on an exact half
+        ties = 2.0**50 + np.array([0.25, 0.75, 1.25, 1.75])
+        self.assert_formats(np.concatenate([ties, -ties]))
+
+    def test_whole_numbers(self):
+        big = np.array([2.0**53, 2.0**53 - 1, 2.0**53 + 2, 1e16, 1e16 - 2])
+        whole = np.concatenate([
+            np.arange(-1000.0, 1001.0), 10.0 ** np.arange(16), 10.0 ** np.arange(16) - 1,
+            big, neighbours(np.array([1e17]), 1),
+            np.rint(np.random.default_rng(3).uniform(-(2.0**53), 2.0**53, 10000)),
+        ])
+        self.assert_formats(np.concatenate([whole, -whole]))
+
+    def test_zeros_infinities_nan_and_subnormals(self):
+        tiny = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308])
+        self.assert_formats([0.0, -0.0, np.inf, -np.inf, np.nan, *tiny, *-tiny])
+
+    def test_random_doubles_over_26_decades(self):
+        rng = np.random.default_rng(7)
+        values = 10.0 ** rng.uniform(-8, 18, 10**6)
+        values[::2] *= -1
+        self.assert_formats(values)
+
+    def test_columns_of_mixed_kinds(self):
+        # whole, fractional and out-of-range values side by side in one block
+        rng = np.random.default_rng(8)
+        values = rng.exponential(size=3 * _CSV_BLOCK)
+        values[::3] = np.rint(values[::3] * 100)
+        values[1::7] = 10.0 ** rng.uniform(-12, -6, len(values[1::7]))
+        values[2::11] = 10.0 ** rng.uniform(17, 300, len(values[2::11]))
+        self.assert_formats(values)
+
+    def test_carrier_groups_with_empty_lone_and_odd_paths(self):
+        # one realization's carriers in one call, the rows of several
+        # carriers in one block and one carrier's rows across blocks
+        rng = np.random.default_rng(9)
+        counts = [0, 1, 3, 0, 5, 2 * _CSV_BLOCK + 1, 2, 1]
+        realized = [
+            [make_path(rng.exponential(size=n), horizon=1e6) for n in counts],
+            [make_path(rng.exponential(size=n), horizon=1e6) for n in (7, 0)],
+        ]
+        buf = io.StringIO()
+        write_event_csv(buf, realized, start=2, carrier_start=5)
+        want = [
+            f"{r},{c},{'pulse' if i % 2 else 'gap'},{duration:.17g}\n"
+            for r, paths in enumerate(realized, 2)
+            for c, path in enumerate(paths, 5)
+            for i, duration in enumerate(path.durations.tolist())
+        ]
+        assert buf.getvalue() == "".join(want)
+
+    def test_few_fig4_durations_take_the_slow_path(self):
+        # values outside [1e-6, 1e17), or whose exponent the table reads
+        # off by one, are formatted by % one at a time
+        spec = preset("fig4", scale=100)
+        durations = np.concatenate([
+            path.durations
+            for _, cfg in spec.runs
+            for r in range(cfg.n_realizations)
+            for path in simulate_realization(cfg, r)
+        ])
+        fields = np.empty((len(durations), 4), "<u8")
+        slow = simulate._format_column(durations, fields)
+        assert len(durations) > 10000
+        assert len(slow) <= 1e-3 * len(durations)
+
+    def test_text_may_not_hold_nul(self):
+        with pytest.raises(ValueError, match="NUL"):
+            _write_rows(io.StringIO(), "a\0", np.array([1.0]), "\n")
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "build, field",

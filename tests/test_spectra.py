@@ -812,6 +812,25 @@ class TestFourStepPeriodogram:
         # the prime-length row FFT's own buffers now set the peak
         assert peak <= 3.2 * sig.values.nbytes
 
+    def test_few_rows_unpack_their_columns_in_blocks(self):
+        import tracemalloc
+
+        import scipy.fft  # noqa: F401  (the transform imports it lazily)
+
+        # fig6 at scale 19: N1 = 6 rows of N2 = 294337 columns; unpacked a
+        # whole row at a time, two threads' temporaries took 1.17 signal
+        # sizes
+        length = 3532044
+        assert spectra._rows(length // 2) == 6
+        sig = _sampled(_walk(length))
+        tracemalloc.start()
+        try:
+            periodogram_fft(sig, workers=2, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.4 * sig.values.nbytes
+
     # N = L/2 across several blocks of the grid, and past the last one;
     # odd lengths, the transform of all but their last sample, which
     # keeps its value
